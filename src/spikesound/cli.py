@@ -13,21 +13,18 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .codec import decode_matrix, encode_matrix, load_spikes, save_spikes
 from .errors import ConfigError, DataError, NumericError
-from .frontend import load_features, mel_spectrogram, save_features
+from .frontend import load_features, save_features
 from .harness import (
     RunConfig,
     compare_report,
+    load_corpus,
     load_run_config,
     run_bench,
     write_synthetic_corpus,
 )
-from .ingest import center_crop, load_audio, read_manifest
 from .metrics import score_matrix
-from .snn import ProtocolSample, run_protocol
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("encode", "encode a corpus to spike-train files"),
         ("reconstruct", "decode spike files and score the reconstruction"),
         ("bench", "full encode/decode/score benchmark with CSV reports"),
-        ("train", "run the spiking-classifier protocol"),
+        ("train", "bench with the spiking-classifier protocol on"),
         ("compare", "rank codecs across two bench reports"),
     ]:
         p = sub.add_parser(name, help=doc)
@@ -87,29 +84,13 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _corpus_features(cfg: RunConfig, out_dir: Path):
-    if cfg.dataset == "synthetic":
-        manifest = write_synthetic_corpus(cfg.synthetic, cfg.seed, out_dir / "corpus")
-    else:
-        manifest = Path(cfg.dataset)
-    entries = read_manifest(manifest)
-    root = manifest.parent
-    for e in entries:
-        try:
-            w = load_audio(root / e.path, cfg.frontend.sample_rate)
-            if cfg.crop_seconds is not None:
-                w = center_crop(w, cfg.crop_seconds)
-            yield e, mel_spectrogram(w, cfg.frontend)
-        except DataError as exc:
-            raise DataError(f"clip {e.path!r}: {exc}") from exc
-
-
 def _cmd_encode(args) -> int:
     cfg = _resolve_config(args)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     index = []
-    for e, feats in _corpus_features(cfg, out_dir):
+    _, clips = load_corpus(cfg, out_dir)
+    for e, feats in clips:
         feat_rel = Path("features") / Path(e.path).with_suffix(".spkf")
         (out_dir / feat_rel).parent.mkdir(parents=True, exist_ok=True)
         save_features(feats, out_dir / feat_rel)
@@ -162,34 +143,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _resolve_config(args)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = ["codec,dataset,fold,macro_acc"]
-    dataset_name = "synthetic" if cfg.dataset == "synthetic" else Path(cfg.dataset).stem
-    corpus = list(_corpus_features(cfg, out_dir))
-    for codec in sorted(cfg.codecs):
-        samples = []
-        for e, feats in corpus:
-            st = encode_matrix(feats, cfg.codec_params[codec], codec)
-            samples.append(ProtocolSample(
-                inputs=st.spikes.astype(np.float64), label=e.class_label,
-                fold=e.fold, split=e.split,
-            ))
-        result = run_protocol(samples, cfg.snn)
-        for fr in result.per_fold:
-            fold_label = "holdout" if fr.fold is None else str(fr.fold)
-            rows.append(f"{codec},{dataset_name},{fold_label},{fr.macro_acc:.6f}")
-        rows.append(f"{codec},{dataset_name},mean,{result.mean_macro_acc:.6f}")
-        log_rows = ["epoch,split,loss,macro_acc"]
-        for hist in result.histories:
-            for epoch, split, loss, acc in hist.rows:
-                log_rows.append(f"{epoch},{split},{loss:.6f},{acc:.6f}")
-        (out_dir / f"training_log_{codec}.csv").write_text(
-            "\n".join(log_rows) + "\n", encoding="utf-8")
-        print(f"{codec}: mean macro accuracy {result.mean_macro_acc:.3f}")
-    (out_dir / "classification.csv").write_text("\n".join(rows) + "\n",
-                                                encoding="utf-8")
+    cfg = replace(_resolve_config(args), run_snn=True)
+    result = run_bench(cfg)
+    for codec, _, fold, acc in result.classification_rows:
+        if fold == "mean":
+            print(f"{codec}: mean macro accuracy {acc:.3f}")
+    print(f"train complete: reports in {result.output_dir}")
     return EXIT_OK
 
 

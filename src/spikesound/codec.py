@@ -418,11 +418,17 @@ def load_spikes(path: str | Path) -> SpikeTrain:
         magic = fh.read(5)
         if magic != SPIKE_MAGIC:
             raise DataError(f"bad spike file magic in {path}: {magic!r}")
-        tag, channels, frames, thr, window, gamma, tmin, tmax = _HEADER.unpack(
-            fh.read(_HEADER.size)
-        )
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise DataError(f"truncated spike file header in {path}")
+        tag, channels, frames, thr, window, gamma, tmin, tmax = _HEADER.unpack(header)
+        if tag not in _TAG_CODECS:
+            raise DataError(f"unknown codec tag {tag} in {path}")
         payload = fh.read(spike_payload_bytes(channels, frames))
         side_raw = fh.read(channels * 2 * 4)
+    if (len(payload), len(side_raw)) != (spike_payload_bytes(channels, frames),
+                                         channels * 2 * 4):
+        raise DataError(f"truncated spike file payload in {path}")
     params = CodecConfig(
         threshold_rel=float(thr), window=int(window), tae_gamma=float(gamma),
         tae_tmin_rel=float(tmin), tae_tmax_rel=float(tmax),

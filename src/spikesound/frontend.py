@@ -226,8 +226,13 @@ def load_features(path: str | Path) -> FeatureMatrix:
         magic = fh.read(5)
         if magic != FEATURE_MAGIC:
             raise DataError(f"bad feature file magic in {path}: {magic!r}")
-        channels, frames, frame_rate = struct.unpack("<IIf", fh.read(12))
+        header = fh.read(12)
+        if len(header) != 12:
+            raise DataError(f"truncated feature file header in {path}")
+        channels, frames, frame_rate = struct.unpack("<IIf", header)
         raw = fh.read(channels * frames * 4)
+    if len(raw) != channels * frames * 4:
+        raise DataError(f"truncated feature file payload in {path}")
     values = np.frombuffer(raw, dtype="<f4").reshape(channels, frames).astype(np.float64)
     with open(path.with_suffix(path.suffix + ".json"), encoding="utf-8") as fh:
         sidecar = json.load(fh)

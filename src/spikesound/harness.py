@@ -13,6 +13,7 @@ import json
 import logging
 import platform
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
 
@@ -200,13 +201,14 @@ def write_synthetic_corpus(spec: SyntheticSpec, seed: int,
 # Bench
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ClipRecord:
-    entry: ManifestEntry
-    features: FeatureMatrix
+def load_corpus(cfg: RunConfig, out_dir: Path
+                ) -> tuple[str, Iterator[tuple[ManifestEntry, FeatureMatrix]]]:
+    """Dataset name and a lazy stream of (entry, features), one per clip.
 
-
-def _load_corpus(cfg: RunConfig, out_dir: Path) -> tuple[str, list[ClipRecord]]:
+    A synthetic corpus is first written to out_dir/corpus.  Each clip is
+    loaded, cropped and featurized only when the stream reaches it; a bad
+    clip raises DataError naming its path.
+    """
     if cfg.dataset == "synthetic":
         manifest_path = write_synthetic_corpus(cfg.synthetic, cfg.seed,
                                                out_dir / "corpus")
@@ -218,16 +220,17 @@ def _load_corpus(cfg: RunConfig, out_dir: Path) -> tuple[str, list[ClipRecord]]:
     if not entries:
         raise DataError(f"empty manifest: {manifest_path}")
     root = manifest_path.parent
-    records = []
-    for e in entries:
-        try:
-            w = load_audio(root / e.path, cfg.frontend.sample_rate)
-            if cfg.crop_seconds is not None:
-                w = center_crop(w, cfg.crop_seconds)
-            records.append(ClipRecord(entry=e, features=mel_spectrogram(w, cfg.frontend)))
-        except DataError as exc:
-            raise DataError(f"clip {e.path!r}: {exc}") from exc
-    return dataset_name, records
+    return dataset_name, ((e, _clip_features(root, e, cfg)) for e in entries)
+
+
+def _clip_features(root: Path, e: ManifestEntry, cfg: RunConfig) -> FeatureMatrix:
+    try:
+        w = load_audio(root / e.path, cfg.frontend.sample_rate)
+        if cfg.crop_seconds is not None:
+            w = center_crop(w, cfg.crop_seconds)
+        return mel_spectrogram(w, cfg.frontend)
+    except DataError as exc:
+        raise DataError(f"clip {e.path!r}: {exc}") from exc
 
 
 @dataclass
@@ -243,19 +246,22 @@ def run_bench(cfg: RunConfig) -> BenchResult:
     """Full pipeline for every selected codec; writes the report files.
 
     Outputs land in cfg.output_dir: per_band.csv, per_class.csv,
-    efficiency.csv, run_summary.json, and classification.csv when the SNN
-    protocol is enabled.  All results are staged in memory and written in
-    one pass so a failure leaves no partial report behind.
+    efficiency.csv, run_summary.json, and, when the SNN protocol is enabled,
+    classification.csv plus one training_log_<codec>.csv per codec.  All
+    results are staged in memory and written in one pass so a failure
+    leaves no partial report behind.
     """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset_name, records = _load_corpus(cfg, out_dir)
-    bands = partition_bands(records[0].features.channel_center_hz)
+    dataset_name, clips = load_corpus(cfg, out_dir)
+    clips = list(clips)
+    bands = partition_bands(clips[0][1].channel_center_hz)
 
     per_band_rows = []
     per_class_rows = []
     efficiency_rows = []
     classification_rows = []
+    training_logs = {}
     for codec in sorted(cfg.codecs):
         ccfg = cfg.codec_params[codec]
         band_errs = np.zeros(N_BANDS)
@@ -263,15 +269,15 @@ def run_bench(cfg: RunConfig) -> BenchResult:
         class_scores = []
         rates, times_ms, aux = [], [], []
         samples = []
-        for rec in records:
+        for entry, feats in clips:
             t0 = time.perf_counter()
-            st = encode_matrix(rec.features, ccfg, codec)
+            st = encode_matrix(feats, ccfg, codec)
             times_ms.append(1000.0 * (time.perf_counter() - t0))
             est = decode_matrix(st)
-            overall = score_matrix(rec.features.values, est,
-                                   class_label=rec.entry.class_label)
-            class_scores.append((rec.entry.class_label, overall))
-            for sc in score_per_band(rec.features, est, bands):
+            overall = score_matrix(feats.values, est,
+                                   class_label=entry.class_label)
+            class_scores.append((entry.class_label, overall))
+            for sc in score_per_band(feats, est, bands):
                 if not sc.absent:
                     band_errs[sc.band] += sc.errdb
                     band_counts[sc.band] += 1
@@ -280,9 +286,9 @@ def run_bench(cfg: RunConfig) -> BenchResult:
             if cfg.run_snn:
                 samples.append(ProtocolSample(
                     inputs=st.spikes.astype(np.float64),
-                    label=rec.entry.class_label,
-                    fold=rec.entry.fold,
-                    split=rec.entry.split,
+                    label=entry.class_label,
+                    fold=entry.fold,
+                    split=entry.split,
                 ))
         for b in range(N_BANDS):
             if band_counts[b]:
@@ -302,8 +308,9 @@ def run_bench(cfg: RunConfig) -> BenchResult:
                                             fr.macro_acc))
             classification_rows.append((codec, dataset_name, "mean",
                                         result.mean_macro_acc))
+            training_logs[codec] = result.histories
         log.info("bench: codec=%s clips=%d mean_rate=%.2f%%",
-                 codec, len(records), float(np.mean(rates)))
+                 codec, len(clips), float(np.mean(rates)))
 
     written = []
     try:
@@ -317,7 +324,11 @@ def run_bench(cfg: RunConfig) -> BenchResult:
             _write_classification_csv(out_dir / "classification.csv",
                                       classification_rows)
             written.append(out_dir / "classification.csv")
-        _write_run_summary(out_dir / "run_summary.json", cfg, dataset_name, records)
+        for codec, histories in training_logs.items():
+            path = out_dir / f"training_log_{codec}.csv"
+            _write_training_log_csv(path, histories)
+            written.append(path)
+        _write_run_summary(out_dir / "run_summary.json", cfg, dataset_name, clips)
         written.append(out_dir / "run_summary.json")
     except Exception:
         for p in written:
@@ -339,17 +350,25 @@ def _write_classification_csv(path: Path, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_training_log_csv(path: Path, histories) -> None:
+    lines = ["epoch,split,loss,macro_acc"]
+    for hist in histories:
+        for epoch, split, loss, acc in hist.rows:
+            lines.append(f"{epoch},{split},{loss:.6f},{acc:.6f}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _write_run_summary(path: Path, cfg: RunConfig, dataset_name: str,
-                       records: list[ClipRecord]) -> None:
-    classes = sorted({r.entry.class_label for r in records})
+                       clips: list[tuple[ManifestEntry, FeatureMatrix]]) -> None:
+    classes = sorted({e.class_label for e, _ in clips})
     summary = {
-        "config": run_config_to_dict(cfg),
+        "config": asdict(cfg),
         "seed": cfg.seed,
         "dataset": {
             "name": dataset_name,
-            "n_clips": len(records),
+            "n_clips": len(clips),
             "classes": classes,
-            "n_frames": records[0].features.n_frames,
+            "n_frames": clips[0][1].n_frames,
         },
         "versions": {
             "python": platform.python_version(),
@@ -369,8 +388,11 @@ def _write_run_summary(path: Path, cfg: RunConfig, dataset_name: str,
 def _read_csv_rows(path: Path) -> list[dict[str, str]]:
     import csv
 
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(csv.DictReader(fh))
+    except OSError as exc:
+        raise DataError(f"cannot read report file {path}: {exc}") from exc
 
 
 def _codec_ranking(rows, key_field, value_field):
@@ -458,18 +480,6 @@ def compare_report(report_a: str | Path, report_b: str | Path) -> dict:
 # ---------------------------------------------------------------------------
 # Config (de)serialization
 # ---------------------------------------------------------------------------
-
-def run_config_to_dict(cfg: RunConfig) -> dict:
-    d = asdict(cfg)
-    d["codecs"] = list(cfg.codecs)
-    d["frontend"] = asdict(cfg.frontend)
-    d["synthetic"] = asdict(cfg.synthetic)
-    d["synthetic"]["classes"] = list(cfg.synthetic.classes)
-    d["snn"] = asdict(cfg.snn)
-    d["snn"]["hidden_sizes"] = list(cfg.snn.hidden_sizes)
-    d["codec_params"] = {k: asdict(v) for k, v in cfg.codec_params.items()}
-    return d
-
 
 def _build(cls, data: dict, what: str):
     valid = set(cls.__dataclass_fields__)

@@ -148,7 +148,8 @@ def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Wave
     Raises
     ------
     DataError
-        If the file is unreadable, not PCM/float WAV, or has zero length.
+        If the file is unreadable, not PCM/float WAV, has zero length, or
+        holds non-finite float samples.
     """
     path = Path(path)
     try:
@@ -162,6 +163,8 @@ def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Wave
     if data.size == 0:
         raise DataError(f"zero-length audio: {path}")
     x = _pcm_to_float(data)
+    if not np.all(np.isfinite(x)):
+        raise DataError(f"non-finite samples in {path}")
     if x.ndim == 2:
         x = x.mean(axis=1)
     y = resample(x, rate, target_rate)

@@ -1,6 +1,8 @@
 """Synthetic corpus, bench orchestration, report comparison, and the CLI."""
 
 import json
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +16,13 @@ from spikesound.harness import (
     SyntheticSpec,
     compare_report,
     generate_synthetic,
+    load_corpus,
     load_run_config,
     run_bench,
     run_config_from_dict,
     write_synthetic_corpus,
 )
+from spikesound.ingest import read_manifest, write_manifest
 from spikesound.metrics import score_per_class
 
 from conftest import small_run_config
@@ -167,6 +171,32 @@ class TestRunBench:
         accs = [float(l.rsplit(",", 1)[1]) for l in lines[1:]]
         assert all(0.0 <= a <= 1.0 for a in accs)
         assert result.classification_rows[-1][2] == "mean"
+
+
+class TestLoadCorpus:
+    def test_streams_clip_by_clip(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        manifest = write_synthetic_corpus(
+            SyntheticSpec(n_clips=5, duration_s=0.3), 5, corpus)
+        cfg = RunConfig(dataset=str(manifest), output_dir=str(tmp_path / "out"))
+        name, clips = load_corpus(cfg, tmp_path / "out")
+        assert name == "manifest"
+        entries = read_manifest(manifest)
+        entry, feats = next(clips)
+        assert entry == entries[0]
+        assert feats.n_channels == cfg.frontend.n_mels
+        # a clip is read only when the stream reaches it
+        (corpus / entries[2].path).write_bytes(b"ruined")
+        next(clips)
+        with pytest.raises(DataError, match=re.escape(entries[2].path)):
+            next(clips)
+
+    def test_empty_manifest_rejected(self, tmp_path):
+        manifest = tmp_path / "manifest.csv"
+        write_manifest([], manifest)
+        cfg = RunConfig(dataset=str(manifest), output_dir=str(tmp_path / "out"))
+        with pytest.raises(DataError, match="empty manifest"):
+            load_corpus(cfg, tmp_path / "out")
 
 
 def _as_kwargs(cfg: RunConfig) -> dict:
@@ -325,6 +355,71 @@ class TestCli:
         log_lines = (out / "training_log_tae.csv").read_text().splitlines()
         assert log_lines[0] == "epoch,split,loss,macro_acc"
         assert len(log_lines) == 1 + 8  # eight epochs
+
+    def test_train_is_bench_with_snn(self, tmp_path):
+        snn = {"hidden_sizes": [8, 8, 8], "epochs": 3, "batch_size": 8, "seed": 2}
+        shared = dict(codecs=["sf", "tae"],
+                      synthetic={"n_clips": 20, "duration_s": 0.3}, snn=snn)
+        cfg = self._config_file(tmp_path, **shared)
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "train")]) == 0
+        cfg = self._config_file(tmp_path, run_snn=True, **shared)
+        assert main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "bench")]) == 0
+        for name in ["classification.csv", "per_band.csv", "per_class.csv",
+                     "training_log_sf.csv", "training_log_tae.csv"]:
+            assert ((tmp_path / "train" / name).read_bytes()
+                    == (tmp_path / "bench" / name).read_bytes()), name
+        for codec in ("sf", "tae"):
+            lines = (tmp_path / "bench" / f"training_log_{codec}.csv"
+                     ).read_text().splitlines()
+            assert lines[0] == "epoch,split,loss,macro_acc"
+            assert [l.split(",")[:2] for l in lines[1:]] == [
+                [str(e), "train"] for e in (1, 2, 3)]
+
+    def test_encode_bad_clip_names_it(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        manifest = write_synthetic_corpus(
+            SyntheticSpec(n_clips=5, duration_s=0.3), 5, corpus)
+        victim = read_manifest(manifest)[3].path
+        (corpus / victim).write_bytes(b"junk")
+        cfg = self._config_file(tmp_path, dataset=str(manifest))
+        assert main(["encode", "--config", str(cfg),
+                     "--out", str(tmp_path / "enc")]) == 3
+        assert victim in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["per_band.csv", "per_class.csv",
+                                         "efficiency.csv"])
+    def test_compare_missing_report_file(self, small_bench, tmp_path, missing):
+        cfg, _ = small_bench
+        partial = tmp_path / "partial"
+        shutil.copytree(cfg.output_dir, partial)
+        (partial / missing).unlink()
+        assert main(["compare", cfg.output_dir, str(partial),
+                     "--out", str(tmp_path / "cmp")]) == 3
+
+    def test_reconstruct_truncated_containers(self, tmp_path):
+        cfg = self._config_file(tmp_path, codecs=["tae"],
+                                synthetic={"n_clips": 5, "duration_s": 0.3})
+        enc = tmp_path / "enc"
+        assert main(["encode", "--config", str(cfg), "--out", str(enc)]) == 0
+        item = json.loads((enc / "encode_index.json").read_text())[0]
+        for rel in (item["spikes"], item["features"]):
+            path = enc / rel
+            whole = path.read_bytes()
+            # empty, inside the magic, inside or at the end of either
+            # header (.spkf 17 bytes, .spk 34), inside the payload
+            for cut in (0, 3, 5, 9, 17, 34, len(whole) // 2, len(whole) - 1):
+                path.write_bytes(whole[:cut])
+                rc = main(["reconstruct", str(enc), "--out", str(tmp_path / "rec")])
+                assert rc == 3, (rel, cut)
+            path.write_bytes(whole)
+        spikes = enc / item["spikes"]
+        whole = spikes.read_bytes()
+        spikes.write_bytes(whole[:5] + bytes([7]) + whole[6:])  # codec tag
+        assert main(["reconstruct", str(enc), "--out", str(tmp_path / "rec")]) == 3
+        spikes.write_bytes(whole)
+        assert main(["reconstruct", str(enc), "--out", str(tmp_path / "rec")]) == 0
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

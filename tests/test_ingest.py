@@ -111,6 +111,15 @@ class TestLoadAudio:
         with pytest.raises(DataError):
             load_audio(tmp_path / "e.wav")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rate", [44100, 22050])
+    def test_non_finite_float_samples(self, tmp_path, bad, rate):
+        samples = np.zeros(4096)
+        samples[100] = bad
+        write_wav(tmp_path / "f.wav", samples, rate, dtype=np.float32)
+        with pytest.raises(DataError, match="non-finite"):
+            load_audio(tmp_path / "f.wav", target_rate=44100)
+
     def test_duration_matches_invariant(self, tmp_path):
         write_wav(tmp_path / "d.wav", np.zeros(12345), 44100)
         w = load_audio(tmp_path / "d.wav", target_rate=44100)
