@@ -112,9 +112,17 @@ def _cmd_encode(args) -> int:
 def _cmd_reconstruct(args) -> int:
     enc_dir = Path(args.encoded_dir)
     index_path = enc_dir / "encode_index.json"
-    if not index_path.exists():
-        raise DataError(f"no encode_index.json in {enc_dir}")
-    index = json.loads(index_path.read_text(encoding="utf-8"))
+    try:
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read encode index: {exc}") from exc
+    fields = ("clip", "class_label", "codec", "spikes", "features")
+    if not isinstance(index, list) or not all(
+        isinstance(item, dict) and all(isinstance(item.get(k), str) for k in fields)
+        for item in index
+    ):
+        raise DataError(f"{index_path} must be a list of objects with string "
+                        f"fields {', '.join(fields)}")
     out_dir = Path(args.out) if args.out else enc_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["codec,clip,class,errdb,snr"]
@@ -124,6 +132,9 @@ def _cmd_reconstruct(args) -> int:
             continue
         st = load_spikes(enc_dir / item["spikes"])
         feats = load_features(enc_dir / item["features"])
+        if st.spikes.shape != feats.values.shape:
+            raise DataError(f"{item['spikes']} is {st.spikes.shape} but "
+                            f"{item['features']} is {feats.values.shape}")
         est = decode_matrix(st)
         score = score_matrix(feats.values, est, class_label=item["class_label"])
         lines.append(f"{item['codec']},{item['clip']},{item['class_label']},"

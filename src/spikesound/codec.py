@@ -85,19 +85,40 @@ class SpikeTrain:
         return self.spikes.shape[1]
 
 
-def _as_signal(x) -> np.ndarray:
+def _encode_rows(x, cfg: CodecConfig, codec: str):
+    """Encode each row of a (rows x frames) signal with T = threshold_rel of
+    the row's range (the fraction itself when flat).  Returns the spikes,
+    side_info (x[0], T) and, for TAE, the threshold used at each frame."""
+    if codec not in CODEC_IDS:
+        raise ConfigError(f"unknown codec {codec!r}, expected one of {CODEC_IDS}")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or len(x) < 1:
-        raise ValueError("channel signal must be a nonempty 1-D array")
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ValueError("signal must be a nonempty channel or channels x frames matrix")
     if not np.all(np.isfinite(x)):
-        raise ValueError("channel signal contains non-finite values")
-    return x
+        raise ValueError("signal contains non-finite values")
+    span = x.max(axis=1) - x.min(axis=1)
+    t = np.where(span > 0.0, cfg.threshold_rel * span, cfg.threshold_rel)
+    side = np.column_stack([x[:, 0], t])
+    if codec == "sf":
+        return _sf_encode_rows(x, t), side, None
+    if codec == "mw":
+        return _mw_encode_rows(x, t, cfg.window), side, None
+    spikes, trace = _tae_encode_rows(x, t, cfg)
+    return spikes, side, trace
 
 
-def _abs_threshold(x: np.ndarray, threshold_rel: float) -> float:
-    """threshold_rel of the signal's range; the fraction itself when flat."""
-    span = float(x.max() - x.min())
-    return threshold_rel * span if span > 0.0 else threshold_rel
+def _encode_channel(x, cfg: CodecConfig, codec: str):
+    """_encode_rows on one 1-D channel: spike row, (x[0], T), TAE trace."""
+    spikes, side, trace = _encode_rows(np.asarray(x, dtype=np.float64)[None], cfg, codec)
+    return spikes[0], (float(side[0, 0]), float(side[0, 1])), trace
+
+
+def _step_sum(spikes: np.ndarray, x0: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """SF/TAE decoder: x0 + cumsum(spike * step), step a column (SF) or the
+    replayed per-frame thresholds (TAE); cumsum adds frame by frame."""
+    steps = np.multiply(spikes, step, dtype=np.float64)
+    steps[:, 0] = x0
+    return np.cumsum(steps, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +132,14 @@ def encode_sf(x, cfg: CodecConfig) -> tuple[np.ndarray, tuple[float, float]]:
     every spike; a +1/-1 fires when the sample exceeds baseline +/- T.
     Returns the spike row and side_info (x[0], T).
     """
-    x = _as_signal(x)
-    t = _abs_threshold(x, cfg.threshold_rel)
-    spikes = _sf_encode_rows(x[None, :], np.array([t]))[0]
-    return spikes, (float(x[0]), t)
+    spikes, side, _ = _encode_channel(x, cfg, "sf")
+    return spikes, side
 
 
 def decode_sf(spikes, side_info) -> np.ndarray:
     """Inverse of encode_sf: cumulative threshold steps from the start value."""
     x0, t = side_info[0], side_info[1]
-    return _sf_decode_rows(np.asarray(spikes)[None, :], np.array([x0]), np.array([t]))[0]
+    return _step_sum(np.asarray(spikes)[None, :], np.array([x0]), np.array([[t]]))[0]
 
 
 def _sf_encode_rows(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -134,12 +153,6 @@ def _sf_encode_rows(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return spikes
 
 
-def _sf_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    steps = spikes.astype(np.float64) * t[:, None]
-    steps[:, 0] = x0
-    return np.cumsum(steps, axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Moving Window
 # ---------------------------------------------------------------------------
@@ -151,10 +164,8 @@ def encode_mw(x, cfg: CodecConfig) -> tuple[np.ndarray, tuple[float, float, int]
     samples (x[0] itself at t=0, which never fires).  Returns the spike row
     and side_info (x[0], T, window).
     """
-    x = _as_signal(x)
-    t = _abs_threshold(x, cfg.threshold_rel)
-    spikes = _mw_encode_rows(x[None, :], np.array([t]), cfg.window)[0]
-    return spikes, (float(x[0]), t, cfg.window)
+    spikes, side, _ = _encode_channel(x, cfg, "mw")
+    return spikes, (*side, cfg.window)
 
 
 def decode_mw(spikes, side_info) -> np.ndarray:
@@ -165,23 +176,14 @@ def decode_mw(spikes, side_info) -> np.ndarray:
     )[0]
 
 
-def _mw_baselines(x: np.ndarray, window: int) -> np.ndarray:
-    """Mean of the previous min(t, window) samples, per frame (t >= 1).
-
-    Window sums are taken directly over the slice (not as prefix-sum
-    differences) so the baseline is bit-identical to the plain definition.
-    """
-    c, n = x.shape
+def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
+    # Baseline: mean of the previous min(i, window) samples, summed over the
+    # slice (not as prefix-sum differences) to match the plain definition.
     base = np.empty_like(x)
     base[:, 0] = x[:, 0]
-    for t in range(1, n):
-        k = min(t, window)
-        base[:, t] = x[:, t - k : t].sum(axis=1) / k
-    return base
-
-
-def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
-    base = _mw_baselines(x, window)
+    for i in range(1, x.shape[1]):
+        k = min(i, window)
+        base[:, i] = x[:, i - k : i].sum(axis=1) / k
     tcol = t[:, None]
     return (np.where(x > base + tcol, 1, 0) + np.where(x < base - tcol, -1, 0)).astype(np.int8)
 
@@ -209,8 +211,13 @@ def _tae_bounds(t0: np.ndarray, cfg: CodecConfig) -> tuple[np.ndarray, np.ndarra
     return tmin, tmax
 
 
-def encode_tae(x, cfg: CodecConfig,
-               with_trace: bool = False):
+def _tae_next(t: np.ndarray, fired: np.ndarray, tmin: np.ndarray,
+              tmax: np.ndarray, gamma: float) -> np.ndarray:
+    """The adaptation law: grow by gamma after a spike, shrink on silence."""
+    return np.where(fired, np.minimum(t * gamma, tmax), np.maximum(t / gamma, tmin))
+
+
+def encode_tae(x, cfg: CodecConfig, with_trace: bool = False):
     """Threshold-adaptive encoding of one channel.
 
     Works like SF but the threshold multiplies by tae_gamma after every
@@ -219,13 +226,10 @@ def encode_tae(x, cfg: CodecConfig,
     side_info (x[0], T0); with_trace additionally returns the threshold
     value used at each frame decision.
     """
-    x = _as_signal(x)
-    t0 = np.array([_abs_threshold(x, cfg.threshold_rel)])
-    spikes, trace = _tae_encode_rows(x[None, :], t0, cfg, with_trace=with_trace)
-    side = (float(x[0]), float(t0[0]))
+    spikes, side, trace = _encode_channel(x, cfg, "tae")
     if with_trace:
-        return spikes[0], side, trace[0]
-    return spikes[0], side
+        return spikes, side, trace[0]
+    return spikes, side
 
 
 def decode_tae(spikes, side_info, cfg: CodecConfig, with_trace: bool = False):
@@ -235,68 +239,47 @@ def decode_tae(spikes, side_info, cfg: CodecConfig, with_trace: bool = False):
     silence; the threshold follows the identical update law as the encoder,
     driven only by the spike sequence.
     """
-    x0, t0 = side_info[0], side_info[1]
-    est, trace = _tae_decode_rows(
-        np.asarray(spikes)[None, :], np.array([x0]), np.array([t0]), cfg,
-        with_trace=with_trace,
-    )
+    spikes = np.asarray(spikes)[None, :]
+    trace = _tae_thresholds(spikes, np.array([side_info[1]]), cfg)
+    est = _step_sum(spikes, np.array([side_info[0]]), trace)[0]
     if with_trace:
-        return est[0], trace[0]
-    return est[0]
+        return est, trace[0]
+    return est
 
 
-def _tae_encode_rows(x: np.ndarray, t0: np.ndarray, cfg: CodecConfig,
-                     with_trace: bool = False):
+def _tae_encode_rows(x: np.ndarray, t0: np.ndarray, cfg: CodecConfig):
+    """Spikes plus the threshold used at each frame decision."""
     c, n = x.shape
     tmin, tmax = _tae_bounds(t0, cfg)
     spikes = np.zeros((c, n), dtype=np.int8)
-    trace = np.empty((c, n), dtype=np.float64) if with_trace else None
+    trace = np.empty((c, n), dtype=np.float64)
+    trace[:, 0] = t = t0
     base = x[:, 0].copy()
-    t = t0.copy()
-    if with_trace:
-        trace[:, 0] = t
     for i in range(1, n):
-        if with_trace:
-            trace[:, i] = t
+        trace[:, i] = t
         d = x[:, i] - base
         s = np.where(d > t, 1, np.where(d < -t, -1, 0))
         spikes[:, i] = s
-        fired = s != 0
         base += s * t
-        t = np.where(fired, np.minimum(t * cfg.tae_gamma, tmax),
-                     np.maximum(t / cfg.tae_gamma, tmin))
+        t = _tae_next(t, s != 0, tmin, tmax, cfg.tae_gamma)
     return spikes, trace
 
 
-def _tae_decode_rows(spikes: np.ndarray, x0: np.ndarray, t0: np.ndarray,
-                     cfg: CodecConfig, with_trace: bool = False):
+def _tae_thresholds(spikes: np.ndarray, t0: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    """Replay the encoder's per-frame thresholds from the spikes and T0."""
     c, n = spikes.shape
     tmin, tmax = _tae_bounds(t0, cfg)
-    out = np.empty((c, n), dtype=np.float64)
-    trace = np.empty((c, n), dtype=np.float64) if with_trace else None
-    out[:, 0] = x0
-    t = t0.copy()
-    if with_trace:
-        trace[:, 0] = t
+    trace = np.empty((c, n), dtype=np.float64)
+    trace[:, 0] = t = t0
     for i in range(1, n):
-        if with_trace:
-            trace[:, i] = t
-        s = spikes[:, i]
-        out[:, i] = out[:, i - 1] + s * t
-        fired = s != 0
-        t = np.where(fired, np.minimum(t * cfg.tae_gamma, tmax),
-                     np.maximum(t / cfg.tae_gamma, tmin))
-    return out, trace
+        trace[:, i] = t
+        t = _tae_next(t, spikes[:, i] != 0, tmin, tmax, cfg.tae_gamma)
+    return trace
 
 
 # ---------------------------------------------------------------------------
 # Matrix-level API
 # ---------------------------------------------------------------------------
-
-def _matrix_thresholds(values: np.ndarray, threshold_rel: float) -> np.ndarray:
-    span = values.max(axis=1) - values.min(axis=1)
-    return np.where(span > 0.0, threshold_rel * span, threshold_rel)
-
 
 def encode_matrix(f: FeatureMatrix, cfg: CodecConfig, codec: str) -> SpikeTrain:
     """Encode every channel of a FeatureMatrix independently.
@@ -304,35 +287,19 @@ def encode_matrix(f: FeatureMatrix, cfg: CodecConfig, codec: str) -> SpikeTrain:
     Output dimensions equal the input's; side_info stores (x[0], T) per
     channel, where T is the SF/MW threshold or the TAE initial threshold.
     """
-    if codec not in CODEC_IDS:
-        raise ConfigError(f"unknown codec {codec!r}, expected one of {CODEC_IDS}")
-    x = np.asarray(f.values, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError("feature values must be a nonempty 2-D matrix")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("feature values contain non-finite entries")
-    t = _matrix_thresholds(x, cfg.threshold_rel)
-    if codec == "sf":
-        spikes = _sf_encode_rows(x, t)
-    elif codec == "mw":
-        spikes = _mw_encode_rows(x, t, cfg.window)
-    else:
-        spikes, _ = _tae_encode_rows(x, t, cfg)
-    side = np.column_stack([x[:, 0], t])
+    spikes, side, _ = _encode_rows(f.values, cfg, codec)
     return SpikeTrain(spikes=spikes, side_info=side, codec_id=codec, params=cfg)
 
 
 def decode_matrix(st: SpikeTrain) -> np.ndarray:
     """Signal estimate for every channel of a SpikeTrain."""
-    x0 = st.side_info[:, 0]
-    t = st.side_info[:, 1]
+    x0, t = st.side_info.T
     if st.codec_id == "sf":
-        return _sf_decode_rows(st.spikes, x0, t)
+        return _step_sum(st.spikes, x0, t[:, None])
     if st.codec_id == "mw":
         return _mw_decode_rows(st.spikes, x0, t, st.params.window)
     if st.codec_id == "tae":
-        est, _ = _tae_decode_rows(st.spikes, x0, t, st.params)
-        return est
+        return _step_sum(st.spikes, x0, _tae_thresholds(st.spikes, t, st.params))
     raise DataError(f"unknown codec_id {st.codec_id!r}")
 
 
@@ -414,25 +381,33 @@ def save_spikes(st: SpikeTrain, path: str | Path) -> None:
 
 def load_spikes(path: str | Path) -> SpikeTrain:
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != SPIKE_MAGIC:
-            raise DataError(f"bad spike file magic in {path}: {magic!r}")
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise DataError(f"truncated spike file header in {path}")
-        tag, channels, frames, thr, window, gamma, tmin, tmax = _HEADER.unpack(header)
-        if tag not in _TAG_CODECS:
-            raise DataError(f"unknown codec tag {tag} in {path}")
-        payload = fh.read(spike_payload_bytes(channels, frames))
-        side_raw = fh.read(channels * 2 * 4)
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(5)
+            if magic != SPIKE_MAGIC:
+                raise DataError(f"bad spike file magic in {path}: {magic!r}")
+            header = fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise DataError(f"truncated spike file header in {path}")
+            tag, channels, frames, thr, window, gamma, tmin, tmax = _HEADER.unpack(header)
+            if tag not in _TAG_CODECS:
+                raise DataError(f"unknown codec tag {tag} in {path}")
+            if frames < 1:
+                raise DataError(f"spike file {path} holds no frames")
+            payload = fh.read(spike_payload_bytes(channels, frames))
+            side_raw = fh.read(channels * 2 * 4)
+    except OSError as exc:
+        raise DataError(f"cannot read spike file: {exc}") from exc
     if (len(payload), len(side_raw)) != (spike_payload_bytes(channels, frames),
                                          channels * 2 * 4):
         raise DataError(f"truncated spike file payload in {path}")
-    params = CodecConfig(
-        threshold_rel=float(thr), window=int(window), tae_gamma=float(gamma),
-        tae_tmin_rel=float(tmin), tae_tmax_rel=float(tmax),
-    )
+    try:
+        params = CodecConfig(
+            threshold_rel=float(thr), window=int(window), tae_gamma=float(gamma),
+            tae_tmin_rel=float(tmin), tae_tmax_rel=float(tmax),
+        )
+    except ConfigError as exc:
+        raise DataError(f"bad codec parameters in {path}: {exc}") from exc
     side = np.frombuffer(side_raw, dtype="<f4").reshape(channels, 2).astype(np.float64)
     return SpikeTrain(
         spikes=unpack_spikes(payload, channels, frames),

@@ -222,23 +222,28 @@ def save_features(f: FeatureMatrix, path: str | Path) -> None:
 
 def load_features(path: str | Path) -> FeatureMatrix:
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != FEATURE_MAGIC:
-            raise DataError(f"bad feature file magic in {path}: {magic!r}")
-        header = fh.read(12)
-        if len(header) != 12:
-            raise DataError(f"truncated feature file header in {path}")
-        channels, frames, frame_rate = struct.unpack("<IIf", header)
-        raw = fh.read(channels * frames * 4)
-    if len(raw) != channels * frames * 4:
-        raise DataError(f"truncated feature file payload in {path}")
-    values = np.frombuffer(raw, dtype="<f4").reshape(channels, frames).astype(np.float64)
-    with open(path.with_suffix(path.suffix + ".json"), encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    return FeatureMatrix(
-        values=values,
-        channel_center_hz=np.array(sidecar["channel_center_hz"]),
-        norm_state=np.array(sidecar["norm_state"]),
-        frame_rate=float(sidecar["frame_rate"]),
-    )
+    sidecar_path = path.with_suffix(path.suffix + ".json")
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(5)
+            if magic != FEATURE_MAGIC:
+                raise DataError(f"bad feature file magic in {path}: {magic!r}")
+            header = fh.read(12)
+            if len(header) != 12:
+                raise DataError(f"truncated feature file header in {path}")
+            channels, frames, frame_rate = struct.unpack("<IIf", header)
+            raw = fh.read(channels * frames * 4)
+        if len(raw) != channels * frames * 4:
+            raise DataError(f"truncated feature file payload in {path}")
+        with open(sidecar_path, encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+        return FeatureMatrix(
+            values=np.frombuffer(raw, dtype="<f4").reshape(channels, frames).astype(np.float64),
+            channel_center_hz=np.array(sidecar["channel_center_hz"]),
+            norm_state=np.array(sidecar["norm_state"]),
+            frame_rate=float(sidecar["frame_rate"]),
+        )
+    except OSError as exc:
+        raise DataError(f"cannot read feature file: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad feature sidecar {sidecar_path}: {exc!r}") from exc

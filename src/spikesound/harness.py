@@ -385,31 +385,54 @@ def _write_run_summary(path: Path, cfg: RunConfig, dataset_name: str,
 # Report comparison
 # ---------------------------------------------------------------------------
 
-def _read_csv_rows(path: Path) -> list[dict[str, str]]:
+# name -> (file, key column, value column) of each table compare_report reads
+_REPORT_TABLES = {
+    "band": ("per_band.csv", "band", "errdb"),
+    "class": ("per_class.csv", "class", "errdb"),
+    "eff": ("efficiency.csv", "dataset", "firing_rate_pct"),
+}
+
+
+def _read_csv_rows(path: Path, key_field: str,
+                   value_field: str) -> list[tuple[str, str, float]]:
+    """(codec, key, value) per row of a report CSV; DataError naming the file
+    and line if it is unreadable, lacks a column or holds a non-number."""
     import csv
 
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            return list(csv.DictReader(fh))
-    except OSError as exc:
+            reader = csv.DictReader(fh)
+            missing = {"codec", key_field, value_field} - set(reader.fieldnames or ())
+            if missing:
+                raise DataError(f"report file {path} lacks column(s) {sorted(missing)}")
+            rows = []
+            for row in reader:
+                codec, key, value = row["codec"], row[key_field], row[value_field]
+                where = f"report file {path} line {reader.line_num}"
+                if codec is None or key is None:
+                    raise DataError(f"short row in {where}")
+                try:
+                    rows.append((codec, key, float(value)))
+                except (TypeError, ValueError) as exc:
+                    raise DataError(f"bad {value_field} {value!r} in {where}") from exc
+            return rows
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read report file {path}: {exc}") from exc
 
 
-def _codec_ranking(rows, key_field, value_field):
+def _codec_ranking(rows):
     """Per key: codecs sorted ascending by value (lower is better)."""
     table: dict[str, list[tuple[float, str]]] = {}
-    for row in rows:
-        table.setdefault(row[key_field], []).append(
-            (float(row[value_field]), row["codec"])
-        )
+    for codec, key, value in rows:
+        table.setdefault(key, []).append((value, codec))
     return {k: [c for _, c in sorted(v)] for k, v in sorted(table.items())}
 
 
-def _win_counts(rows, key_field, value_field):
+def _win_counts(rows):
     """Codec -> number of keys where it is strictly best."""
     values: dict[str, dict[str, float]] = {}
-    for row in rows:
-        values.setdefault(row[key_field], {})[row["codec"]] = float(row[value_field])
+    for codec, key, value in rows:
+        values.setdefault(key, {})[codec] = value
     wins: dict[str, int] = {}
     for key, per_codec in values.items():
         best = min(per_codec.values())
@@ -428,49 +451,42 @@ def compare_report(report_a: str | Path, report_b: str | Path) -> dict:
     'tie'.  Raises DataError when the corpora differ.
     """
     dirs = {"a": Path(report_a), "b": Path(report_b)}
-    summaries = {}
+    datasets = {}
     for tag, d in dirs.items():
         summary_path = d / "run_summary.json"
-        if not summary_path.exists():
-            raise DataError(f"missing run_summary.json in {d}")
-        summaries[tag] = json.loads(summary_path.read_text(encoding="utf-8"))
-    if summaries["a"]["dataset"] != summaries["b"]["dataset"]:
-        raise DataError(
-            "mismatched corpora: "
-            f"{summaries['a']['dataset']} vs {summaries['b']['dataset']}"
-        )
+        try:
+            datasets[tag] = json.loads(summary_path.read_text(encoding="utf-8"))["dataset"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"no dataset name in {summary_path}: {exc!r}") from exc
+    if datasets["a"] != datasets["b"]:
+        raise DataError(f"mismatched corpora: {datasets['a']} vs {datasets['b']}")
 
     out: dict = {"reports": {t: str(d) for t, d in dirs.items()}}
     tables = {}
     for tag, d in dirs.items():
-        band_rows = _read_csv_rows(d / "per_band.csv")
-        class_rows = _read_csv_rows(d / "per_class.csv")
-        eff_rows = _read_csv_rows(d / "efficiency.csv")
-        tables[tag] = {"band": band_rows, "class": class_rows, "eff": eff_rows}
+        t = tables[tag] = {name: _read_csv_rows(d / fname, key, value)
+                           for name, (fname, key, value) in _REPORT_TABLES.items()}
         out[f"report_{tag}"] = {
-            "errdb_ranking_per_band": _codec_ranking(band_rows, "band", "errdb"),
-            "errdb_ranking_per_class": _codec_ranking(class_rows, "class", "errdb"),
-            "firing_rate_ranking": _codec_ranking(eff_rows, "dataset",
-                                                  "firing_rate_pct"),
-            "band_wins": _win_counts(band_rows, "band", "errdb"),
-            "class_wins": _win_counts(class_rows, "class", "errdb"),
+            "errdb_ranking_per_band": _codec_ranking(t["band"]),
+            "errdb_ranking_per_class": _codec_ranking(t["class"]),
+            "firing_rate_ranking": _codec_ranking(t["eff"]),
+            "band_wins": _win_counts(t["band"]),
+            "class_wins": _win_counts(t["class"]),
         }
 
-    def cell_relations(field_key, key_field, value_field):
+    def cell_relations(name):
+        a_map, b_map = ({(codec, key): value for codec, key, value in tables[tag][name]}
+                        for tag in "ab")
         rel = {}
-        a_map = {(r["codec"], r[key_field]): float(r[value_field])
-                 for r in tables["a"][field_key]}
-        b_map = {(r["codec"], r[key_field]): float(r[value_field])
-                 for r in tables["b"][field_key]}
         for cell in sorted(set(a_map) & set(b_map)):
             va, vb = a_map[cell], b_map[cell]
             rel["/".join(cell)] = "tie" if va == vb else ("a" if va < vb else "b")
         return rel
 
     out["cross_report"] = {
-        "errdb_per_band": cell_relations("band", "band", "errdb"),
-        "errdb_per_class": cell_relations("class", "class", "errdb"),
-        "firing_rate": cell_relations("eff", "dataset", "firing_rate_pct"),
+        "errdb_per_band": cell_relations("band"),
+        "errdb_per_class": cell_relations("class"),
+        "firing_rate": cell_relations("eff"),
     }
     relations = [v for table in out["cross_report"].values() for v in table.values()]
     out["all_ties"] = bool(relations) and all(v == "tie" for v in relations)

@@ -442,20 +442,30 @@ def save_checkpoint(net: SpikingNet, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> SpikingNet:
-    with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != MODEL_MAGIC:
-            raise DataError(f"bad checkpoint magic in {path}: {magic!r}")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(blob_len).decode("utf-8"))
-        raw = meta["config"]
+    """Read a save_checkpoint file; DataError if it is unreadable, holds a bad
+    config, or is not exactly as long as its config implies."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint: {exc}") from exc
+    if data[:5] != MODEL_MAGIC:
+        raise DataError(f"bad checkpoint magic in {path}: {data[:5]!r}")
+    try:
+        (blob_len,) = struct.unpack_from("<I", data, 5)
+        raw = json.loads(data[9 : 9 + blob_len].decode("utf-8"))["config"]
         raw["hidden_sizes"] = tuple(raw["hidden_sizes"])
         cfg = SnnConfig(**raw)
+        shapes = list(zip(cfg.layer_sizes[:-1], cfg.layer_sizes[1:]))
+        pos = 9 + blob_len
+        if pos + sum(4 * n_in * n_out for n_in, n_out in shapes) != len(data):
+            raise DataError(f"checkpoint {path} is {len(data)} bytes, which does "
+                            "not match its config")
         weights = []
-        sizes = cfg.layer_sizes
-        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            buf = fh.read(n_in * n_out * 4)
-            weights.append(
-                np.frombuffer(buf, dtype="<f4").reshape(n_in, n_out).astype(np.float64)
-            )
+        for n_in, n_out in shapes:
+            w = np.frombuffer(data, dtype="<f4", count=n_in * n_out, offset=pos)
+            weights.append(w.reshape(n_in, n_out).astype(np.float64))
+            pos += 4 * n_in * n_out
+    except (struct.error, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad checkpoint {path}: {exc!r}") from exc
     return SpikingNet(weights=weights, config=cfg)

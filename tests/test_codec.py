@@ -1,5 +1,7 @@
 """Spike codec behavior: hand traces, round-trip bounds, serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from spikesound.codec import (
     spike_payload_bytes,
     unpack_spikes,
 )
-from spikesound.errors import ConfigError
+from spikesound.errors import ConfigError, DataError
 from spikesound.frontend import FeatureMatrix
 
 import siggen
@@ -300,6 +302,34 @@ class TestMatrixEncoding:
             encode_matrix(make_features(bad), CodecConfig(), "sf")
 
 
+class TestBitExactOutput:
+    """Pins the exact bytes of every codec's spikes, side_info and estimate.
+
+    The input is a seeded random walk with a flat row and a level jump, fed
+    straight to encode_matrix (no mel front-end), so only the codec
+    recurrences decide the bytes.
+    """
+
+    @pytest.mark.parametrize("cfg, expected", [
+        (CodecConfig(),
+         "573895af8da0f92ce02bb8c2470c2f8c0ce148157f9a3739ee9a7f432cffad66"),
+        (CodecConfig(threshold_rel=0.1, window=5, tae_gamma=1.5,
+                     tae_tmin_rel=0.02, tae_tmax_rel=0.3),
+         "301ac37513b848dc43631715dfc5b2869595dce13b465b82476698a9aaca2714"),
+    ])
+    def test_output_sha256(self, cfg, expected):
+        rng = np.random.default_rng(2024)
+        values = np.cumsum(rng.normal(0.0, 0.05, size=(24, 300)), axis=1)
+        values[5] = 0.37
+        values[11, 150:] += 1.0
+        digest = hashlib.sha256()
+        for codec in CODEC_IDS:
+            st = encode_matrix(make_features(values), cfg, codec)
+            for array in (st.spikes, st.side_info, decode_matrix(st)):
+                digest.update(array.tobytes())
+        assert digest.hexdigest() == expected
+
+
 class TestConfigValidation:
     def test_threshold_rel_range(self):
         with pytest.raises(ConfigError):
@@ -342,6 +372,16 @@ class TestSerialization:
             np.testing.assert_allclose(loaded.side_info, st.side_info, rtol=1e-6)
             assert dest.with_suffix(".spk.json").exists()
             assert dest.stat().st_size == serialized_size(st)
+
+    def test_load_rejects_zero_frames(self, tmp_path):
+        st = encode_matrix(make_features(np.zeros((2, 3))), CodecConfig(), "sf")
+        dest = tmp_path / "clip.spk"
+        save_spikes(st, dest)
+        whole = dest.read_bytes()
+        # frames is the u32 after the magic (5), codec tag (1) and channels (4)
+        dest.write_bytes(whole[:10] + bytes(4) + whole[14:])
+        with pytest.raises(DataError):
+            load_spikes(dest)
 
     def test_payload_size_formula(self):
         assert spike_payload_bytes(128, 858) == 27456  # ceil(128*858*2/8)

@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from spikesound.cli import main
 from spikesound.errors import ConfigError, DataError
-from spikesound.frontend import mel_spectrogram
+from spikesound.frontend import load_features, mel_spectrogram, save_features
 from spikesound.harness import (
     RunConfig,
     SyntheticSpec,
@@ -420,6 +421,93 @@ class TestCli:
         assert main(["reconstruct", str(enc), "--out", str(tmp_path / "rec")]) == 3
         spikes.write_bytes(whole)
         assert main(["reconstruct", str(enc), "--out", str(tmp_path / "rec")]) == 0
+
+    @staticmethod
+    def _edit_text(path, old, new):
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+
+    @pytest.mark.parametrize("name, old, new", [
+        ("per_band.csv", "codec,band,", "codec,bnd,"),           # renamed column
+        ("per_class.csv", "codec,class,errdb\n", "codec,class\n"),  # dropped column
+        ("per_class.csv", "\nmw,", "\nmw,abc,abc\nmw,"),        # non-numeric cell
+        ("efficiency.csv", "\nsf,", "\nsf\nsf,"),               # short row
+        ("run_summary.json", "{", "["),                          # malformed JSON
+        ("run_summary.json", '"dataset": {', '"corpus": {'),     # missing key
+    ], ids=["renamed_column", "dropped_column", "non_numeric", "short_row",
+            "summary_json", "summary_key"])
+    def test_compare_malformed_report_file(self, small_bench, tmp_path, capsys,
+                                           name, old, new):
+        cfg, _ = small_bench
+        partial = tmp_path / "partial"
+        shutil.copytree(cfg.output_dir, partial)
+        self._edit_text(partial / name, old, new)
+        capsys.readouterr()
+        assert main(["compare", cfg.output_dir, str(partial),
+                     "--out", str(tmp_path / "cmp")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert name in err
+
+    def _encode_small(self, tmp_path):
+        cfg = self._config_file(tmp_path, codecs=["tae"],
+                                synthetic={"n_clips": 5, "duration_s": 0.3})
+        enc = tmp_path / "enc"
+        assert main(["encode", "--config", str(cfg), "--out", str(enc)]) == 0
+        return enc, json.loads((enc / "encode_index.json").read_text())
+
+    def _assert_reconstruct_data_error(self, enc, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["reconstruct", str(enc), "--out", str(tmp_path / "rec")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("which", ["spikes", "features", "sidecar"])
+    def test_reconstruct_missing_file(self, tmp_path, capsys, which):
+        enc, index = self._encode_small(tmp_path)
+        rel = index[1]["spikes" if which == "spikes" else "features"]
+        victim = enc / (rel + ".json" if which == "sidecar" else rel)
+        victim.unlink()
+        self._assert_reconstruct_data_error(enc, tmp_path, capsys)
+
+    @pytest.mark.parametrize("sidecar", ["{", "[]", '{"frame_rate": 1.0}',
+                                         '{"channel_center_hz": [], '
+                                         '"norm_state": [], "frame_rate": "x"}'],
+                             ids=["json", "list", "missing_keys", "bad_frame_rate"])
+    def test_reconstruct_bad_feature_sidecar(self, tmp_path, capsys, sidecar):
+        enc, index = self._encode_small(tmp_path)
+        (enc / (index[0]["features"] + ".json")).write_text(sidecar)
+        self._assert_reconstruct_data_error(enc, tmp_path, capsys)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda index: [{k: v for k, v in item.items() if k != "features"}
+                       for item in index],
+        lambda index: [dict(item, spikes=7) for item in index],
+        lambda index: {"items": index},
+        lambda index: index + ["clip.wav"],
+    ], ids=["no_features", "non_string", "not_a_list", "not_an_object"])
+    def test_reconstruct_malformed_index(self, tmp_path, capsys, mutate):
+        enc, index = self._encode_small(tmp_path)
+        (enc / "encode_index.json").write_text(json.dumps(mutate(index)))
+        self._assert_reconstruct_data_error(enc, tmp_path, capsys)
+        (enc / "encode_index.json").write_text("[{")
+        self._assert_reconstruct_data_error(enc, tmp_path, capsys)
+
+    def test_reconstruct_bad_spike_header_params(self, tmp_path, capsys):
+        enc, index = self._encode_small(tmp_path)
+        spikes = enc / index[0]["spikes"]
+        whole = spikes.read_bytes()
+        # magic (5) + codec tag (1) + channels, frames, threshold_rel (4 each)
+        spikes.write_bytes(whole[:18] + bytes(4) + whole[22:])  # window 0
+        self._assert_reconstruct_data_error(enc, tmp_path, capsys)
+
+    def test_reconstruct_shape_mismatch(self, tmp_path, capsys):
+        enc, index = self._encode_small(tmp_path)
+        path = enc / index[0]["features"]
+        feats = load_features(path)
+        save_features(replace(feats, values=feats.values[:, :-1]), path)
+        self._assert_reconstruct_data_error(enc, tmp_path, capsys)
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,8 @@
 """LIF dynamics, surrogate-gradient BPTT, training, and the eval protocol."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -352,3 +355,39 @@ class TestCheckpoint:
         dest.write_bytes(b"WRONG" + b"\x00" * 16)
         with pytest.raises(DataError):
             load_checkpoint(dest)
+
+    @staticmethod
+    def _with_config(whole, **changes):
+        """The same checkpoint with its config blob edited."""
+        (blob_len,) = struct.unpack_from("<I", whole, 5)
+        meta = json.loads(whole[9 : 9 + blob_len])
+        meta["config"].update(changes)
+        blob = json.dumps(meta).encode("utf-8")
+        return whole[:5] + struct.pack("<I", len(blob)) + blob + whole[9 + blob_len:]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda whole: whole[:7],                        # inside the length field
+        lambda whole: whole[:20],                       # inside the config JSON
+        lambda whole: whole[:-3],                       # inside the last weights
+        lambda whole: whole + b"\x00" * 4,              # trailing bytes
+        lambda whole: whole[:9] + b"[" + whole[10:],    # JSON syntax
+        lambda whole: TestCheckpoint._with_config(whole, beta=1.5),
+        lambda whole: TestCheckpoint._with_config(whole, hidden_sizes=[5, 0]),
+        lambda whole: TestCheckpoint._with_config(whole, input_size="six"),
+        lambda whole: TestCheckpoint._with_config(whole, dropout=0.5),
+        lambda whole: TestCheckpoint._with_config(whole, hidden_sizes=None),
+    ], ids=["cut7", "cut20", "short3", "trailing", "json", "beta", "zero_layer",
+            "str_size", "unknown_key", "no_hidden"])
+    def test_corrupt_checkpoint_rejected(self, tmp_path, corrupt):
+        dest = tmp_path / "model.spkn"
+        save_checkpoint(init_net(SnnConfig(input_size=6, hidden_sizes=(5, 4),
+                                           output_size=2)), dest)
+        bad = corrupt(dest.read_bytes())
+        dest.write_bytes(bad)
+        with pytest.raises(DataError):
+            load_checkpoint(dest)
+        assert dest.read_bytes() == bad
+
+    def test_missing_checkpoint_rejected(self, tmp_path):
+        with pytest.raises(DataError):
+            load_checkpoint(tmp_path / "absent.spkn")
