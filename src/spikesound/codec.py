@@ -118,7 +118,7 @@ def _step_sum(spikes: np.ndarray, x0: np.ndarray, step: np.ndarray) -> np.ndarra
     replayed per-frame thresholds (TAE); cumsum adds frame by frame."""
     steps = np.multiply(spikes, step, dtype=np.float64)
     steps[:, 0] = x0
-    return np.cumsum(steps, axis=1)
+    return np.cumsum(steps, axis=1, out=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
         k = min(i, window)
         base[:, i] = x[:, i - k : i].sum(axis=1) / k
     tcol = t[:, None]
-    return (np.where(x > base + tcol, 1, 0) + np.where(x < base - tcol, -1, 0)).astype(np.int8)
+    return (x > base + tcol).view(np.int8) - (x < base - tcol).view(np.int8)
 
 
 def _mw_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray,
@@ -396,11 +396,13 @@ def load_spikes(path: str | Path) -> SpikeTrain:
                 raise DataError(f"spike file {path} holds no frames")
             payload = fh.read(spike_payload_bytes(channels, frames))
             side_raw = fh.read(channels * 2 * 4)
+            if (len(payload), len(side_raw)) != (spike_payload_bytes(channels, frames),
+                                                 channels * 2 * 4):
+                raise DataError(f"truncated spike file payload in {path}")
+            if fh.read(1):
+                raise DataError(f"spike file {path} is longer than its header declares")
     except OSError as exc:
         raise DataError(f"cannot read spike file: {exc}") from exc
-    if (len(payload), len(side_raw)) != (spike_payload_bytes(channels, frames),
-                                         channels * 2 * 4):
-        raise DataError(f"truncated spike file payload in {path}")
     try:
         params = CodecConfig(
             threshold_rel=float(thr), window=int(window), tae_gamma=float(gamma),

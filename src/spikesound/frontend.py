@@ -8,6 +8,7 @@ grouped into eight contiguous analysis bands for per-band scoring.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -108,8 +109,7 @@ def stft_power(w: Waveform, n_fft: int = 1024, hop: int = 256,
     if n_fft & (n_fft - 1):
         raise ValueError("n_fft must be a power of two")
     frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop]
-    win = get_window(window, n_fft, fftbins=True)
-    spec = np.fft.rfft(frames * win, axis=1)
+    spec = np.fft.rfft(frames * _analysis_window(window, n_fft), axis=1)
     return (spec.real**2 + spec.imag**2).T
 
 
@@ -148,6 +148,22 @@ def mel_filterbank(n_mels: int, f_min: float, f_max: float, n_fft: int,
     return fb
 
 
+@functools.lru_cache(maxsize=8)
+def _mel_basis(cfg: FrontendConfig) -> np.ndarray:
+    """mel_filterbank built once per FrontendConfig, read-only."""
+    fb = mel_filterbank(cfg.n_mels, cfg.f_min, cfg.f_max, cfg.n_fft, cfg.sample_rate)
+    fb.flags.writeable = False
+    return fb
+
+
+@functools.lru_cache(maxsize=8)
+def _analysis_window(window: str, n_fft: int) -> np.ndarray:
+    """The STFT window built once per (name, length), read-only."""
+    win = get_window(window, n_fft, fftbins=True)
+    win.flags.writeable = False
+    return win
+
+
 def normalize_channels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel min-max to [0, 1]; returns (normalized, norm_state).
 
@@ -171,7 +187,7 @@ def mel_spectrogram(w: Waveform, cfg: FrontendConfig = FrontendConfig()) -> Feat
     values = minmax(log10(melFB @ stft_power + 1e-10)) per channel.
     """
     power = stft_power(w, cfg.n_fft, cfg.hop, cfg.window)
-    fb = mel_filterbank(cfg.n_mels, cfg.f_min, cfg.f_max, cfg.n_fft, cfg.sample_rate)
+    fb = _mel_basis(cfg)
     logmel = np.log10(fb @ power + LOG_EPS)
     values, state = normalize_channels(logmel)
     return FeatureMatrix(
@@ -233,8 +249,10 @@ def load_features(path: str | Path) -> FeatureMatrix:
                 raise DataError(f"truncated feature file header in {path}")
             channels, frames, frame_rate = struct.unpack("<IIf", header)
             raw = fh.read(channels * frames * 4)
-        if len(raw) != channels * frames * 4:
-            raise DataError(f"truncated feature file payload in {path}")
+            if len(raw) != channels * frames * 4:
+                raise DataError(f"truncated feature file payload in {path}")
+            if fh.read(1):
+                raise DataError(f"feature file {path} is longer than its header declares")
         with open(sidecar_path, encoding="utf-8") as fh:
             sidecar = json.load(fh)
         return FeatureMatrix(

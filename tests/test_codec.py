@@ -329,6 +329,31 @@ class TestBitExactOutput:
                 digest.update(array.tobytes())
         assert digest.hexdigest() == expected
 
+    @pytest.mark.parametrize("codec", CODEC_IDS)
+    @pytest.mark.parametrize("cfg", [
+        CodecConfig(),
+        CodecConfig(threshold_rel=0.1, window=5, tae_gamma=1.5,
+                    tae_tmin_rel=0.02, tae_tmax_rel=0.3),
+    ])
+    def test_stacked_clips_match_per_clip(self, cfg, codec):
+        # Rows never interact, so encoding a vertical stack of clips must
+        # give each clip's own bytes back from its rows.
+        rng = np.random.default_rng(2025)
+        clips = [np.cumsum(rng.normal(0.0, 0.05, size=(rows, 300)), axis=1)
+                 for rows in (24, 7, 16)]
+        clips[1][3] = 0.37
+        clips[2][11, 150:] += 1.0
+        stacked = encode_matrix(make_features(np.vstack(clips)), cfg, codec)
+        stacked_est = decode_matrix(stacked)
+        start = 0
+        for values in clips:
+            rows = slice(start, start + len(values))
+            start = rows.stop
+            st = encode_matrix(make_features(values), cfg, codec)
+            assert stacked.spikes[rows].tobytes() == st.spikes.tobytes()
+            assert stacked.side_info[rows].tobytes() == st.side_info.tobytes()
+            assert stacked_est[rows].tobytes() == decode_matrix(st).tobytes()
+
 
 class TestConfigValidation:
     def test_threshold_rel_range(self):
@@ -382,6 +407,24 @@ class TestSerialization:
         dest.write_bytes(whole[:10] + bytes(4) + whole[14:])
         with pytest.raises(DataError):
             load_spikes(dest)
+
+    def test_load_rejects_bytes_past_declared_payload(self, tmp_path):
+        rng = np.random.default_rng(14)
+        st = encode_matrix(make_features(rng.uniform(0, 1, size=(4, 50))),
+                           CodecConfig(), "sf")
+        dest = tmp_path / "clip.spk"
+        save_spikes(st, dest)
+        whole = dest.read_bytes()
+        # frames 50 -> 10: the rest of the spike payload would be read as
+        # side_info and the file would still have bytes left over
+        dest.write_bytes(whole[:10] + (10).to_bytes(4, "little") + whole[14:])
+        with pytest.raises(DataError, match="longer than its header"):
+            load_spikes(dest)
+        dest.write_bytes(whole + b"\x00")
+        with pytest.raises(DataError, match="longer than its header"):
+            load_spikes(dest)
+        dest.write_bytes(whole)
+        assert load_spikes(dest).spikes.tobytes() == st.spikes.tobytes()
 
     def test_payload_size_formula(self):
         assert spike_payload_bytes(128, 858) == 27456  # ceil(128*858*2/8)

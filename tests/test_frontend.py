@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spikesound import frontend
 from spikesound.errors import DataError
 from spikesound.frontend import (
     BAND_EDGES_HZ,
@@ -100,6 +101,20 @@ class TestMelFilterbank:
 
 
 class TestMelSpectrogram:
+    def test_filterbank_built_once_per_config(self, monkeypatch):
+        calls = []
+        build = frontend.mel_filterbank
+        monkeypatch.setattr(frontend, "mel_filterbank",
+                            lambda *args: calls.append(args) or build(*args))
+        frontend._mel_basis.cache_clear()
+        cfg = FrontendConfig(n_mels=40, f_max=8000.0)
+        first = mel_spectrogram(sine_wave(750.0, duration_s=0.1), cfg)
+        second = mel_spectrogram(sine_wave(750.0, duration_s=0.1), cfg)
+        mel_spectrogram(sine_wave(750.0, duration_s=0.1))
+        assert calls == [(40, 20.0, 8000.0, 1024, 44100), (128, 20.0, 20000.0, 1024, 44100)]
+        assert first.values.tobytes() == second.values.tobytes()
+        assert not frontend._mel_basis(cfg).flags.writeable
+
     def test_silence_normalizes_to_zeros_with_degenerate_scale(self):
         w = Waveform(samples=np.zeros(44100), sample_rate=44100)
         f = mel_spectrogram(w)
@@ -211,3 +226,14 @@ class TestFeatureSerialization:
         dest.write_bytes(b"NOPE!" + b"\x00" * 32)
         with pytest.raises(DataError):
             load_features(dest)
+
+    def test_bytes_past_declared_payload_rejected(self, tmp_path):
+        f = mel_spectrogram(sine_wave(750.0, duration_s=0.1))
+        dest = tmp_path / "clip.spkf"
+        save_features(f, dest)
+        whole = dest.read_bytes()
+        dest.write_bytes(whole + b"\x00")
+        with pytest.raises(DataError, match="longer than its header"):
+            load_features(dest)
+        dest.write_bytes(whole)
+        assert load_features(dest).values.shape == f.values.shape

@@ -10,8 +10,15 @@ import numpy as np
 import pytest
 
 from spikesound.cli import main
+from spikesound.codec import decode_matrix, encode_matrix, serialized_size
 from spikesound.errors import ConfigError, DataError
-from spikesound.frontend import load_features, mel_spectrogram, save_features
+from spikesound.frontend import (
+    N_BANDS,
+    load_features,
+    mel_spectrogram,
+    partition_bands,
+    save_features,
+)
 from spikesound.harness import (
     RunConfig,
     SyntheticSpec,
@@ -24,7 +31,16 @@ from spikesound.harness import (
     write_synthetic_corpus,
 )
 from spikesound.ingest import read_manifest, write_manifest
-from spikesound.metrics import score_per_class
+from spikesound.metrics import (
+    encoder_state_bytes,
+    firing_rate,
+    score_matrix,
+    score_per_band,
+    score_per_class,
+    write_efficiency_csv,
+    write_per_band_csv,
+    write_per_class_csv,
+)
 
 from conftest import small_run_config
 
@@ -172,6 +188,81 @@ class TestRunBench:
         accs = [float(l.rsplit(",", 1)[1]) for l in lines[1:]]
         assert all(0.0 <= a <= 1.0 for a in accs)
         assert result.classification_rows[-1][2] == "mean"
+
+
+class TestBlockStacking:
+    """run_bench encodes equal-length runs of clips in stacked blocks; the
+    reports must equal a clip-by-clip computation."""
+
+    # 0.5 s clips have 83 frames, 0.3 s clips 48: runs of 3 long, 1 short,
+    # 1 long, 3 short, 1 long and 1 short clip make 6 blocks, or 7 when a
+    # block holds at most two long clips
+    ORDER = ["L0", "L1", "L2", "S0", "L3", "S1", "S2", "S3", "L4", "S4"]
+
+    @pytest.mark.parametrize("budget, blocks", [(None, 6), (2 * 128 * 83, 7)],
+                             ids=["default", "two_long"])
+    def test_reports_match_clip_by_clip(self, tmp_path, monkeypatch, budget, blocks):
+        import spikesound.harness as harness
+
+        if budget is not None:
+            monkeypatch.setattr(harness, "BLOCK_ENTRIES", budget)
+        calls = []
+
+        def counted_encode(f, *args):
+            calls.append(f.n_channels)
+            return encode_matrix(f, *args)
+
+        monkeypatch.setattr(harness, "encode_matrix", counted_encode)
+        corpus = tmp_path / "corpus"
+        parts = {}
+        for tag, dur in (("L", 0.5), ("S", 0.3)):
+            manifest = write_synthetic_corpus(
+                SyntheticSpec(n_clips=5, duration_s=dur), 8, corpus / tag)
+            parts[tag] = [replace(e, path=f"{tag}/{e.path}")
+                          for e in read_manifest(manifest)]
+        write_manifest([parts[k[0]][int(k[1])] for k in self.ORDER],
+                       corpus / "manifest.csv")
+        cfg = RunConfig(dataset=str(corpus / "manifest.csv"),
+                        output_dir=str(tmp_path / "out"))
+        run_bench(cfg)
+        assert len(calls) == 3 * blocks and sum(calls) == 3 * 10 * 128
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        _clip_by_clip_reports(cfg, ref)
+        out = Path(cfg.output_dir)
+        for name in ("per_band.csv", "per_class.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+        assert _strip_timing(out / "efficiency.csv") == _strip_timing(ref / "efficiency.csv")
+
+
+def _clip_by_clip_reports(cfg: RunConfig, out: Path) -> None:
+    """The bench reports computed one clip at a time, with encode_ms 0."""
+    name, clips = load_corpus(cfg, out)
+    clips = list(clips)
+    bands = partition_bands(clips[0][1].channel_center_hz)
+    band_rows, class_rows, eff_rows = [], [], []
+    for codec in sorted(cfg.codecs):
+        band_errs = np.zeros(N_BANDS)
+        band_counts = np.zeros(N_BANDS, dtype=np.int64)
+        class_scores, rates, aux = [], [], []
+        for entry, feats in clips:
+            st = encode_matrix(feats, cfg.codec_params[codec], codec)
+            est = decode_matrix(st)
+            class_scores.append((entry.class_label, score_matrix(feats.values, est)))
+            for sc in score_per_band(feats, est, bands):
+                band_errs[sc.band] += sc.errdb
+                band_counts[sc.band] += 1
+            rates.append(firing_rate(st))
+            aux.append(serialized_size(st) + encoder_state_bytes(st))
+        for b in range(N_BANDS):
+            mean_err = band_errs[b] / band_counts[b]
+            band_rows.append((codec, b, mean_err, -mean_err))
+        for label, mean_err in score_per_class(class_scores).items():
+            class_rows.append((codec, label, mean_err))
+        eff_rows.append((codec, name, float(np.mean(rates)), 0.0, float(np.mean(aux))))
+    write_per_band_csv(out / "per_band.csv", band_rows)
+    write_per_class_csv(out / "per_class.csv", class_rows)
+    write_efficiency_csv(out / "efficiency.csv", eff_rows)
 
 
 class TestLoadCorpus:
@@ -420,6 +511,20 @@ class TestCli:
         spikes.write_bytes(whole[:5] + bytes([7]) + whole[6:])  # codec tag
         assert main(["reconstruct", str(enc), "--out", str(tmp_path / "rec")]) == 3
         spikes.write_bytes(whole)
+        assert main(["reconstruct", str(enc), "--out", str(tmp_path / "rec")]) == 0
+
+    def test_reconstruct_overlong_containers(self, tmp_path):
+        cfg = self._config_file(tmp_path, codecs=["sf"],
+                                synthetic={"n_clips": 5, "duration_s": 0.3})
+        enc = tmp_path / "enc"
+        assert main(["encode", "--config", str(cfg), "--out", str(enc)]) == 0
+        item = json.loads((enc / "encode_index.json").read_text())[0]
+        for rel in (item["spikes"], item["features"]):
+            path = enc / rel
+            whole = path.read_bytes()
+            path.write_bytes(whole + b"\x00")
+            assert main(["reconstruct", str(enc), "--out", str(tmp_path / "rec")]) == 3, rel
+            path.write_bytes(whole)
         assert main(["reconstruct", str(enc), "--out", str(tmp_path / "rec")]) == 0
 
     @staticmethod
