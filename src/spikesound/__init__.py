@@ -52,14 +52,12 @@ from .codec import (
 )
 from .metrics import (
     ReconScore,
-    EfficiencyStat,
     snr_db,
     errdb,
     score_matrix,
     score_per_band,
     score_per_class,
     firing_rate,
-    measure_encode_cost,
 )
 from .snn import (
     SnnConfig,

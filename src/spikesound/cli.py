@@ -7,13 +7,13 @@ codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .codec import decode_matrix, encode_matrix, load_spikes, save_spikes
+from .container import read_json, write_json
 from .errors import ConfigError, DataError, NumericError
 from .frontend import load_features, save_features
 from .harness import (
@@ -102,9 +102,7 @@ def _cmd_encode(args) -> int:
             index.append({"clip": e.path, "class_label": e.class_label,
                           "codec": codec, "spikes": spike_rel.as_posix(),
                           "features": feat_rel.as_posix()})
-    (out_dir / "encode_index.json").write_text(
-        json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "encode_index.json", index)
     print(f"encoded {len(index)} spike files under {out_dir}")
     return EXIT_OK
 
@@ -112,10 +110,7 @@ def _cmd_encode(args) -> int:
 def _cmd_reconstruct(args) -> int:
     enc_dir = Path(args.encoded_dir)
     index_path = enc_dir / "encode_index.json"
-    try:
-        index = json.loads(index_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read encode index: {exc}") from exc
+    index = read_json(index_path, "encode index")
     fields = ("clip", "class_label", "codec", "spikes", "features")
     if not isinstance(index, list) or not all(
         isinstance(item, dict) and all(isinstance(item.get(k), str) for k in fields)
@@ -168,8 +163,7 @@ def _cmd_compare(args) -> int:
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     dest = out_dir / "ordering_summary.json"
-    dest.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_json(dest, summary)
     for tag in ("report_a", "report_b"):
         wins = summary[tag]["band_wins"]
         print(f"{tag} band wins: {wins}")

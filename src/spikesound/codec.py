@@ -19,13 +19,14 @@ TAE  like SF, but the threshold grows by a factor (up to a cap) after each
 
 from __future__ import annotations
 
-import json
+import math
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
+from .container import read_container, write_container, write_json
 from .errors import ConfigError, DataError
 from .frontend import FeatureMatrix
 
@@ -53,11 +54,11 @@ class CodecConfig:
             raise ConfigError(f"threshold_rel must be in (0, 1], got {self.threshold_rel}")
         if self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
-        if self.tae_gamma <= 1.0:
-            raise ConfigError(f"tae_gamma must be > 1, got {self.tae_gamma}")
-        if not (0.0 < self.tae_tmin_rel <= self.threshold_rel <= self.tae_tmax_rel):
+        if not 1.0 < self.tae_gamma < math.inf:
+            raise ConfigError(f"tae_gamma must be finite and > 1, got {self.tae_gamma}")
+        if not 0.0 < self.tae_tmin_rel <= self.threshold_rel <= self.tae_tmax_rel < math.inf:
             raise ConfigError(
-                "need 0 < tae_tmin_rel <= threshold_rel <= tae_tmax_rel, got "
+                "need 0 < tae_tmin_rel <= threshold_rel <= tae_tmax_rel < inf, got "
                 f"{self.tae_tmin_rel} / {self.threshold_rel} / {self.tae_tmax_rel}"
             )
 
@@ -313,27 +314,21 @@ _HEADER = struct.Struct("<BIIfIfff")  # codec, channels, frames, params...
 
 
 def pack_spikes(spikes: np.ndarray) -> bytes:
-    """Pack ternary entries 2 bits each (00=0, 01=+1, 10=-1), row-major."""
+    """Pack ternary entries 2 bits each (00=0, 01=+1, 10=-1), row-major,
+    the first entry in the lowest bits of the first byte."""
     flat = spikes.reshape(-1)
-    codes = np.where(flat == 1, 1, np.where(flat == -1, 2, 0)).astype(np.uint8)
-    pad = (-len(codes)) % 4
-    if pad:
-        codes = np.concatenate([codes, np.zeros(pad, dtype=np.uint8)])
-    quads = codes.reshape(-1, 4)
-    packed = quads[:, 0] | (quads[:, 1] << 2) | (quads[:, 2] << 4) | (quads[:, 3] << 6)
-    return packed.tobytes()
+    bits = np.column_stack([flat == 1, flat == -1])
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 def unpack_spikes(data: bytes, channels: int, frames: int) -> np.ndarray:
-    raw = np.frombuffer(data, dtype=np.uint8)
-    codes = np.empty(len(raw) * 4, dtype=np.uint8)
-    for j in range(4):
-        codes[j::4] = (raw >> (2 * j)) & 0b11
-    codes = codes[: channels * frames]
-    spikes = np.zeros(len(codes), dtype=np.int8)
-    spikes[codes == 1] = 1
-    spikes[codes == 2] = -1
-    return spikes.reshape(channels, frames)
+    """Inverse of pack_spikes; DataError on the unused code 11."""
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
+                         count=2 * channels * frames, bitorder="little").reshape(-1, 2)
+    up, down = bits[:, 0].view(np.int8), bits[:, 1].view(np.int8)
+    if np.any(up & down):
+        raise DataError("spike payload holds the invalid code 11")
+    return (up - down).reshape(channels, frames)
 
 
 def spike_payload_bytes(channels: int, frames: int) -> int:
@@ -356,64 +351,39 @@ def save_spikes(st: SpikeTrain, path: str | Path) -> None:
     The sidecar mirrors the header, params, and side_info, and adds
     per-channel spike counts; the packed payload stays binary-only.
     """
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(SPIKE_MAGIC)
-        fh.write(_HEADER.pack(
-            _CODEC_TAGS[st.codec_id], st.n_channels, st.n_frames,
-            st.params.threshold_rel, st.params.window, st.params.tae_gamma,
-            st.params.tae_tmin_rel, st.params.tae_tmax_rel,
-        ))
-        fh.write(pack_spikes(st.spikes))
-        fh.write(st.side_info.astype("<f4").tobytes(order="C"))
-    sidecar = {
+    p = st.params
+    write_container(path, SPIKE_MAGIC, _HEADER, (
+        _CODEC_TAGS[st.codec_id], st.n_channels, st.n_frames, p.threshold_rel,
+        p.window, p.tae_gamma, p.tae_tmin_rel, p.tae_tmax_rel,
+    ), [pack_spikes(st.spikes), st.side_info.astype("<f4").tobytes(order="C")])
+    write_json(f"{path}.json", {
         "codec_id": st.codec_id,
         "channels": st.n_channels,
         "frames": st.n_frames,
-        "params": asdict(st.params),
+        "params": asdict(p),
         "side_info": st.side_info.tolist(),
         "spike_counts": np.count_nonzero(st.spikes, axis=1).tolist(),
-    }
-    with open(path.with_suffix(path.suffix + ".json"), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_spikes(path: str | Path) -> SpikeTrain:
-    path = Path(path)
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(5)
-            if magic != SPIKE_MAGIC:
-                raise DataError(f"bad spike file magic in {path}: {magic!r}")
-            header = fh.read(_HEADER.size)
-            if len(header) != _HEADER.size:
-                raise DataError(f"truncated spike file header in {path}")
-            tag, channels, frames, thr, window, gamma, tmin, tmax = _HEADER.unpack(header)
-            if tag not in _TAG_CODECS:
-                raise DataError(f"unknown codec tag {tag} in {path}")
-            if frames < 1:
-                raise DataError(f"spike file {path} holds no frames")
-            payload = fh.read(spike_payload_bytes(channels, frames))
-            side_raw = fh.read(channels * 2 * 4)
-            if (len(payload), len(side_raw)) != (spike_payload_bytes(channels, frames),
-                                                 channels * 2 * 4):
-                raise DataError(f"truncated spike file payload in {path}")
-            if fh.read(1):
-                raise DataError(f"spike file {path} is longer than its header declares")
-    except OSError as exc:
-        raise DataError(f"cannot read spike file: {exc}") from exc
-    try:
-        params = CodecConfig(
-            threshold_rel=float(thr), window=int(window), tae_gamma=float(gamma),
-            tae_tmin_rel=float(tmin), tae_tmax_rel=float(tmax),
-        )
-    except ConfigError as exc:
-        raise DataError(f"bad codec parameters in {path}: {exc}") from exc
-    side = np.frombuffer(side_raw, dtype="<f4").reshape(channels, 2).astype(np.float64)
-    return SpikeTrain(
-        spikes=unpack_spikes(payload, channels, frames),
-        side_info=side,
-        codec_id=_TAG_CODECS[tag],
-        params=params,
-    )
+    """Read a save_spikes file; DataError if it is unreadable, malformed,
+    holds invalid codec parameters or non-finite side_info."""
+
+    def layout(fields, take):
+        tag, channels, frames, thr, window, gamma, tmin, tmax = fields
+        if tag not in _TAG_CODECS:
+            raise DataError(f"unknown codec tag {tag}")
+        if frames < 1:
+            raise DataError("no frames")
+        params = CodecConfig(threshold_rel=thr, window=window, tae_gamma=gamma,
+                             tae_tmin_rel=tmin, tae_tmax_rel=tmax)
+        payload = take(spike_payload_bytes(channels, frames))
+        side = np.frombuffer(take(channels * 2 * 4), dtype="<f4")
+        if not np.all(np.isfinite(side)):
+            raise DataError("non-finite side_info")
+        return SpikeTrain(spikes=unpack_spikes(payload, channels, frames),
+                          side_info=side.reshape(channels, 2).astype(np.float64),
+                          codec_id=_TAG_CODECS[tag], params=params)
+
+    return read_container(path, SPIKE_MAGIC, _HEADER, "spike file", layout)

@@ -1,0 +1,72 @@
+"""On-disk containers and JSON files: the one place their rules live.
+
+A container is a magic string, a little-endian struct header, then payload
+pieces whose lengths follow exactly from the header.  The spike (.spk),
+feature (.spkf) and checkpoint (.spkn) modules keep only their layouts.
+JSON files are written with sorted keys, two-space indent and a newline.
+"""
+
+from __future__ import annotations
+
+import json
+import struct
+from collections.abc import Callable, Iterable
+from pathlib import Path
+
+from .errors import DataError
+
+
+def write_container(path: str | Path, magic: bytes, header: struct.Struct,
+                    fields: tuple, pieces: Iterable[bytes]) -> None:
+    Path(path).write_bytes(b"".join([magic, header.pack(*fields), *pieces]))
+
+
+def read_container(path: str | Path, magic: bytes, header: struct.Struct,
+                   what: str, layout: Callable):
+    """Return layout(fields, take) for the container at path.
+
+    layout checks the header fields and takes the payload pieces in order,
+    each with take(n_bytes); it raises DataError, or ValueError, KeyError
+    or TypeError, on a bad field.  Those, an unreadable file, a bad magic,
+    a cut header or payload, and bytes past the last piece all raise
+    DataError naming the file.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {what}: {exc}") from exc
+    pos = len(magic) + header.size
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if len(data) < pos + n:
+            raise DataError("truncated payload")
+        pos += n
+        return data[pos - n : pos]
+
+    try:
+        if data[: len(magic)] != magic:
+            raise DataError(f"bad magic {data[:len(magic)]!r}")
+        if len(data) < pos:
+            raise DataError("truncated header")
+        result = layout(header.unpack_from(data, len(magic)), take)
+        if len(data) > pos:
+            raise DataError("longer than its header declares")
+    except DataError as exc:
+        raise DataError(f"{what} {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{what} {path}: bad field {exc!r}") from exc
+    return result
+
+
+def write_json(path: str | Path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
+def read_json(path: str | Path, what: str, error: type[Exception] = DataError):
+    """Parsed JSON at path; error naming the file if it is unreadable."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc

@@ -9,7 +9,6 @@ grouped into eight contiguous analysis bands for per-band scoring.
 from __future__ import annotations
 
 import functools
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import get_window
 
+from .container import read_container, read_json, write_container, write_json
 from .errors import DataError
 from .ingest import Waveform
 
@@ -214,6 +214,9 @@ def partition_bands(channel_center_hz: np.ndarray,
     return BandPartition(edges_hz=tuple(edges_hz), assignment=assignment.astype(np.int64))
 
 
+_HEADER = struct.Struct("<IIf")  # channels, frames, frame_rate
+
+
 def save_features(f: FeatureMatrix, path: str | Path) -> None:
     """Write the SPKF1 binary container plus a JSON sidecar.
 
@@ -221,47 +224,40 @@ def save_features(f: FeatureMatrix, path: str | Path) -> None:
     then row-major little-endian float32 values.  The sidecar (same path +
     '.json') carries norm_state and channel centers at full precision.
     """
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<IIf", f.n_channels, f.n_frames, f.frame_rate))
-        fh.write(f.values.astype("<f4").tobytes(order="C"))
-    sidecar = {
+    write_container(path, FEATURE_MAGIC, _HEADER,
+                    (f.n_channels, f.n_frames, f.frame_rate),
+                    [f.values.astype("<f4").tobytes(order="C")])
+    write_json(f"{path}.json", {
         "channel_center_hz": f.channel_center_hz.tolist(),
         "norm_state": f.norm_state.tolist(),
         "frame_rate": f.frame_rate,
-    }
-    with open(path.with_suffix(path.suffix + ".json"), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_features(path: str | Path) -> FeatureMatrix:
-    path = Path(path)
-    sidecar_path = path.with_suffix(path.suffix + ".json")
+    """Read a save_features file and its sidecar; DataError if either is
+    unreadable or malformed, or if any value is non-finite."""
+
+    def layout(fields, take):
+        channels, frames, _ = fields
+        values = np.frombuffer(take(channels * frames * 4), dtype="<f4")
+        if not np.all(np.isfinite(values)):
+            raise DataError("non-finite feature values")
+        return values.reshape(channels, frames).astype(np.float64)
+
+    values = read_container(path, FEATURE_MAGIC, _HEADER, "feature file", layout)
+    sidecar_path = f"{path}.json"
+    sidecar = read_json(sidecar_path, "feature sidecar")
     try:
-        with open(path, "rb") as fh:
-            magic = fh.read(5)
-            if magic != FEATURE_MAGIC:
-                raise DataError(f"bad feature file magic in {path}: {magic!r}")
-            header = fh.read(12)
-            if len(header) != 12:
-                raise DataError(f"truncated feature file header in {path}")
-            channels, frames, frame_rate = struct.unpack("<IIf", header)
-            raw = fh.read(channels * frames * 4)
-            if len(raw) != channels * frames * 4:
-                raise DataError(f"truncated feature file payload in {path}")
-            if fh.read(1):
-                raise DataError(f"feature file {path} is longer than its header declares")
-        with open(sidecar_path, encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-        return FeatureMatrix(
-            values=np.frombuffer(raw, dtype="<f4").reshape(channels, frames).astype(np.float64),
-            channel_center_hz=np.array(sidecar["channel_center_hz"]),
-            norm_state=np.array(sidecar["norm_state"]),
+        f = FeatureMatrix(
+            values=values,
+            channel_center_hz=np.array(sidecar["channel_center_hz"], dtype=np.float64),
+            norm_state=np.array(sidecar["norm_state"], dtype=np.float64),
             frame_rate=float(sidecar["frame_rate"]),
         )
-    except OSError as exc:
-        raise DataError(f"cannot read feature file: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad feature sidecar {sidecar_path}: {exc!r}") from exc
+    if not all(np.all(np.isfinite(a)) for a in (f.channel_center_hz, f.norm_state,
+                                                f.frame_rate)):
+        raise DataError(f"non-finite values in feature sidecar {sidecar_path}")
+    return f

@@ -9,7 +9,6 @@ config and seed, every non-timing output byte is reproducible.
 
 from __future__ import annotations
 
-import json
 import logging
 import platform
 import time
@@ -30,6 +29,7 @@ from .codec import (
     encode_matrix,
     serialized_size,
 )
+from .container import read_json, write_json
 from .errors import ConfigError, DataError
 from .frontend import (
     FrontendConfig,
@@ -325,6 +325,10 @@ def run_bench(cfg: RunConfig) -> BenchResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_name, clips = load_corpus(cfg, out_dir)
     clips = list(clips)
+    frames = sorted({f.n_frames for _, f in clips})
+    if cfg.run_snn and len(frames) > 1:
+        raise DataError(f"the SNN protocol needs equal-length clips, got {frames[0]} "
+                        f"to {frames[-1]} frames; set crop_seconds")
     bands = partition_bands(clips[0][1].channel_center_hz)
     blocks = _stack_blocks(clips)
 
@@ -446,8 +450,7 @@ def _write_run_summary(path: Path, cfg: RunConfig, dataset_name: str,
             "spikesound": __version__,
         },
     }
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_json(path, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +526,10 @@ def compare_report(report_a: str | Path, report_b: str | Path) -> dict:
     datasets = {}
     for tag, d in dirs.items():
         summary_path = d / "run_summary.json"
+        summary = read_json(summary_path, "run summary")
         try:
-            datasets[tag] = json.loads(summary_path.read_text(encoding="utf-8"))["dataset"]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            datasets[tag] = summary["dataset"]
+        except (KeyError, TypeError) as exc:
             raise DataError(f"no dataset name in {summary_path}: {exc!r}") from exc
     if datasets["a"] != datasets["b"]:
         raise DataError(f"mismatched corpora: {datasets['a']} vs {datasets['b']}")
@@ -604,12 +608,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed config JSON in {path}: {exc}") from exc
+    data = read_json(path, "config file", ConfigError)
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a JSON object: {path}")
     return run_config_from_dict(data)

@@ -9,13 +9,12 @@ perfect reconstructions finite in CSV aggregation.
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .codec import CodecConfig, SpikeTrain, encode_matrix, serialized_size
+from .codec import SpikeTrain
 from .frontend import BandPartition, FeatureMatrix, N_BANDS
 
 DB_CLAMP = 100.0
@@ -35,13 +34,6 @@ class ReconScore:
     @property
     def absent(self) -> bool:
         return self.n_channels == 0
-
-
-@dataclass(frozen=True)
-class EfficiencyStat:
-    firing_rate_pct: float
-    encode_ms: float
-    aux_bytes: int
 
 
 def snr_db(s: np.ndarray, s_hat: np.ndarray) -> float:
@@ -126,28 +118,6 @@ def encoder_state_bytes(st: SpikeTrain) -> int:
     if st.codec_id == "mw":
         per_channel += st.params.window * 8
     return st.n_channels * per_channel
-
-
-def measure_encode_cost(f: FeatureMatrix, cfg: CodecConfig, codec: str,
-                        repeats: int = 5) -> EfficiencyStat:
-    """Median wall-clock encode time over >= 5 repetitions plus sizes.
-
-    aux_bytes is the serialized spike-train size plus the encoder's working
-    state, both computed analytically rather than sampled.
-    """
-    repeats = max(int(repeats), 5)
-    times = []
-    st = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        st = encode_matrix(f, cfg, codec)
-        times.append(time.perf_counter() - t0)
-    assert st is not None
-    return EfficiencyStat(
-        firing_rate_pct=firing_rate(st),
-        encode_ms=1000.0 * float(np.median(times)),
-        aux_bytes=serialized_size(st) + encoder_state_bytes(st),
-    )
 
 
 # ---------------------------------------------------------------------------

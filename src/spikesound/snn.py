@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import read_container, write_container
 from .errors import DataError, NumericError
 
 MODEL_MAGIC = b"SPKN1"
@@ -427,45 +428,33 @@ def run_protocol(samples: list[ProtocolSample], cfg: SnnConfig) -> ProtocolResul
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+_CKPT_HEADER = struct.Struct("<I")  # length of the config JSON
+
+
 def save_checkpoint(net: SpikingNet, path: str | Path) -> None:
     """SPKN1 container: magic, u32 JSON length, config JSON, then row-major
     float32 weight matrices in layer order."""
     blob = json.dumps(
         {"config": asdict(net.config)}, sort_keys=True
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for w in net.weights:
-            fh.write(w.astype("<f4").tobytes(order="C"))
+    write_container(path, MODEL_MAGIC, _CKPT_HEADER, (len(blob),),
+                    [blob, *(w.astype("<f4").tobytes(order="C") for w in net.weights)])
 
 
 def load_checkpoint(path: str | Path) -> SpikingNet:
     """Read a save_checkpoint file; DataError if it is unreadable, holds a bad
-    config, or is not exactly as long as its config implies."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint: {exc}") from exc
-    if data[:5] != MODEL_MAGIC:
-        raise DataError(f"bad checkpoint magic in {path}: {data[:5]!r}")
-    try:
-        (blob_len,) = struct.unpack_from("<I", data, 5)
-        raw = json.loads(data[9 : 9 + blob_len].decode("utf-8"))["config"]
+    config or non-finite weights, or is not exactly as long as its config
+    implies."""
+
+    def layout(fields, take):
+        raw = json.loads(take(fields[0]).decode("utf-8"))["config"]
         raw["hidden_sizes"] = tuple(raw["hidden_sizes"])
         cfg = SnnConfig(**raw)
-        shapes = list(zip(cfg.layer_sizes[:-1], cfg.layer_sizes[1:]))
-        pos = 9 + blob_len
-        if pos + sum(4 * n_in * n_out for n_in, n_out in shapes) != len(data):
-            raise DataError(f"checkpoint {path} is {len(data)} bytes, which does "
-                            "not match its config")
-        weights = []
-        for n_in, n_out in shapes:
-            w = np.frombuffer(data, dtype="<f4", count=n_in * n_out, offset=pos)
-            weights.append(w.reshape(n_in, n_out).astype(np.float64))
-            pos += 4 * n_in * n_out
-    except (struct.error, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad checkpoint {path}: {exc!r}") from exc
-    return SpikingNet(weights=weights, config=cfg)
+        weights = [np.frombuffer(take(4 * n_in * n_out), dtype="<f4")
+                   .reshape(n_in, n_out).astype(np.float64)
+                   for n_in, n_out in zip(cfg.layer_sizes[:-1], cfg.layer_sizes[1:])]
+        if not all(np.all(np.isfinite(w)) for w in weights):
+            raise DataError("non-finite weights")
+        return SpikingNet(weights=weights, config=cfg)
+
+    return read_container(path, MODEL_MAGIC, _CKPT_HEADER, "checkpoint", layout)

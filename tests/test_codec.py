@@ -371,6 +371,11 @@ class TestConfigValidation:
     def test_gamma_and_window(self):
         with pytest.raises(ConfigError):
             CodecConfig(tae_gamma=1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                CodecConfig(tae_gamma=bad)
+            with pytest.raises(ConfigError):
+                CodecConfig(tae_tmax_rel=bad)
         with pytest.raises(ConfigError):
             CodecConfig(window=0)
 
@@ -425,6 +430,25 @@ class TestSerialization:
             load_spikes(dest)
         dest.write_bytes(whole)
         assert load_spikes(dest).spikes.tobytes() == st.spikes.tobytes()
+
+    def test_load_rejects_invalid_code_and_non_finite_side_info(self, tmp_path):
+        st = encode_matrix(make_features(np.zeros((2, 3))), CodecConfig(), "sf")
+        dest = tmp_path / "clip.spk"
+        save_spikes(st, dest)
+        whole = dest.read_bytes()
+        payload = 5 + 29  # the packed spikes follow magic and header
+        # entry 1 of an all-silent train set to the unused code 11
+        dest.write_bytes(whole[:payload] + bytes([0b1100]) + whole[payload + 1:])
+        with pytest.raises(DataError, match="invalid code 11"):
+            load_spikes(dest)
+        side = payload + spike_payload_bytes(2, 3)
+        for bad in (np.nan, np.inf, -np.inf):
+            value = np.array([bad], dtype="<f4").tobytes()
+            dest.write_bytes(whole[:side + 4] + value + whole[side + 8:])
+            with pytest.raises(DataError, match="non-finite side_info"):
+                load_spikes(dest)
+        with pytest.raises(DataError, match="invalid code 11"):
+            unpack_spikes(bytes([0b11]), 1, 1)
 
     def test_payload_size_formula(self):
         assert spike_payload_bytes(128, 858) == 27456  # ceil(128*858*2/8)

@@ -1,5 +1,6 @@
 """Front-end: STFT framing, mel filterbank geometry, normalization, bands."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from spikesound import frontend
 from spikesound.errors import DataError
 from spikesound.frontend import (
     BAND_EDGES_HZ,
+    FeatureMatrix,
     FrontendConfig,
     load_features,
     mel_center_frequencies,
@@ -237,3 +239,21 @@ class TestFeatureSerialization:
             load_features(dest)
         dest.write_bytes(whole)
         assert load_features(dest).values.shape == f.values.shape
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        f = mel_spectrogram(sine_wave(750.0, duration_s=0.1))
+        dest = tmp_path / "clip.spkf"
+        for bad in (np.nan, np.inf):
+            values = f.values.copy()
+            values[3, 2] = bad
+            save_features(FeatureMatrix(values, f.channel_center_hz, f.norm_state,
+                                        f.frame_rate), dest)
+            with pytest.raises(DataError, match="non-finite"):
+                load_features(dest)
+        save_features(f, dest)
+        sidecar = tmp_path / "clip.spkf.json"
+        meta = json.loads(sidecar.read_text())
+        meta["norm_state"][5][1] = float("nan")
+        sidecar.write_text(json.dumps(meta))  # json writes NaN as a bare token
+        with pytest.raises(DataError, match="non-finite"):
+            load_features(dest)

@@ -190,6 +190,42 @@ class TestRunBench:
         assert result.classification_rows[-1][2] == "mean"
 
 
+class TestUnequalLengths:
+    def _mixed_manifest(self, tmp_path):
+        """10 clips of 0.5 s and 0.3 s with no crop_seconds."""
+        corpus = tmp_path / "corpus"
+        entries = []
+        for tag, dur in (("L", 0.5), ("S", 0.3)):
+            manifest = write_synthetic_corpus(
+                SyntheticSpec(n_clips=5, duration_s=dur), 9, corpus / tag)
+            entries += [replace(e, path=f"{tag}/{e.path}")
+                        for e in read_manifest(manifest)]
+        write_manifest(entries, corpus / "manifest.csv")
+        return corpus / "manifest.csv"
+
+    def test_snn_run_rejected_before_encoding(self, tmp_path, monkeypatch):
+        import spikesound.harness as harness
+
+        def no_encode(*args):
+            raise AssertionError("encode_matrix called")
+
+        monkeypatch.setattr(harness, "encode_matrix", no_encode)
+        cfg = RunConfig(dataset=str(self._mixed_manifest(tmp_path)), run_snn=True,
+                        output_dir=str(tmp_path / "out"))
+        with pytest.raises(DataError, match="equal-length clips, got 48 to 83 frames"):
+            run_bench(cfg)
+
+    def test_train_exits_3(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dataset": str(self._mixed_manifest(tmp_path))}))
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "equal-length clips" in err
+        assert not (tmp_path / "out" / "per_band.csv").exists()
+
+
 class TestBlockStacking:
     """run_bench encodes equal-length runs of clips in stacked blocks; the
     reports must equal a clip-by-clip computation."""
@@ -606,6 +642,21 @@ class TestCli:
         # magic (5) + codec tag (1) + channels, frames, threshold_rel (4 each)
         spikes.write_bytes(whole[:18] + bytes(4) + whole[22:])  # window 0
         self._assert_reconstruct_data_error(enc, tmp_path, capsys)
+
+    @pytest.mark.parametrize("which", ["side_info", "features"])
+    def test_reconstruct_non_finite_container(self, tmp_path, capsys, which):
+        enc, index = self._encode_small(tmp_path)
+        if which == "side_info":
+            path = enc / index[2]["spikes"]
+            offset = len(path.read_bytes()) - 4  # threshold of the last channel
+        else:
+            path = enc / index[2]["features"]
+            offset = 5 + 12 + 4 * 40  # one value in the first channel
+        whole = path.read_bytes()
+        path.write_bytes(whole[:offset] + np.array([np.nan], "<f4").tobytes()
+                         + whole[offset + 4:])
+        self._assert_reconstruct_data_error(enc, tmp_path, capsys)
+        assert not (tmp_path / "rec" / "reconstruct_scores.csv").exists()
 
     def test_reconstruct_shape_mismatch(self, tmp_path, capsys):
         enc, index = self._encode_small(tmp_path)

@@ -6,12 +6,10 @@ import pytest
 from spikesound.codec import CodecConfig, SpikeTrain, encode_matrix, serialized_size
 from spikesound.frontend import FeatureMatrix, mel_center_frequencies, partition_bands
 from spikesound.metrics import (
-    EfficiencyStat,
     ReconScore,
     encoder_state_bytes,
     errdb,
     firing_rate,
-    measure_encode_cost,
     score_matrix,
     score_per_band,
     score_per_class,
@@ -74,6 +72,15 @@ class TestSnrAndErrDb:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             snr_db(np.zeros((2, 3)), np.zeros((3, 2)))
+
+    def test_score_matrix_identity(self):
+        rng = np.random.default_rng(60)
+        s = rng.normal(size=(3, 7))
+        sc = score_matrix(s, s * 0.9, band=2, class_label="dog")
+        assert sc.snr == -sc.errdb
+        assert sc.band == 2
+        assert sc.class_label == "dog"
+        assert (sc.n_channels, sc.n_frames) == (3, 7)
 
 
 class TestScorePerBand:
@@ -179,26 +186,28 @@ class TestFiringRate:
 
 
 class TestMeasureEncodeCost:
+    """The aux_bytes of efficiency.csv: serialized size plus encoder state."""
+
     def test_deterministic_rate_and_size(self):
         rng = np.random.default_rng(50)
         f = make_features(rng.uniform(0, 1, size=(32, 100)))
-        a = measure_encode_cost(f, CodecConfig(), "tae")
-        b = measure_encode_cost(f, CodecConfig(), "tae")
-        assert a.firing_rate_pct == b.firing_rate_pct
-        assert a.aux_bytes == b.aux_bytes
-        assert a.encode_ms >= 0.0
+        a, b = (encode_matrix(f, CodecConfig(), "tae") for _ in range(2))
+        assert firing_rate(a) == firing_rate(b)
+        assert (serialized_size(a) + encoder_state_bytes(a)
+                == serialized_size(b) + encoder_state_bytes(b))
 
     def test_aux_bytes_dominated_by_packing(self):
         rng = np.random.default_rng(51)
         f = make_features(rng.uniform(0, 1, size=(128, 858)),
                           centers=np.linspace(30, 19000, 128))
-        stat = measure_encode_cost(f, CodecConfig(), "sf")
+        st = encode_matrix(f, CodecConfig(), "sf")
+        aux_bytes = serialized_size(st) + encoder_state_bytes(st)
         payload = -(-128 * 858 * 2 // 8)  # ceil(128*858*2/8) = 27456
         side = 128 * 2 * 4
         header = 5 + 29
         state = 128 * 16
-        assert stat.aux_bytes == payload + side + header + state
-        assert payload / stat.aux_bytes > 0.85  # packing is the dominant term
+        assert aux_bytes == payload + side + header + state
+        assert payload / aux_bytes > 0.85  # packing is the dominant term
 
     def test_mw_state_includes_window_buffer(self):
         rng = np.random.default_rng(52)
@@ -231,19 +240,3 @@ class TestReportCsvs:
         lines = path.read_text().splitlines()
         assert lines[0] == "codec,dataset,firing_rate_pct,encode_ms,aux_bytes"
         assert lines[1] == "sf,synthetic,50.000000,8.500000,30562.000000"
-
-
-class TestEfficiencyStat:
-    def test_fields(self):
-        stat = EfficiencyStat(firing_rate_pct=42.0, encode_ms=8.5, aux_bytes=1000)
-        assert 0 <= stat.firing_rate_pct <= 100
-        assert stat.encode_ms >= 0
-
-    def test_score_matrix_identity(self):
-        rng = np.random.default_rng(60)
-        s = rng.normal(size=(3, 7))
-        sc = score_matrix(s, s * 0.9, band=2, class_label="dog")
-        assert sc.snr == -sc.errdb
-        assert sc.band == 2
-        assert sc.class_label == "dog"
-        assert (sc.n_channels, sc.n_frames) == (3, 7)
