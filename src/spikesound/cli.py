@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .codec import decode_matrix, encode_matrix, load_spikes, save_spikes
-from .container import read_json, write_json
+from .container import make_dir, read_json, write_json
 from .errors import ConfigError, DataError, NumericError
 from .frontend import load_features, save_features
 from .harness import (
@@ -86,18 +86,17 @@ def _cmd_synth(args) -> int:
 
 def _cmd_encode(args) -> int:
     cfg = _resolve_config(args)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(cfg.output_dir)
     index = []
     _, clips = load_corpus(cfg, out_dir)
     for e, feats in clips:
         feat_rel = Path("features") / Path(e.path).with_suffix(".spkf")
-        (out_dir / feat_rel).parent.mkdir(parents=True, exist_ok=True)
+        make_dir((out_dir / feat_rel).parent)
         save_features(feats, out_dir / feat_rel)
         for codec in sorted(cfg.codecs):
             st = encode_matrix(feats, cfg.codec_params[codec], codec)
             spike_rel = Path("spikes") / Path(e.path).with_suffix(f".{codec}.spk")
-            (out_dir / spike_rel).parent.mkdir(parents=True, exist_ok=True)
+            make_dir((out_dir / spike_rel).parent)
             save_spikes(st, out_dir / spike_rel)
             index.append({"clip": e.path, "class_label": e.class_label,
                           "codec": codec, "spikes": spike_rel.as_posix(),
@@ -118,8 +117,7 @@ def _cmd_reconstruct(args) -> int:
     ):
         raise DataError(f"{index_path} must be a list of objects with string "
                         f"fields {', '.join(fields)}")
-    out_dir = Path(args.out) if args.out else enc_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(args.out or enc_dir)
     lines = ["codec,clip,class,errdb,snr"]
     n = 0
     for item in index:
@@ -160,8 +158,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_compare(args) -> int:
     summary = compare_report(args.report_a, args.report_b)
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(args.out or ".")
     dest = out_dir / "ordering_summary.json"
     write_json(dest, summary)
     for tag in ("report_a", "report_b"):

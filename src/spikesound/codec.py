@@ -144,14 +144,19 @@ def decode_sf(spikes, side_info) -> np.ndarray:
 
 
 def _sf_encode_rows(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    c, n = x.shape
-    spikes = np.zeros((c, n), dtype=np.int8)
-    base = x[:, 0].copy()
-    for i in range(1, n):
-        s = np.where(x[:, i] > base + t, 1, np.where(x[:, i] < base - t, -1, 0))
-        spikes[:, i] = s
-        base += s * t
-    return spikes
+    # Frame-major: one contiguous row per frame, buffers reused through out=.
+    xt = np.ascontiguousarray(x.T)
+    spikes = np.zeros(xt.shape, dtype=np.int8)
+    base = xt[0].copy()
+    hi, lo, step = np.empty((3, len(t)))
+    up, dn = np.empty((2, len(t)), dtype=bool)
+    up8, dn8 = up.view(np.int8), dn.view(np.int8)
+    for i in range(1, len(xt)):
+        np.greater(xt[i], np.add(base, t, out=hi), out=up)
+        np.less(xt[i], np.subtract(base, t, out=lo), out=dn)
+        s = np.subtract(up8, dn8, out=spikes[i])
+        base += np.multiply(s, t, out=step)
+    return np.ascontiguousarray(spikes.T)
 
 
 # ---------------------------------------------------------------------------
@@ -177,26 +182,73 @@ def decode_mw(spikes, side_info) -> np.ndarray:
     )[0]
 
 
+# Frames per slab of the MW encoder's bulk window sum; bounds the temporaries
+# of windows of 8 and more (up to 14 slabs of frames x rows).
+_SLAB_FRAMES = 128
+
+
 def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
-    # Baseline: mean of the previous min(i, window) samples, summed over the
-    # slice (not as prefix-sum differences) to match the plain definition.
-    base = np.empty_like(x)
-    base[:, 0] = x[:, 0]
-    for i in range(1, x.shape[1]):
-        k = min(i, window)
-        base[:, i] = x[:, i - k : i].sum(axis=1) / k
-    tcol = t[:, None]
-    return (x > base + tcol).view(np.int8) - (x < base - tcol).view(np.int8)
+    # Frame-major.  The baseline, mean(x[i-k:i]) with k = min(i, window),
+    # depends on x alone, so every frame from `window` on is summed at once
+    # from the shifted frame slabs xt[j : j + n - window], j < window.
+    xt = np.ascontiguousarray(x.T)
+    n = len(xt)
+    base = np.empty_like(xt)
+    base[0] = xt[0]
+    for i in range(1, min(window, n)):
+        np.divide(_window_sum(xt[:i], base[i]), i, out=base[i])
+    if n > window:
+        slabs = np.moveaxis(
+            np.lib.stride_tricks.sliding_window_view(xt[:-1], window, axis=0), -1, 0)
+        for lo in range(0, n - window, _SLAB_FRAMES):
+            part = slice(lo, lo + _SLAB_FRAMES)
+            _window_sum(slabs[:, part], base[window:][part])
+        base[window:] /= window
+    dn = xt < base - t
+    base += t  # now the upper edge, in place
+    spikes = (xt > base).view(np.int8) - dn.view(np.int8)
+    return np.ascontiguousarray(spikes.T)
 
 
 def _mw_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray,
                     window: int) -> np.ndarray:
-    c, n = spikes.shape
-    out = np.empty((c, n), dtype=np.float64)
-    out[:, 0] = x0
+    # Frame-major: est[i] = spike[i] * T + mean(est[i-k:i]), k = min(i, window).
+    n = spikes.shape[1]
+    est = np.empty((n, len(t)))
+    np.multiply(spikes.T, t, out=est)
+    est[0] = x0
+    mean = np.empty(len(t))
     for i in range(1, n):
-        base = out[:, max(0, i - window) : i].mean(axis=1)
-        out[:, i] = base + spikes[:, i] * t
+        k = min(i, window)
+        np.divide(_window_sum(est[i - k : i], mean), k, out=mean)
+        est[i] += mean
+    return np.ascontiguousarray(est.T)
+
+
+def _window_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rows.sum(axis=0) into out, each entry added in the order numpy's
+    pairwise summation adds a contiguous run of k = len(rows) values.  So a
+    window summed across frame-major rows equals x[:, i-k:i].sum(axis=1) on
+    the channel-major signal bit for bit: in turn below 8 terms, up to 128
+    as eight interleaved lanes joined by a fixed tree plus the rest in turn,
+    and above that as two halves."""
+    k = len(rows)
+    if k < 8:
+        return np.add.reduce(rows, axis=0, out=out)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        rest = _window_sum(rows[half:], np.empty_like(out))
+        return np.add(_window_sum(rows[:half], out), rest, out=out)
+    full = k - k % 8
+    lanes = rows[:8]
+    if full > 8:
+        lanes = lanes.copy()
+        for b in range(8, full, 8):
+            lanes += rows[b : b + 8]
+    pairs = lanes[0::2] + lanes[1::2]
+    np.add(pairs[0] + pairs[1], pairs[2] + pairs[3], out=out)
+    for r in rows[full:]:
+        out += r
     return out
 
 
@@ -212,10 +264,14 @@ def _tae_bounds(t0: np.ndarray, cfg: CodecConfig) -> tuple[np.ndarray, np.ndarra
     return tmin, tmax
 
 
-def _tae_next(t: np.ndarray, fired: np.ndarray, tmin: np.ndarray,
-              tmax: np.ndarray, gamma: float) -> np.ndarray:
-    """The adaptation law: grow by gamma after a spike, shrink on silence."""
-    return np.where(fired, np.minimum(t * gamma, tmax), np.maximum(t / gamma, tmin))
+def _tae_next(t: np.ndarray, fired: np.ndarray, tmin: np.ndarray, tmax: np.ndarray,
+              gamma: float, out: np.ndarray, grown: np.ndarray) -> np.ndarray:
+    """The adaptation law: grow by gamma after a spike, shrink on silence.
+    Writes the next thresholds to out; grown is scratch shaped like t."""
+    np.minimum(np.multiply(t, gamma, out=grown), tmax, out=grown)
+    np.maximum(np.divide(t, gamma, out=out), tmin, out=out)
+    np.putmask(out, fired, grown)
+    return out
 
 
 def encode_tae(x, cfg: CodecConfig, with_trace: bool = False):
@@ -249,33 +305,41 @@ def decode_tae(spikes, side_info, cfg: CodecConfig, with_trace: bool = False):
 
 
 def _tae_encode_rows(x: np.ndarray, t0: np.ndarray, cfg: CodecConfig):
-    """Spikes plus the threshold used at each frame decision."""
-    c, n = x.shape
+    """Spikes plus the threshold used at each frame decision (a transposed
+    view: only encode_tae's trace reads it)."""
+    xt = np.ascontiguousarray(x.T)
+    n, c = xt.shape
     tmin, tmax = _tae_bounds(t0, cfg)
-    spikes = np.zeros((c, n), dtype=np.int8)
-    trace = np.empty((c, n), dtype=np.float64)
-    trace[:, 0] = t = t0
-    base = x[:, 0].copy()
+    spikes = np.zeros((n, c), dtype=np.int8)
+    trace = np.empty((n, c))
+    trace[:2] = t0
+    base = xt[0].copy()
+    d, neg, step, grown = np.empty((4, c))
+    up, dn, fired = np.empty((3, c), dtype=bool)
+    up8, dn8 = up.view(np.int8), dn.view(np.int8)
     for i in range(1, n):
-        trace[:, i] = t
-        d = x[:, i] - base
-        s = np.where(d > t, 1, np.where(d < -t, -1, 0))
-        spikes[:, i] = s
-        base += s * t
-        t = _tae_next(t, s != 0, tmin, tmax, cfg.tae_gamma)
-    return spikes, trace
+        t = trace[i]
+        np.subtract(xt[i], base, out=d)
+        np.greater(d, t, out=up)
+        np.less(d, np.negative(t, out=neg), out=dn)
+        s = np.subtract(up8, dn8, out=spikes[i])
+        base += np.multiply(s, t, out=step)
+        if i + 1 < n:
+            _tae_next(t, np.logical_or(up, dn, out=fired), tmin, tmax,
+                      cfg.tae_gamma, trace[i + 1], grown)
+    return np.ascontiguousarray(spikes.T), trace.T
 
 
 def _tae_thresholds(spikes: np.ndarray, t0: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     """Replay the encoder's per-frame thresholds from the spikes and T0."""
-    c, n = spikes.shape
+    fired = np.ascontiguousarray(spikes.T) != 0
     tmin, tmax = _tae_bounds(t0, cfg)
-    trace = np.empty((c, n), dtype=np.float64)
-    trace[:, 0] = t = t0
-    for i in range(1, n):
-        trace[:, i] = t
-        t = _tae_next(t, spikes[:, i] != 0, tmin, tmax, cfg.tae_gamma)
-    return trace
+    trace = np.empty(fired.shape)
+    trace[:2] = t0
+    grown = np.empty(len(t0))
+    for i in range(2, len(trace)):
+        _tae_next(trace[i - 1], fired[i - 1], tmin, tmax, cfg.tae_gamma, trace[i], grown)
+    return np.ascontiguousarray(trace.T)
 
 
 # ---------------------------------------------------------------------------

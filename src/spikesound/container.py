@@ -4,6 +4,8 @@ A container is a magic string, a little-endian struct header, then payload
 pieces whose lengths follow exactly from the header.  The spike (.spk),
 feature (.spkf) and checkpoint (.spkn) modules keep only their layouts.
 JSON files are written with sorted keys, two-space indent and a newline.
+Output directories are made here too: one that cannot be made is a
+DataError.
 """
 
 from __future__ import annotations
@@ -57,6 +59,17 @@ def read_container(path: str | Path, magic: bytes, header: struct.Struct,
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{what} {path}: bad field {exc!r}") from exc
     return result
+
+
+def make_dir(path: str | Path) -> Path:
+    """Create the directory path and its parents; DataError if it cannot be
+    made, e.g. when a parent is a regular file."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create directory {path}: {exc}") from exc
+    return path
 
 
 def write_json(path: str | Path, obj) -> None:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import logging
 import platform
 import time
+import typing
 from collections.abc import Iterator
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .codec import (
     encode_matrix,
     serialized_size,
 )
-from .container import read_json, write_json
+from .container import make_dir, read_json, write_json
 from .errors import ConfigError, DataError
 from .frontend import (
     FrontendConfig,
@@ -191,12 +192,11 @@ def write_synthetic_corpus(spec: SyntheticSpec, seed: int,
                            out_dir: str | Path) -> Path:
     """Materialize the corpus as 16-bit WAVs plus manifest.csv; returns the
     manifest path.  Byte-identical for identical (spec, seed)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(out_dir)
     waveforms, entries = generate_synthetic(spec, seed)
     for w, e in zip(waveforms, entries):
         path = out_dir / e.path
-        path.parent.mkdir(parents=True, exist_ok=True)
+        make_dir(path.parent)
         pcm = np.round(w.samples * 32767.0).astype(np.int16)
         wavfile.write(str(path), w.sample_rate, pcm)
     manifest_path = out_dir / "manifest.csv"
@@ -321,8 +321,7 @@ def run_bench(cfg: RunConfig) -> BenchResult:
     results are staged in memory and written in one pass so a failure
     leaves no partial report behind.
     """
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(cfg.output_dir)
     dataset_name, clips = load_corpus(cfg, out_dir)
     clips = list(clips)
     frames = sorted({f.n_frames for _, f in clips})
@@ -570,41 +569,42 @@ def compare_report(report_a: str | Path, report_b: str | Path) -> dict:
 # Config (de)serialization
 # ---------------------------------------------------------------------------
 
-def _build(cls, data: dict, what: str):
-    valid = set(cls.__dataclass_fields__)
-    unknown = set(data) - valid
+def _build(cls, data, what: str):
+    """cls from a parsed JSON object.  Each value follows its field's type: a
+    dataclass section is built the same way, a dict of dataclasses item by
+    item, and a tuple field takes a JSON list.  ConfigError names the
+    section on a non-object, an unknown key, a wrong container type or a
+    value the dataclass rejects."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} config must be a JSON object, got {data!r}")
+    unknown = set(data) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    types = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in data.items():
+        kind = types[key]
+        origin = typing.get_origin(kind)
+        if is_dataclass(kind):
+            value = _build(kind, value, key)
+        elif origin is dict:
+            item = typing.get_args(kind)[1]
+            if not isinstance(value, dict):
+                raise ConfigError(f"{what} {key} must be a JSON object, got {value!r}")
+            value = {k: _build(item, v, f"{key} {k}") for k, v in value.items()}
+        elif origin is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{what} {key} must be a JSON list, got {value!r}")
+            value = tuple(value)
+        kwargs[key] = value
     try:
-        return cls(**data)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what} config: {exc}") from exc
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    data = dict(data)
-    kwargs: dict = {}
-    if "frontend" in data:
-        kwargs["frontend"] = _build(FrontendConfig, data.pop("frontend"), "frontend")
-    if "synthetic" in data:
-        synth = dict(data.pop("synthetic"))
-        if "classes" in synth:
-            synth["classes"] = tuple(synth["classes"])
-        kwargs["synthetic"] = _build(SyntheticSpec, synth, "synthetic")
-    if "snn" in data:
-        snn = dict(data.pop("snn"))
-        if "hidden_sizes" in snn:
-            snn["hidden_sizes"] = tuple(snn["hidden_sizes"])
-        kwargs["snn"] = _build(SnnConfig, snn, "snn")
-    if "codec_params" in data:
-        kwargs["codec_params"] = {
-            k: _build(CodecConfig, v, f"codec {k}")
-            for k, v in data.pop("codec_params").items()
-        }
-    if "codecs" in data:
-        data["codecs"] = tuple(data["codecs"])
-    kwargs.update(data)
-    return _build(RunConfig, kwargs, "run")
+    return _build(RunConfig, data, "run")
 
 
 def load_run_config(path: str | Path) -> RunConfig:

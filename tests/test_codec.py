@@ -316,6 +316,9 @@ class TestBitExactOutput:
         (CodecConfig(threshold_rel=0.1, window=5, tae_gamma=1.5,
                      tae_tmin_rel=0.02, tae_tmax_rel=0.3),
          "301ac37513b848dc43631715dfc5b2869595dce13b465b82476698a9aaca2714"),
+        # window >= 8: numpy sums such windows pairwise, not in turn
+        (CodecConfig(window=12, tae_gamma=1.3),
+         "aecdd4c29ff9dc4c369600e700546dcb0b769f08b396c47acf714029de0a4d2d"),
     ])
     def test_output_sha256(self, cfg, expected):
         rng = np.random.default_rng(2024)
@@ -334,6 +337,7 @@ class TestBitExactOutput:
         CodecConfig(),
         CodecConfig(threshold_rel=0.1, window=5, tae_gamma=1.5,
                     tae_tmin_rel=0.02, tae_tmax_rel=0.3),
+        CodecConfig(window=12, tae_gamma=1.3),
     ])
     def test_stacked_clips_match_per_clip(self, cfg, codec):
         # Rows never interact, so encoding a vertical stack of clips must
@@ -353,6 +357,16 @@ class TestBitExactOutput:
             assert stacked.spikes[rows].tobytes() == st.spikes.tobytes()
             assert stacked.side_info[rows].tobytes() == st.side_info.tobytes()
             assert stacked_est[rows].tobytes() == decode_matrix(st).tobytes()
+
+    @pytest.mark.parametrize("codec", CODEC_IDS)
+    @pytest.mark.parametrize("cfg", [CodecConfig(), CodecConfig(window=12)])
+    def test_outputs_c_contiguous(self, cfg, codec):
+        # The kernels run frame-major; reductions downstream sum in layout
+        # order, so a transposed view here would change report bytes.
+        values = np.cumsum(np.random.default_rng(3).normal(0.0, 0.05, size=(9, 40)), axis=1)
+        st = encode_matrix(make_features(values), cfg, codec)
+        assert st.spikes.flags.c_contiguous
+        assert decode_matrix(st).flags.c_contiguous
 
 
 class TestConfigValidation:

@@ -672,6 +672,42 @@ class TestCli:
         missing = tmp_path / "absent.json"
         assert main(["bench", "--config", str(missing)]) == 2
 
+    @pytest.mark.parametrize("data", [
+        {"frontend": 5}, {"synthetic": {"classes": 5}}, {"codec_params": {"sf": 3}},
+        {"codecs": 5}, {"codec_params": 5}, {"snn": {"hidden_sizes": 3}}, {"snn": []},
+    ])
+    def test_wrong_section_type_exits_2(self, tmp_path, capsys, data):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["bench", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("under", [False, True], ids=["is_file", "under_file"])
+    @pytest.mark.parametrize("command", ["synth", "encode", "reconstruct", "bench",
+                                         "train", "compare"])
+    def test_out_at_regular_file_exits_3(self, small_bench, tmp_path, capsys,
+                                         command, under):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory")
+        cfg = self._config_file(tmp_path, codecs=["sf"],
+                                synthetic={"n_clips": 5, "duration_s": 0.3})
+        if command == "reconstruct":
+            enc = tmp_path / "enc"
+            assert main(["encode", "--config", str(cfg), "--out", str(enc)]) == 0
+            argv = ["reconstruct", str(enc)]
+        elif command == "compare":
+            report = small_bench[0].output_dir
+            argv = ["compare", report, report]
+        else:
+            argv = [command, "--config", str(cfg)]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(afile / "x" if under else afile)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "afile" in err
+
     def test_data_error_exit_code(self, tmp_path):
         corpus = tmp_path / "corpus"
         manifest = write_synthetic_corpus(
