@@ -39,12 +39,6 @@ from .codec import (
     CODEC_IDS,
     CodecConfig,
     SpikeTrain,
-    encode_sf,
-    decode_sf,
-    encode_mw,
-    decode_mw,
-    encode_tae,
-    decode_tae,
     encode_matrix,
     decode_matrix,
     save_spikes,
@@ -61,11 +55,9 @@ from .metrics import (
 )
 from .snn import (
     SnnConfig,
-    LifState,
     SpikingNet,
     ClipDataset,
     ProtocolSample,
-    lif_step,
     init_net,
     forward,
     train,

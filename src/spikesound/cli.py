@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .codec import decode_matrix, encode_matrix, load_spikes, save_spikes
-from .container import make_dir, read_json, write_json
+from .container import make_dir, read_json, write_csv, write_json
 from .errors import ConfigError, DataError, NumericError
 from .frontend import load_features, save_features
 from .harness import (
@@ -118,8 +118,7 @@ def _cmd_reconstruct(args) -> int:
         raise DataError(f"{index_path} must be a list of objects with string "
                         f"fields {', '.join(fields)}")
     out_dir = make_dir(args.out or enc_dir)
-    lines = ["codec,clip,class,errdb,snr"]
-    n = 0
+    rows = []
     for item in index:
         if args.codec and item["codec"] != args.codec:
             continue
@@ -130,12 +129,11 @@ def _cmd_reconstruct(args) -> int:
                             f"{item['features']} is {feats.values.shape}")
         est = decode_matrix(st)
         score = score_matrix(feats.values, est, class_label=item["class_label"])
-        lines.append(f"{item['codec']},{item['clip']},{item['class_label']},"
-                     f"{score.errdb:.6f},{score.snr:.6f}")
-        n += 1
-    (out_dir / "reconstruct_scores.csv").write_text("\n".join(lines) + "\n",
-                                                    encoding="utf-8")
-    print(f"decoded and scored {n} spike files; scores in {out_dir}")
+        rows.append([item["codec"], item["clip"], item["class_label"],
+                     f"{score.errdb:.6f}", f"{score.snr:.6f}"])
+    write_csv(out_dir / "reconstruct_scores.csv",
+              ["codec", "clip", "class", "errdb", "snr"], rows)
+    print(f"decoded and scored {len(rows)} spike files; scores in {out_dir}")
     return EXIT_OK
 
 

@@ -86,34 +86,6 @@ class SpikeTrain:
         return self.spikes.shape[1]
 
 
-def _encode_rows(x, cfg: CodecConfig, codec: str):
-    """Encode each row of a (rows x frames) signal with T = threshold_rel of
-    the row's range (the fraction itself when flat).  Returns the spikes,
-    side_info (x[0], T) and, for TAE, the threshold used at each frame."""
-    if codec not in CODEC_IDS:
-        raise ConfigError(f"unknown codec {codec!r}, expected one of {CODEC_IDS}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError("signal must be a nonempty channel or channels x frames matrix")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("signal contains non-finite values")
-    span = x.max(axis=1) - x.min(axis=1)
-    t = np.where(span > 0.0, cfg.threshold_rel * span, cfg.threshold_rel)
-    side = np.column_stack([x[:, 0], t])
-    if codec == "sf":
-        return _sf_encode_rows(x, t), side, None
-    if codec == "mw":
-        return _mw_encode_rows(x, t, cfg.window), side, None
-    spikes, trace = _tae_encode_rows(x, t, cfg)
-    return spikes, side, trace
-
-
-def _encode_channel(x, cfg: CodecConfig, codec: str):
-    """_encode_rows on one 1-D channel: spike row, (x[0], T), TAE trace."""
-    spikes, side, trace = _encode_rows(np.asarray(x, dtype=np.float64)[None], cfg, codec)
-    return spikes[0], (float(side[0, 0]), float(side[0, 1])), trace
-
-
 def _step_sum(spikes: np.ndarray, x0: np.ndarray, step: np.ndarray) -> np.ndarray:
     """SF/TAE decoder: x0 + cumsum(spike * step), step a column (SF) or the
     replayed per-frame thresholds (TAE); cumsum adds frame by frame."""
@@ -125,23 +97,6 @@ def _step_sum(spikes: np.ndarray, x0: np.ndarray, step: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 # Step Forward
 # ---------------------------------------------------------------------------
-
-def encode_sf(x, cfg: CodecConfig) -> tuple[np.ndarray, tuple[float, float]]:
-    """Step-forward encoding of one channel.
-
-    The baseline starts at x[0] and moves by the absolute threshold T with
-    every spike; a +1/-1 fires when the sample exceeds baseline +/- T.
-    Returns the spike row and side_info (x[0], T).
-    """
-    spikes, side, _ = _encode_channel(x, cfg, "sf")
-    return spikes, side
-
-
-def decode_sf(spikes, side_info) -> np.ndarray:
-    """Inverse of encode_sf: cumulative threshold steps from the start value."""
-    x0, t = side_info[0], side_info[1]
-    return _step_sum(np.asarray(spikes)[None, :], np.array([x0]), np.array([[t]]))[0]
-
 
 def _sf_encode_rows(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     # Frame-major: one contiguous row per frame, buffers reused through out=.
@@ -162,25 +117,6 @@ def _sf_encode_rows(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Moving Window
 # ---------------------------------------------------------------------------
-
-def encode_mw(x, cfg: CodecConfig) -> tuple[np.ndarray, tuple[float, float, int]]:
-    """Moving-window encoding of one channel.
-
-    The baseline at frame t is the mean of the previous min(t, window)
-    samples (x[0] itself at t=0, which never fires).  Returns the spike row
-    and side_info (x[0], T, window).
-    """
-    spikes, side, _ = _encode_channel(x, cfg, "mw")
-    return spikes, (*side, cfg.window)
-
-
-def decode_mw(spikes, side_info) -> np.ndarray:
-    """Rebuild the signal as (running mean of the estimate) + spike * T."""
-    x0, t, window = side_info[0], side_info[1], int(side_info[2])
-    return _mw_decode_rows(
-        np.asarray(spikes)[None, :], np.array([x0]), np.array([t]), window
-    )[0]
-
 
 # Frames per slab of the MW encoder's bulk window sum; bounds the temporaries
 # of windows of 8 and more (up to 14 slabs of frames x rows).
@@ -274,39 +210,9 @@ def _tae_next(t: np.ndarray, fired: np.ndarray, tmin: np.ndarray, tmax: np.ndarr
     return out
 
 
-def encode_tae(x, cfg: CodecConfig, with_trace: bool = False):
-    """Threshold-adaptive encoding of one channel.
-
-    Works like SF but the threshold multiplies by tae_gamma after every
-    spike (clamped to the upper bound) and divides by tae_gamma on silent
-    frames (clamped to the lower bound).  Returns the spike row and
-    side_info (x[0], T0); with_trace additionally returns the threshold
-    value used at each frame decision.
-    """
-    spikes, side, trace = _encode_channel(x, cfg, "tae")
-    if with_trace:
-        return spikes, side, trace[0]
-    return spikes, side
-
-
-def decode_tae(spikes, side_info, cfg: CodecConfig, with_trace: bool = False):
-    """Replay the adaptive recurrence from spikes alone.
-
-    The estimate steps by the current threshold on each spike and holds on
-    silence; the threshold follows the identical update law as the encoder,
-    driven only by the spike sequence.
-    """
-    spikes = np.asarray(spikes)[None, :]
-    trace = _tae_thresholds(spikes, np.array([side_info[1]]), cfg)
-    est = _step_sum(spikes, np.array([side_info[0]]), trace)[0]
-    if with_trace:
-        return est, trace[0]
-    return est
-
-
 def _tae_encode_rows(x: np.ndarray, t0: np.ndarray, cfg: CodecConfig):
     """Spikes plus the threshold used at each frame decision (a transposed
-    view: only encode_tae's trace reads it)."""
+    view that encode_matrix drops: the decoder replays it from the spikes)."""
     xt = np.ascontiguousarray(x.T)
     n, c = xt.shape
     tmin, tmax = _tae_bounds(t0, cfg)
@@ -350,10 +256,26 @@ def encode_matrix(f: FeatureMatrix, cfg: CodecConfig, codec: str) -> SpikeTrain:
     """Encode every channel of a FeatureMatrix independently.
 
     Output dimensions equal the input's; side_info stores (x[0], T) per
-    channel, where T is the SF/MW threshold or the TAE initial threshold.
+    channel, where T = threshold_rel of the channel's range (the fraction
+    itself when flat) is the SF/MW threshold or the TAE initial threshold.
     """
-    spikes, side, _ = _encode_rows(f.values, cfg, codec)
-    return SpikeTrain(spikes=spikes, side_info=side, codec_id=codec, params=cfg)
+    if codec not in CODEC_IDS:
+        raise ConfigError(f"unknown codec {codec!r}, expected one of {CODEC_IDS}")
+    x = np.asarray(f.values, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ValueError("signal must be a nonempty channels x frames matrix")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("signal contains non-finite values")
+    span = x.max(axis=1) - x.min(axis=1)
+    t = np.where(span > 0.0, cfg.threshold_rel * span, cfg.threshold_rel)
+    if codec == "sf":
+        spikes = _sf_encode_rows(x, t)
+    elif codec == "mw":
+        spikes = _mw_encode_rows(x, t, cfg.window)
+    else:
+        spikes, _ = _tae_encode_rows(x, t, cfg)
+    return SpikeTrain(spikes=spikes, side_info=np.column_stack([x[:, 0], t]),
+                      codec_id=codec, params=cfg)
 
 
 def decode_matrix(st: SpikeTrain) -> np.ndarray:

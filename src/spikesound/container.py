@@ -3,13 +3,16 @@
 A container is a magic string, a little-endian struct header, then payload
 pieces whose lengths follow exactly from the header.  The spike (.spk),
 feature (.spkf) and checkpoint (.spkn) modules keep only their layouts.
-JSON files are written with sorted keys, two-space indent and a newline.
-Output directories are made here too: one that cannot be made is a
-DataError.
+JSON files are written with sorted keys, two-space indent and a newline,
+CSV files by csv.writer with "\n" line endings.  Every file is written
+through write_file and every output directory made by make_dir, so one
+that cannot be written or made is a DataError.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import struct
 from collections.abc import Callable, Iterable
@@ -18,9 +21,18 @@ from pathlib import Path
 from .errors import DataError
 
 
+def write_file(path: str | Path, data: bytes) -> None:
+    """Write data to path; an OSError, e.g. a directory in the way, is a
+    DataError naming the file."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def write_container(path: str | Path, magic: bytes, header: struct.Struct,
                     fields: tuple, pieces: Iterable[bytes]) -> None:
-    Path(path).write_bytes(b"".join([magic, header.pack(*fields), *pieces]))
+    write_file(path, b"".join([magic, header.pack(*fields), *pieces]))
 
 
 def read_container(path: str | Path, magic: bytes, header: struct.Struct,
@@ -73,8 +85,16 @@ def make_dir(path: str | Path) -> Path:
 
 
 def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_file(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    """UTF-8 CSV of the header and rows, "\n" line endings."""
+    text = io.StringIO()
+    w = csv.writer(text, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    write_file(path, text.getvalue().encode("utf-8"))
 
 
 def read_json(path: str | Path, what: str, error: type[Exception] = DataError):

@@ -9,6 +9,7 @@ config and seed, every non-timing output byte is reproducible.
 
 from __future__ import annotations
 
+import io
 import logging
 import platform
 import time
@@ -30,7 +31,7 @@ from .codec import (
     encode_matrix,
     serialized_size,
 )
-from .container import make_dir, read_json, write_json
+from .container import make_dir, read_json, write_csv, write_file, write_json
 from .errors import ConfigError, DataError
 from .frontend import (
     FrontendConfig,
@@ -197,8 +198,9 @@ def write_synthetic_corpus(spec: SyntheticSpec, seed: int,
     for w, e in zip(waveforms, entries):
         path = out_dir / e.path
         make_dir(path.parent)
-        pcm = np.round(w.samples * 32767.0).astype(np.int16)
-        wavfile.write(str(path), w.sample_rate, pcm)
+        wav = io.BytesIO()
+        wavfile.write(wav, w.sample_rate, np.round(w.samples * 32767.0).astype(np.int16))
+        write_file(path, wav.getvalue())
     manifest_path = out_dir / "manifest.csv"
     write_manifest(entries, manifest_path)
     return manifest_path
@@ -416,18 +418,14 @@ def run_bench(cfg: RunConfig) -> BenchResult:
 
 
 def _write_classification_csv(path: Path, rows) -> None:
-    lines = ["codec,dataset,fold,macro_acc"]
-    for codec, ds, fold, acc in rows:
-        lines.append(f"{codec},{ds},{fold},{acc:.6f}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ["codec", "dataset", "fold", "macro_acc"],
+              ([codec, ds, fold, f"{acc:.6f}"] for codec, ds, fold, acc in rows))
 
 
 def _write_training_log_csv(path: Path, histories) -> None:
-    lines = ["epoch,split,loss,macro_acc"]
-    for hist in histories:
-        for epoch, split, loss, acc in hist.rows:
-            lines.append(f"{epoch},{split},{loss:.6f},{acc:.6f}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ["epoch", "split", "loss", "macro_acc"], (
+        [epoch, split, f"{loss:.6f}", f"{acc:.6f}"]
+        for hist in histories for epoch, split, loss, acc in hist.rows))
 
 
 def _write_run_summary(path: Path, cfg: RunConfig, dataset_name: str,

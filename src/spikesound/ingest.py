@@ -21,6 +21,7 @@ import numpy as np
 from scipy.io import wavfile
 from scipy.signal import firwin, resample_poly
 
+from .container import write_csv
 from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
@@ -304,14 +305,9 @@ def fold_class_counts(entries: list[ManifestEntry]) -> dict[tuple[int | None, st
 
 def write_manifest(entries: list[ManifestEntry], path: str | Path) -> None:
     """Write the manifest CSV (UTF-8, LF endings, relative paths)."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path", "class_label", "fold", "split"])
-        for e in entries:
-            writer.writerow(
-                [e.path, e.class_label, "" if e.fold is None else e.fold, e.split]
-            )
+    write_csv(path, ["path", "class_label", "fold", "split"],
+              ([e.path, e.class_label, "" if e.fold is None else e.fold, e.split]
+               for e in entries))
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:

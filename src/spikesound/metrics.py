@@ -8,13 +8,13 @@ perfect reconstructions finite in CSV aggregation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .codec import SpikeTrain
+from .container import write_csv
 from .frontend import BandPartition, FeatureMatrix, N_BANDS
 
 DB_CLAMP = 100.0
@@ -131,28 +131,22 @@ def _fmt(x: float) -> str:
 def write_per_band_csv(path: str | Path,
                        rows: list[tuple[str, int, float, float]]) -> None:
     """Rows of (codec, band, errdb, snr), sorted by codec then band."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["codec", "band", "errdb", "snr"])
-        for codec, band, e, s in sorted(rows, key=lambda r: (r[0], r[1])):
-            w.writerow([codec, band, _fmt(e), _fmt(s)])
+    write_csv(path, ["codec", "band", "errdb", "snr"], (
+        [codec, band, _fmt(e), _fmt(s)]
+        for codec, band, e, s in sorted(rows, key=lambda r: (r[0], r[1]))))
 
 
 def write_per_class_csv(path: str | Path,
                         rows: list[tuple[str, str, float]]) -> None:
     """Rows of (codec, class, errdb), sorted by codec then class."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["codec", "class", "errdb"])
-        for codec, label, e in sorted(rows, key=lambda r: (r[0], r[1])):
-            w.writerow([codec, label, _fmt(e)])
+    write_csv(path, ["codec", "class", "errdb"], (
+        [codec, label, _fmt(e)]
+        for codec, label, e in sorted(rows, key=lambda r: (r[0], r[1]))))
 
 
 def write_efficiency_csv(path: str | Path,
                          rows: list[tuple[str, str, float, float, float]]) -> None:
     """Rows of (codec, dataset, firing_rate_pct, encode_ms, aux_bytes)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["codec", "dataset", "firing_rate_pct", "encode_ms", "aux_bytes"])
-        for codec, ds, rate, ms, aux in sorted(rows, key=lambda r: (r[0], r[1])):
-            w.writerow([codec, ds, _fmt(rate), _fmt(ms), _fmt(aux)])
+    write_csv(path, ["codec", "dataset", "firing_rate_pct", "encode_ms", "aux_bytes"], (
+        [codec, ds, _fmt(rate), _fmt(ms), _fmt(aux)]
+        for codec, ds, rate, ms, aux in sorted(rows, key=lambda r: (r[0], r[1]))))

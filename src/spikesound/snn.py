@@ -54,15 +54,6 @@ class SnnConfig:
         return (self.input_size, *self.hidden_sizes, self.output_size)
 
 
-@dataclass
-class LifState:
-    """Membrane state of one LIF population (any array shape)."""
-
-    membrane: np.ndarray
-    beta: float
-    theta: float
-
-
 def fast_sigmoid(v: np.ndarray, slope: float) -> np.ndarray:
     """Smooth stand-in for the spike function: v / (1 + slope |v|)."""
     return v / (1.0 + slope * np.abs(v))
@@ -74,28 +65,15 @@ def surrogate_grad(v: np.ndarray, slope: float) -> np.ndarray:
 
 
 def _lif_update(membrane, current, beta, theta, smooth=False, slope=25.0):
+    """One leaky integrate-and-fire step with reset by subtraction:
+    U' = beta U + I, spikes where U' >= theta (fast_sigmoid(U' - theta) when
+    smooth).  Returns the spikes, U' and the new membrane U' - spike*theta."""
     u = beta * membrane + current
     if smooth:
         s = fast_sigmoid(u - theta, slope)
     else:
         s = (u >= theta).astype(np.float64)
     return s, u, u - s * theta
-
-
-def lif_step(state: LifState, input_current: np.ndarray) -> tuple[np.ndarray, LifState]:
-    """One leaky integrate-and-fire step with reset by subtraction.
-
-    U' = beta U + I; spikes where U' >= theta; new membrane U' - spike*theta.
-    """
-    current = np.asarray(input_current, dtype=np.float64)
-    if current.shape != state.membrane.shape:
-        raise ValueError(
-            f"input shape {current.shape} != membrane shape {state.membrane.shape}"
-        )
-    if not np.all(np.isfinite(current)):
-        raise ValueError("non-finite input current")
-    s, _, new_mem = _lif_update(state.membrane, current, state.beta, state.theta)
-    return s, LifState(membrane=new_mem, beta=state.beta, theta=state.theta)
 
 
 @dataclass

@@ -1,6 +1,16 @@
-"""Shared random-signal builders for codec tests."""
+"""Shared signal builders and stacked codec calls for codec tests."""
 
 import numpy as np
+
+from spikesound.codec import (
+    CodecConfig,
+    SpikeTrain,
+    _tae_encode_rows,
+    _tae_thresholds,
+    decode_matrix,
+    encode_matrix,
+)
+from spikesound.frontend import FeatureMatrix
 
 
 def slow_signal(rng, threshold_rel):
@@ -17,3 +27,63 @@ def slow_signal(rng, threshold_rel):
         fine = np.linspace(0, len(x) - 1, factor * (len(x) - 1) + 1)
         x = np.interp(fine, grid, x)
     return x
+
+
+def make_features(values):
+    """A FeatureMatrix around raw (channels x frames) values, so the codecs
+    see them directly with no mel front-end."""
+    values = np.asarray(values, dtype=np.float64)
+    c = values.shape[0]
+    return FeatureMatrix(
+        values=values,
+        channel_center_hz=np.linspace(100, 10000, c),
+        norm_state=np.column_stack([np.zeros(c), np.ones(c)]),
+        frame_rate=172.265625,
+    )
+
+
+def _stacks(signals):
+    """(indices, matrix) per distinct length: the signals of that length
+    stacked as the rows of one matrix, in input order."""
+    groups = {}
+    for i, x in enumerate(signals):
+        groups.setdefault(len(x), []).append(i)
+    return [(idx, np.array([signals[i] for i in idx], dtype=np.float64))
+            for idx in groups.values()]
+
+
+def code_rows(signals, cfg, codec):
+    """encode_matrix then decode_matrix on signals of any lengths, one call
+    per length: per signal, in order, its spike row, (x0, T) and estimate."""
+    out = [None] * len(signals)
+    for idx, x in _stacks(signals):
+        st = encode_matrix(make_features(x), cfg, codec)
+        est = decode_matrix(st)
+        for r, i in enumerate(idx):
+            out[i] = st.spikes[r], tuple(st.side_info[r].tolist()), est[r]
+    return out
+
+
+def code_row(x, cfg, codec):
+    """code_rows on one signal."""
+    return code_rows([x], cfg, codec)[0]
+
+
+def decode_row(spikes, x0, t, codec, cfg=CodecConfig()):
+    """decode_matrix on one spike row with side_info (x0, T)."""
+    st = SpikeTrain(spikes=np.array([spikes], dtype=np.int8),
+                    side_info=np.array([[x0, t]]), codec_id=codec, params=cfg)
+    return decode_matrix(st)[0]
+
+
+def tae_traces(signals, cfg):
+    """Per signal, in order: the TAE encoder's threshold at each frame
+    decision and the decoder's replay of it from the spikes and T0."""
+    out = [None] * len(signals)
+    for idx, x in _stacks(signals):
+        t0 = encode_matrix(make_features(x), cfg, "tae").side_info[:, 1]
+        spikes, trace = _tae_encode_rows(x, t0, cfg)
+        replay = _tae_thresholds(spikes, t0, cfg)
+        for r, i in enumerate(idx):
+            out[i] = trace[r], replay[r]
+    return out

@@ -14,18 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import oracles
 import siggen
-from spikesound.codec import (
-    CODEC_IDS,
-    CodecConfig,
-    decode_mw,
-    decode_sf,
-    decode_tae,
-    encode_mw,
-    encode_sf,
-    encode_tae,
-)
+from spikesound.codec import CODEC_IDS, CodecConfig
 from spikesound.frontend import (
     mel_center_frequencies,
     mel_spectrogram,
@@ -36,7 +26,7 @@ from spikesound.harness import RunConfig, run_bench
 from spikesound.ingest import Waveform
 from spikesound.metrics import errdb, snr_db
 from spikesound.snn import ClipDataset, SnnConfig, forward, init_net, train
-from test_codec_oracle import CHECKS
+from test_codec_oracle import CFG, COARSE_GRID, FINE_GRID, check_oracle
 from test_snn import max_grad_rel_error, toy_two_class_set
 
 
@@ -78,26 +68,23 @@ def test_criterion_1_codec_oracle_equivalence():
     """Exact agreement with the independent brute-force traces.
 
     Exhaustive where tractable: every length 1..4 signal on the 11-point
-    grid and every length 5..8 signal on a 4-point grid, plus a seeded
-    random sample of length 5..8 signals from the full grid.
+    grid and every length 5..8 signal on a 4-point grid (103,144 signals
+    per codec), plus a seeded random sample of length 5..8 signals from
+    the full grid.
     """
-    fine = [i / 10.0 for i in range(11)]
-    coarse = [0.0, 0.3, 0.6, 1.0]
-    cfg = CodecConfig(threshold_rel=0.15, window=3, tae_gamma=2.0,
-                      tae_tmin_rel=0.05, tae_tmax_rel=0.45)
+    grid = [xs for length in range(1, 5)
+            for xs in itertools.product(FINE_GRID, repeat=length)]
+    grid += [xs for length in range(5, 9)
+             for xs in itertools.product(COARSE_GRID, repeat=length)]
     with criterion("1. codec oracle equivalence"):
-        for check in CHECKS.values():
-            for length in range(1, 5):
-                for xs in itertools.product(fine, repeat=length):
-                    check(xs, cfg)
-            for length in range(5, 9):
-                for xs in itertools.product(coarse, repeat=length):
-                    check(xs, cfg)
+        for codec in CODEC_IDS:
+            assert check_oracle(grid, CFG, codec) == 103_144
             rng = np.random.default_rng(1)
+            sample = []
             for _ in range(2000):
                 length = int(rng.integers(5, 9))
-                xs = tuple(fine[i] for i in rng.integers(0, 11, size=length))
-                check(xs, cfg)
+                sample.append(tuple(FINE_GRID[i] for i in rng.integers(0, 11, size=length)))
+            assert check_oracle(sample, CFG, codec) == 2000
 
 
 def test_criterion_2_round_trip_bounds():
@@ -107,26 +94,20 @@ def test_criterion_2_round_trip_bounds():
                       tae_tmin_rel=0.01, tae_tmax_rel=0.5)
     with criterion("2. round-trip bounds"):
         rng = np.random.default_rng(101)
-        for _ in range(1000):
-            x = siggen.slow_signal(rng, cfg.threshold_rel)
-            spikes, side = encode_sf(x, cfg)
-            assert np.abs(x - decode_sf(spikes, side)).max() <= 2 * side[1]
+        signals = [siggen.slow_signal(rng, cfg.threshold_rel) for _ in range(1000)]
+        for x, (_, (_, t), est) in zip(signals, siggen.code_rows(signals, cfg, "sf")):
+            assert np.abs(x - est).max() <= 2 * t
         rng = np.random.default_rng(202)
-        for _ in range(1000):
-            x = siggen.slow_signal(rng, cfg.threshold_rel)
-            spikes, side = encode_tae(x, cfg)
-            est = decode_tae(spikes, side, cfg)
+        signals = [siggen.slow_signal(rng, cfg.threshold_rel) for _ in range(1000)]
+        for x, (_, _, est) in zip(signals, siggen.code_rows(signals, cfg, "tae")):
             span = x.max() - x.min()
             tmax = cfg.tae_tmax_rel * span if span > 0 else cfg.tae_tmax_rel
             assert np.abs(x - est).max() <= 2 * tmax
         for c in [0.0, 0.37, 1.0]:
             x = np.full(50, c)
-            s, side = encode_sf(x, cfg)
-            assert np.abs(decode_sf(s, side) - c).max() <= 1e-9
-            s, side = encode_mw(x, cfg)
-            assert np.abs(decode_mw(s, side) - c).max() <= 1e-9
-            s, side = encode_tae(x, cfg)
-            assert np.abs(decode_tae(s, side, cfg) - c).max() <= 1e-9
+            for codec in CODEC_IDS:
+                _, _, est = siggen.code_row(x, cfg, codec)
+                assert np.abs(est - c).max() <= 1e-9
 
 
 def test_criterion_3_tae_decoder_replay():
@@ -135,10 +116,8 @@ def test_criterion_3_tae_decoder_replay():
                       tae_tmin_rel=0.01, tae_tmax_rel=0.5)
     with criterion("3. TAE decoder replay"):
         rng = np.random.default_rng(303)
-        for _ in range(1000):
-            x = rng.uniform(0, 1, size=rng.integers(2, 120))
-            spikes, side, enc_trace = encode_tae(x, cfg, with_trace=True)
-            _, dec_trace = decode_tae(spikes, side, cfg, with_trace=True)
+        signals = [rng.uniform(0, 1, size=rng.integers(2, 120)) for _ in range(1000)]
+        for enc_trace, dec_trace in siggen.tae_traces(signals, cfg):
             assert enc_trace.tolist() == dec_trace.tolist()
 
 

@@ -8,15 +8,8 @@ import pytest
 from spikesound.codec import (
     CODEC_IDS,
     CodecConfig,
-    SpikeTrain,
     decode_matrix,
-    decode_mw,
-    decode_sf,
-    decode_tae,
     encode_matrix,
-    encode_mw,
-    encode_sf,
-    encode_tae,
     load_spikes,
     pack_spikes,
     save_spikes,
@@ -25,20 +18,9 @@ from spikesound.codec import (
     unpack_spikes,
 )
 from spikesound.errors import ConfigError, DataError
-from spikesound.frontend import FeatureMatrix
 
 import siggen
-
-
-def make_features(values):
-    values = np.asarray(values, dtype=np.float64)
-    c = values.shape[0]
-    return FeatureMatrix(
-        values=values,
-        channel_center_hz=np.linspace(100, 10000, c),
-        norm_state=np.column_stack([np.zeros(c), np.ones(c)]),
-        frame_rate=172.265625,
-    )
+from siggen import code_row, code_rows, decode_row, make_features, tae_traces
 
 
 # Range 0.3 with threshold_rel 1/3 gives T ~= 0.1 for the hand traces.
@@ -48,18 +30,17 @@ TRACE_CFG = CodecConfig(threshold_rel=1.0 / 3.0, window=2, tae_gamma=2.0,
 
 class TestStepForward:
     def test_constant_signal_is_silent(self):
-        spikes, (x0, t) = encode_sf([0.7, 0.7, 0.7, 0.7], CodecConfig())
+        spikes, (x0, t), _ = code_row([0.7, 0.7, 0.7, 0.7], CodecConfig(), "sf")
         assert spikes.tolist() == [0, 0, 0, 0]
         assert x0 == 0.7
         assert t == CodecConfig().threshold_rel  # flat-channel fallback
 
     def test_hand_trace_two_up_spikes(self):
         # T = (1/3) * range([0, .25, .3, .1]) ~= 0.1
-        spikes, (x0, t) = encode_sf([0.0, 0.25, 0.3, 0.1], TRACE_CFG)
+        spikes, (x0, t), est = code_row([0.0, 0.25, 0.3, 0.1], TRACE_CFG, "sf")
         assert spikes.tolist() == [0, 1, 1, 0]
         assert x0 == 0.0
         assert t == pytest.approx(0.1)
-        est = decode_sf(spikes, (x0, t))
         assert est[-1] == pytest.approx(0.2)  # final baseline lags at 2T
 
     def test_slope_overload_on_steep_ramp(self):
@@ -68,54 +49,53 @@ class TestStepForward:
         cfg = CodecConfig(threshold_rel=0.05, tae_tmin_rel=0.01, tae_tmax_rel=0.5)
         n = 11
         x = np.linspace(0.0, 1.0, n)  # range 1 -> T = 0.05, steps = 0.1 = 2T
-        spikes, (x0, t) = encode_sf(x, cfg)
+        spikes, (x0, t), est = code_row(x, cfg, "sf")
         assert spikes[1:].tolist() == [1] * (n - 1)
-        est = decode_sf(spikes, (x0, t))
         np.testing.assert_allclose(x - est, np.arange(n) * t, atol=1e-12)
 
     def test_decode_trace(self):
-        est = decode_sf(np.array([0, 1, 1, 0]), (0.0, 0.1))
+        est = decode_row([0, 1, 1, 0], 0.0, 0.1, "sf")
         np.testing.assert_allclose(est, [0.0, 0.1, 0.2, 0.2])
 
     def test_decode_constant(self):
-        est = decode_sf(np.zeros(3, dtype=np.int8), (0.4, 0.1))
+        est = decode_row([0, 0, 0], 0.4, 0.1, "sf")
         assert est.tolist() == [0.4, 0.4, 0.4]
 
 
 class TestMovingWindow:
     def test_constant_signal_is_silent(self):
-        spikes, _ = encode_mw([0.2] * 6, CodecConfig())
+        spikes, _, _ = code_row([0.2] * 6, CodecConfig(), "mw")
         assert spikes.tolist() == [0] * 6
 
     def test_hand_trace_window_means(self):
         # x = [0, 0, 1, 1], w=2, T ~= 0.1: B[2]=0, B[3]=0.5 -> [0,0,+1,+1]
         cfg = CodecConfig(threshold_rel=0.1, window=2,
                           tae_tmin_rel=0.05, tae_tmax_rel=0.5)
-        spikes, (x0, t, w) = encode_mw([0.0, 0.0, 1.0, 1.0], cfg)
+        spikes, (x0, t), _ = code_row([0.0, 0.0, 1.0, 1.0], cfg, "mw")
         assert spikes.tolist() == [0, 0, 1, 1]
-        assert (x0, t, w) == (0.0, 0.1, 2)
+        assert (x0, t) == (0.0, 0.1)
 
     def test_single_sample_signal(self):
-        spikes, _ = encode_mw([0.33], CodecConfig())
+        spikes, _, _ = code_row([0.33], CodecConfig(), "mw")
         assert spikes.tolist() == [0]
 
     def test_decode_trace_lossier_than_sf(self):
         # Decoding [0,0,+1,+1] with w=2 walks 0, 0, 0.1, 0.15: visibly
         # further from the step input than the SF reconstruction.
-        est = decode_mw(np.array([0, 0, 1, 1]), (0.0, 0.1, 2))
+        est = decode_row([0, 0, 1, 1], 0.0, 0.1, "mw", CodecConfig(window=2))
         np.testing.assert_allclose(est, [0.0, 0.0, 0.1, 0.15])
         x = np.array([0.0, 0.0, 1.0, 1.0])
-        sf_est = decode_sf(np.array([0, 0, 1, 1]), (0.0, 0.1))
+        sf_est = decode_row([0, 0, 1, 1], 0.0, 0.1, "sf")
         assert np.abs(x - est).sum() > np.abs(x - sf_est).sum()
 
     def test_decode_all_zero_spikes_holds_constant(self):
-        est = decode_mw(np.zeros(5, dtype=np.int8), (0.8, 0.1, 3))
+        est = decode_row([0] * 5, 0.8, 0.1, "mw", CodecConfig(window=3))
         np.testing.assert_allclose(est, 0.8)
 
     def test_decode_deterministic(self):
-        spikes = np.array([0, 1, -1, 0, 1], dtype=np.int8)
-        a = decode_mw(spikes, (0.5, 0.07, 3))
-        b = decode_mw(spikes, (0.5, 0.07, 3))
+        spikes = [0, 1, -1, 0, 1]
+        a = decode_row(spikes, 0.5, 0.07, "mw", CodecConfig(window=3))
+        b = decode_row(spikes, 0.5, 0.07, "mw", CodecConfig(window=3))
         assert a.tolist() == b.tolist()
 
 
@@ -123,7 +103,8 @@ class TestThresholdAdaptive:
     def test_constant_signal_threshold_decays_to_floor(self):
         cfg = CodecConfig(threshold_rel=0.1, tae_gamma=2.0,
                           tae_tmin_rel=0.01, tae_tmax_rel=0.5)
-        spikes, side, trace = encode_tae([0.5] * 12, cfg, with_trace=True)
+        spikes, _, _ = code_row([0.5] * 12, cfg, "tae")
+        [(trace, _)] = tae_traces([[0.5] * 12], cfg)
         assert spikes.tolist() == [0] * 12
         assert trace[-1] == pytest.approx(0.01)  # flat channel: rel values direct
 
@@ -134,11 +115,11 @@ class TestThresholdAdaptive:
         cfg = CodecConfig(threshold_rel=1.0 / 6.0, tae_gamma=2.0,
                           tae_tmin_rel=0.01, tae_tmax_rel=4.0 / 6.0)
         x = [0.0, 0.3, 0.6, 0.6]  # range 0.6 -> T0 ~= 0.1, Tmax ~= 0.4
-        spikes, (x0, t0), trace = encode_tae(x, cfg, with_trace=True)
+        spikes, (x0, t0), est = code_row(x, cfg, "tae")
+        [(trace, dec_trace)] = tae_traces([x], cfg)
         assert spikes.tolist() == [0, 1, 1, 0]
         assert t0 == pytest.approx(0.1)
         np.testing.assert_allclose(trace, [0.1, 0.1, 0.2, 0.4])
-        est, dec_trace = decode_tae(spikes, (x0, t0), cfg, with_trace=True)
         np.testing.assert_allclose(est, [0.0, 0.1, 0.3, 0.3])
         assert dec_trace.tolist() == trace.tolist()
 
@@ -148,23 +129,21 @@ class TestThresholdAdaptive:
         cfg = CodecConfig(threshold_rel=0.02, tae_gamma=2.0,
                           tae_tmin_rel=0.01, tae_tmax_rel=0.5)
         x = np.linspace(0.0, 1.0, 50)
-        sf_spikes, _ = encode_sf(x, cfg)
-        tae_spikes, _ = encode_tae(x, cfg)
+        sf_spikes, _, _ = code_row(x, cfg, "sf")
+        tae_spikes, _, _ = code_row(x, cfg, "tae")
         assert np.count_nonzero(sf_spikes) == 49
         assert np.count_nonzero(tae_spikes) < np.count_nonzero(sf_spikes)
 
     def test_round_trip_constant_exact(self):
-        spikes, side = encode_tae([0.42] * 7, CodecConfig())
-        est = decode_tae(spikes, side, CodecConfig())
+        _, _, est = code_row([0.42] * 7, CodecConfig(), "tae")
         assert est.tolist() == [0.42] * 7
 
     def test_threshold_stays_within_bounds(self):
         cfg = CodecConfig(threshold_rel=0.1, tae_gamma=3.0,
                           tae_tmin_rel=0.02, tae_tmax_rel=0.3)
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            x = rng.uniform(0, 1, size=60)
-            _, (x0, t0), trace = encode_tae(x, cfg, with_trace=True)
+        signals = [rng.uniform(0, 1, size=60) for _ in range(50)]
+        for x, (trace, _) in zip(signals, tae_traces(signals, cfg)):
             span = x.max() - x.min()
             lo, hi = 0.02 * span, 0.3 * span
             assert np.all(trace[1:] >= lo - 1e-12)
@@ -177,21 +156,16 @@ class TestRoundTripBounds:
     def test_sf_round_trip_bound(self):
         cfg = CodecConfig(threshold_rel=0.05, tae_tmin_rel=0.01, tae_tmax_rel=0.5)
         rng = np.random.default_rng(101)
-        for _ in range(1000):
-            x = siggen.slow_signal(rng, cfg.threshold_rel)
-            spikes, side = encode_sf(x, cfg)
-            est = decode_sf(spikes, side)
-            t_abs = side[1]
+        signals = [siggen.slow_signal(rng, cfg.threshold_rel) for _ in range(1000)]
+        for x, (_, (_, t_abs), est) in zip(signals, code_rows(signals, cfg, "sf")):
             assert np.abs(x - est).max() <= 2 * t_abs + 1e-12
 
     def test_tae_round_trip_bound(self):
         cfg = CodecConfig(threshold_rel=0.05, tae_gamma=2.0,
                           tae_tmin_rel=0.01, tae_tmax_rel=0.5)
         rng = np.random.default_rng(202)
-        for _ in range(1000):
-            x = siggen.slow_signal(rng, cfg.threshold_rel)
-            spikes, side = encode_tae(x, cfg)
-            est = decode_tae(spikes, side, cfg)
+        signals = [siggen.slow_signal(rng, cfg.threshold_rel) for _ in range(1000)]
+        for x, (_, _, est) in zip(signals, code_rows(signals, cfg, "tae")):
             span = x.max() - x.min()
             tmax = (0.5 * span if span > 0 else 0.5)
             assert np.abs(x - est).max() <= 2 * tmax + 1e-12
@@ -200,12 +174,9 @@ class TestRoundTripBounds:
         cfg = CodecConfig()
         for c in [0.0, 0.123, 1.0]:
             x = np.full(20, c)
-            s, side = encode_sf(x, cfg)
-            assert np.abs(decode_sf(s, side) - c).max() <= 1e-9
-            s, side = encode_mw(x, cfg)
-            assert np.abs(decode_mw(s, side) - c).max() <= 1e-9
-            s, side = encode_tae(x, cfg)
-            assert np.abs(decode_tae(s, side, cfg) - c).max() <= 1e-9
+            for codec in CODEC_IDS:
+                _, _, est = code_row(x, cfg, codec)
+                assert np.abs(est - c).max() <= 1e-9
 
 
 class TestTaeReplayConsistency:
@@ -213,10 +184,8 @@ class TestTaeReplayConsistency:
         cfg = CodecConfig(threshold_rel=0.07, tae_gamma=1.8,
                           tae_tmin_rel=0.02, tae_tmax_rel=0.4)
         rng = np.random.default_rng(303)
-        for _ in range(1000):
-            x = rng.uniform(0, 1, size=rng.integers(2, 80))
-            spikes, side, enc_trace = encode_tae(x, cfg, with_trace=True)
-            _, dec_trace = decode_tae(spikes, side, cfg, with_trace=True)
+        signals = [rng.uniform(0, 1, size=rng.integers(2, 80)) for _ in range(1000)]
+        for enc_trace, dec_trace in tae_traces(signals, cfg):
             assert enc_trace.tolist() == dec_trace.tolist()
 
 
@@ -258,7 +227,7 @@ class TestMatrixEncoding:
         cfg = CodecConfig()
         st = encode_matrix(make_features(values), cfg, "tae")
         for c in range(5):
-            row_spikes, (x0, t0) = encode_tae(values[c], cfg)
+            row_spikes, (x0, t0), _ = code_row(values[c], cfg, "tae")
             assert st.spikes[c].tolist() == row_spikes.tolist()
             assert (st.side_info[c, 0], st.side_info[c, 1]) == (x0, t0)
 
@@ -270,14 +239,8 @@ class TestMatrixEncoding:
             st = encode_matrix(make_features(values), cfg, codec)
             est = decode_matrix(st)
             assert est.shape == values.shape
-            row = st.spikes[2]
             x0, t = st.side_info[2]
-            if codec == "sf":
-                ref = decode_sf(row, (x0, t))
-            elif codec == "mw":
-                ref = decode_mw(row, (x0, t, cfg.window))
-            else:
-                ref = decode_tae(row, (x0, t), cfg)
+            ref = decode_row(st.spikes[2], x0, t, codec, cfg)
             assert est[2].tolist() == ref.tolist()
 
     def test_encode_decode_pure_functions(self):

@@ -2,29 +2,20 @@
 
 Exact float equality everywhere: the production encoders and the pure
 Python references must agree bit for bit on spikes, side information, and
-round-trip estimates.  Enumeration is exhaustive where tractable (all
-signals up to length 4 on the 11-point value grid, all signals of length
-5..8 on a 4-point grid) and randomized on the full grid for the rest.
-Windows stay below 8 samples so window sums reduce in the same order in
-numpy and pure Python.
+round-trip estimates.  check_oracle stacks equal-length signals as the rows
+of one matrix, so a sweep costs one encode_matrix/decode_matrix call per
+length; the exhaustive grids run in test_acceptance.py's criterion 1, the
+seeded random covers and flat signals here.  Windows stay below 8 samples
+so window sums reduce in the same order in numpy and pure Python.
 """
-
-import itertools
 
 import numpy as np
 import pytest
 
-from spikesound.codec import (
-    CodecConfig,
-    decode_mw,
-    decode_sf,
-    decode_tae,
-    encode_mw,
-    encode_sf,
-    encode_tae,
-)
+from spikesound.codec import CODEC_IDS, CodecConfig
 
 import oracles
+from siggen import code_rows
 
 FINE_GRID = [i / 10.0 for i in range(11)]
 COARSE_GRID = [0.0, 0.3, 0.6, 1.0]
@@ -33,91 +24,59 @@ CFG = CodecConfig(threshold_rel=0.15, window=3, tae_gamma=2.0,
                   tae_tmin_rel=0.05, tae_tmax_rel=0.45)
 
 
-def _check_sf(xs, cfg):
-    spikes, (x0, t) = encode_sf(np.array(xs), cfg)
-    ref_spikes, ref_x0, ref_t = oracles.sf_encode(list(xs), cfg.threshold_rel)
-    assert spikes.tolist() == ref_spikes
-    assert (x0, t) == (ref_x0, ref_t)
-    est = decode_sf(spikes, (x0, t))
-    assert est.tolist() == oracles.sf_decode(ref_spikes, ref_x0, ref_t)
+def _oracle(xs, cfg, codec):
+    """(spikes, [x0, T], estimate) of one signal from the references."""
+    if codec == "sf":
+        spikes, x0, t = oracles.sf_encode(xs, cfg.threshold_rel)
+        return spikes, [x0, t], oracles.sf_decode(spikes, x0, t)
+    if codec == "mw":
+        spikes, x0, t = oracles.mw_encode(xs, cfg.threshold_rel, cfg.window)
+        return spikes, [x0, t], oracles.mw_decode(spikes, x0, t, cfg.window)
+    tae = (cfg.threshold_rel, cfg.tae_gamma, cfg.tae_tmin_rel, cfg.tae_tmax_rel)
+    spikes, x0, t0, _ = oracles.tae_encode(xs, *tae)
+    est, _ = oracles.tae_decode(spikes, x0, t0, *tae)
+    return spikes, [x0, t0], est
 
 
-def _check_mw(xs, cfg):
-    spikes, (x0, t, w) = encode_mw(np.array(xs), cfg)
-    ref_spikes, ref_x0, ref_t = oracles.mw_encode(list(xs), cfg.threshold_rel,
-                                                  cfg.window)
-    assert spikes.tolist() == ref_spikes
-    assert (x0, t) == (ref_x0, ref_t)
-    est = decode_mw(spikes, (x0, t, w))
-    assert est.tolist() == oracles.mw_decode(ref_spikes, ref_x0, ref_t, cfg.window)
+def check_oracle(signals, cfg, codec):
+    """Encode and decode the signals, those of one length stacked as the
+    rows of one FeatureMatrix, and compare each row's spikes, (x0, T) and
+    estimate with the oracle by exact ==.  Returns how many were checked."""
+    coded = code_rows(signals, cfg, codec)
+    for xs, (spikes, side, est) in zip(signals, coded):
+        got = (spikes.tolist(), list(side), est.tolist())
+        assert got == _oracle(list(xs), cfg, codec), (codec, xs)
+    return len(coded)
 
 
-def _check_tae(xs, cfg):
-    spikes, (x0, t0) = encode_tae(np.array(xs), cfg)
-    ref_spikes, ref_x0, ref_t0, _ = oracles.tae_encode(
-        list(xs), cfg.threshold_rel, cfg.tae_gamma,
-        cfg.tae_tmin_rel, cfg.tae_tmax_rel,
-    )
-    assert spikes.tolist() == ref_spikes
-    assert (x0, t0) == (ref_x0, ref_t0)
-    est = decode_tae(spikes, (x0, t0), cfg)
-    ref_est, _ = oracles.tae_decode(ref_spikes, ref_x0, ref_t0,
-                                    cfg.threshold_rel, cfg.tae_gamma,
-                                    cfg.tae_tmin_rel, cfg.tae_tmax_rel)
-    assert est.tolist() == ref_est
-
-
-CHECKS = {"sf": _check_sf, "mw": _check_mw, "tae": _check_tae}
-
-
-@pytest.mark.parametrize("codec", ["sf", "mw", "tae"])
-def test_exhaustive_short_signals_fine_grid(codec):
-    """All signals of length 1..4 over {0, 0.1, ..., 1.0}."""
-    check = CHECKS[codec]
-    for length in range(1, 5):
-        for xs in itertools.product(FINE_GRID, repeat=length):
-            check(xs, CFG)
-
-
-@pytest.mark.parametrize("codec", ["sf", "mw", "tae"])
-def test_exhaustive_medium_signals_coarse_grid(codec):
-    """All signals of length 5..8 over a 4-point grid."""
-    check = CHECKS[codec]
-    for length in range(5, 9):
-        for xs in itertools.product(COARSE_GRID, repeat=length):
-            check(xs, CFG)
-
-
-@pytest.mark.parametrize("codec", ["sf", "mw", "tae"])
+@pytest.mark.parametrize("codec", CODEC_IDS)
 def test_random_length8_signals_fine_grid(codec):
     """Seeded random cover of length 5..8 signals on the full grid."""
-    check = CHECKS[codec]
     rng = np.random.default_rng(20260809)
+    signals = []
     for _ in range(4000):
         length = int(rng.integers(5, 9))
-        xs = tuple(FINE_GRID[i] for i in rng.integers(0, 11, size=length))
-        check(xs, CFG)
+        signals.append(tuple(FINE_GRID[i] for i in rng.integers(0, 11, size=length)))
+    assert check_oracle(signals, CFG, codec) == 4000
 
 
-@pytest.mark.parametrize("codec", ["sf", "mw", "tae"])
+@pytest.mark.parametrize("codec", CODEC_IDS)
 @pytest.mark.parametrize("threshold_rel,window", [(0.05, 1), (0.3, 2), (0.75, 7)])
 def test_parameter_sweep_random_signals(codec, threshold_rel, window):
     """Oracle agreement holds across threshold and window settings."""
     cfg = CodecConfig(threshold_rel=threshold_rel, window=window,
                       tae_gamma=1.5, tae_tmin_rel=threshold_rel / 4,
                       tae_tmax_rel=min(1.0, threshold_rel * 3))
-    check = CHECKS[codec]
     rng = np.random.default_rng(7)
+    signals = []
     for _ in range(500):
         length = int(rng.integers(1, 11))
-        xs = tuple(rng.uniform(0.0, 1.0, size=length).tolist())
-        check(xs, cfg)
+        signals.append(tuple(rng.uniform(0.0, 1.0, size=length).tolist()))
+    assert check_oracle(signals, cfg, codec) == 500
 
 
-@pytest.mark.parametrize("codec", ["sf", "mw", "tae"])
+@pytest.mark.parametrize("codec", CODEC_IDS)
 def test_constant_and_flat_signals(codec):
     """Flat channels use the relative threshold directly and stay silent."""
-    check = CHECKS[codec]
-    for c in [0.0, 0.5, 1.0]:
-        for length in [1, 2, 8]:
-            check((c,) * length, CFG)
+    signals = [(c,) * length for c in [0.0, 0.5, 1.0] for length in [1, 2, 8]]
+    assert check_oracle(signals, CFG, codec) == 9

@@ -14,7 +14,13 @@ import pytest
 
 from spikesound.cli import main
 from spikesound.codec import CODEC_IDS, CodecConfig, encode_matrix, load_spikes, save_spikes
-from spikesound.container import read_container, read_json, write_container, write_json
+from spikesound.container import (
+    read_container,
+    read_json,
+    write_container,
+    write_csv,
+    write_json,
+)
 from spikesound.errors import DataError
 from spikesound.frontend import FeatureMatrix, load_features, save_features
 from spikesound.snn import SnnConfig, init_net, load_checkpoint, save_checkpoint
@@ -71,6 +77,18 @@ class TestContainer:
             read_json(path, "test")
         with pytest.raises(DataError):
             read_json(tmp_path / "absent.json", "test")
+
+    def test_csv_format(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_csv(path, ["a", "b"], [["x,y", 1], ["", 2.5]])
+        assert path.read_bytes() == b'a,b\n"x,y",1\n,2.5\n'
+
+    def test_unwritable_path_is_data_error(self, tmp_path):
+        (tmp_path / "blocker").mkdir()
+        for write in (lambda p: write_json(p, {}), lambda p: write_csv(p, ["a"], []),
+                      lambda p: write_container(p, b"MAG", HEADER, (0, 0), [])):
+            with pytest.raises(DataError, match="cannot write .*blocker"):
+                write(tmp_path / "blocker")
 
 
 def _small_features(rng, channels=3, frames=11):

@@ -708,6 +708,48 @@ class TestCli:
         assert err.startswith("data error:") and err.count("\n") == 1
         assert "afile" in err
 
+    @pytest.mark.parametrize("command, victim", [
+        ("bench", "corpus/tone/tone_000.wav"),
+        ("bench", "per_band.csv"),
+        ("bench", "per_class.csv"),
+        ("bench", "efficiency.csv"),
+        ("bench", "run_summary.json"),
+        ("train", "corpus/tone/tone_000.wav"),
+        ("train", "classification.csv"),
+        ("train", "training_log_sf.csv"),
+        ("encode", "corpus/tone/tone_000.wav"),
+        ("encode", "corpus/manifest.csv"),
+        ("encode", "features/tone/tone_000.spkf"),
+        ("encode", "spikes/tone/tone_000.sf.spk.json"),
+        ("encode", "encode_index.json"),
+        ("reconstruct", "reconstruct_scores.csv"),
+        ("compare", "ordering_summary.json"),
+    ])
+    def test_unwritable_output_file_exits_3(self, small_bench, tmp_path, capsys,
+                                            command, victim):
+        # The output file is a directory: one line naming it, exit 3, and
+        # no report written before it is left behind.
+        cfg = self._config_file(
+            tmp_path, codecs=["sf"], synthetic={"n_clips": 20, "duration_s": 0.3},
+            snn={"hidden_sizes": [4, 4, 4], "epochs": 1, "batch_size": 8})
+        out = tmp_path / "out"
+        if command == "reconstruct":
+            assert main(["encode", "--config", str(cfg), "--out", str(out)]) == 0
+            argv = ["reconstruct", str(out)]
+        elif command == "compare":
+            report = small_bench[0].output_dir
+            argv = ["compare", report, report, "--out", str(out)]
+        else:
+            argv = [command, "--config", str(cfg), "--out", str(out)]
+        (out / victim).mkdir(parents=True)
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot write") and err.count("\n") == 1
+        assert victim.split("/")[-1] in err
+        if command in ("bench", "train"):
+            assert [p.name for p in out.iterdir() if p.is_file()] == []
+
     def test_data_error_exit_code(self, tmp_path):
         corpus = tmp_path / "corpus"
         manifest = write_synthetic_corpus(

@@ -9,14 +9,13 @@ import pytest
 from spikesound.errors import DataError, NumericError
 from spikesound.snn import (
     ClipDataset,
-    LifState,
     ProtocolSample,
     SnnConfig,
     SpikingNet,
+    _lif_update,
     evaluate_macro,
     forward,
     init_net,
-    lif_step,
     load_checkpoint,
     run_protocol,
     save_checkpoint,
@@ -41,35 +40,25 @@ def toy_two_class_set(seed=0, n=32, channels=8, frames=16):
 
 
 class TestLifStep:
+    """_lif_update, the LIF law _forward_batch runs at every frame."""
+
     def test_integrate_and_fire_arithmetic(self):
-        state = LifState(membrane=np.array([0.5]), beta=0.9, theta=1.0)
-        spikes, new = lif_step(state, np.array([0.6]))
+        spikes, _, membrane = _lif_update(np.array([0.5]), np.array([0.6]), 0.9, 1.0)
         # U' = 0.9*0.5 + 0.6 = 1.05 >= 1 -> spike, reset to 0.05
         assert spikes.tolist() == [1.0]
-        assert new.membrane[0] == pytest.approx(0.05)
+        assert membrane[0] == pytest.approx(0.05)
 
     def test_silent_decay_never_spikes(self):
-        state = LifState(membrane=np.array([0.99]), beta=0.9, theta=1.0)
+        membrane = np.array([0.99])
         for k in range(1, 30):
-            spikes, state = lif_step(state, np.array([0.0]))
+            spikes, _, membrane = _lif_update(membrane, np.array([0.0]), 0.9, 1.0)
             assert spikes[0] == 0.0
-            assert state.membrane[0] == pytest.approx(0.99 * 0.9**k)
+            assert membrane[0] == pytest.approx(0.99 * 0.9**k)
 
     def test_threshold_boundary_fires(self):
-        state = LifState(membrane=np.array([0.0]), beta=0.9, theta=1.0)
-        spikes, new = lif_step(state, np.array([1.0]))
+        spikes, _, membrane = _lif_update(np.array([0.0]), np.array([1.0]), 0.9, 1.0)
         assert spikes.tolist() == [1.0]
-        assert new.membrane[0] == 0.0
-
-    def test_dimension_mismatch_rejected(self):
-        state = LifState(membrane=np.zeros(3), beta=0.9, theta=1.0)
-        with pytest.raises(ValueError):
-            lif_step(state, np.zeros(2))
-
-    def test_non_finite_input_rejected(self):
-        state = LifState(membrane=np.zeros(2), beta=0.9, theta=1.0)
-        with pytest.raises(ValueError):
-            lif_step(state, np.array([np.nan, 0.0]))
+        assert membrane[0] == 0.0
 
 
 class TestForward:
