@@ -2,12 +2,16 @@
 
 Exact float equality everywhere: the production encoders and the pure
 Python references must agree bit for bit on spikes, side information, and
-round-trip estimates.  check_oracle stacks equal-length signals as the rows
-of one matrix, so a sweep costs one encode_matrix/decode_matrix call per
-length; the exhaustive grids run in test_acceptance.py's criterion 1, the
-seeded random covers and flat signals here.  Windows stay below 8 samples
-so window sums reduce in the same order in numpy and pure Python.
+round-trip estimates.  Enumeration is exhaustive where tractable (all
+signals up to length 4 on the 11-point value grid, all signals of length
+5..8 on a 4-point grid) and randomized on the full grid for the rest.
+check_oracle stacks equal-length signals as the rows of one matrix, so a
+sweep costs one encode_matrix/decode_matrix call per length.  Windows stay
+below 8 samples so window sums reduce in the same order in numpy and pure
+Python.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -47,6 +51,22 @@ def check_oracle(signals, cfg, codec):
         got = (spikes.tolist(), list(side), est.tolist())
         assert got == _oracle(list(xs), cfg, codec), (codec, xs)
     return len(coded)
+
+
+@pytest.mark.parametrize("codec", CODEC_IDS)
+def test_exhaustive_short_signals_fine_grid(codec):
+    """All signals of length 1..4 over {0, 0.1, ..., 1.0}."""
+    signals = [xs for length in range(1, 5)
+               for xs in itertools.product(FINE_GRID, repeat=length)]
+    assert check_oracle(signals, CFG, codec) == 11 + 11**2 + 11**3 + 11**4
+
+
+@pytest.mark.parametrize("codec", CODEC_IDS)
+def test_exhaustive_medium_signals_coarse_grid(codec):
+    """All signals of length 5..8 over a 4-point grid."""
+    signals = [xs for length in range(5, 9)
+               for xs in itertools.product(COARSE_GRID, repeat=length)]
+    assert check_oracle(signals, CFG, codec) == 4**5 + 4**6 + 4**7 + 4**8
 
 
 @pytest.mark.parametrize("codec", CODEC_IDS)
