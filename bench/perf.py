@@ -99,7 +99,7 @@ def main(argv=None) -> int:
     from spikesound.frontend import mel_spectrogram, partition_bands, stft_power
     from spikesound.harness import RunConfig, run_bench
     from spikesound.ingest import load_audio, read_manifest
-    from spikesound.metrics import firing_rate, score_matrix, score_per_band
+    from spikesound.metrics import errdb, firing_rate, score_per_band
     from spikesound.snn import SnnConfig, _backward_batch, _forward_batch, cross_entropy, init_net
 
     clock = hostspeed.Clock()
@@ -144,8 +144,8 @@ def main(argv=None) -> int:
         def score(estimates, spike_trains):
             for (_, members), est, st in zip(blocks, estimates, spike_trains):
                 for _, feats, rows in members:
-                    score_matrix(feats.values, est[rows])
-                    score_per_band(feats, est[rows], bands)
+                    errdb(feats.values, est[rows])
+                    score_per_band(feats.values, est[rows], bands)
                 firing_rate(st)
 
         for codec in sorted(cfg.codecs):

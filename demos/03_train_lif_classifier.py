@@ -52,7 +52,7 @@ result = run_protocol(samples, snn_cfg)
 
 history = result.histories[0]
 print("\nepoch  train loss  train macro-acc")
-for epoch, _, loss, acc in history.rows[::10] + history.rows[-1:]:
+for epoch, _, loss, acc in history[::10] + history[-1:]:
     print(f"{epoch:5d}  {loss:10.4f}  {acc:15.3f}")
 
 fold = result.per_fold[0]

@@ -23,10 +23,8 @@ from .ingest import (
 )
 from .frontend import (
     BAND_EDGES_HZ,
-    N_BANDS,
     FrontendConfig,
     FeatureMatrix,
-    BandPartition,
     stft_power,
     mel_filterbank,
     mel_center_frequencies,
@@ -45,10 +43,8 @@ from .codec import (
     load_spikes,
 )
 from .metrics import (
-    ReconScore,
     snr_db,
     errdb,
-    score_matrix,
     score_per_band,
     score_per_class,
     firing_rate,

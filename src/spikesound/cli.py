@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .codec import decode_matrix, encode_matrix, load_spikes, save_spikes
-from .container import make_dir, read_json, write_csv, write_json
+from .container import make_dir, read_json, write_json
 from .errors import ConfigError, DataError, NumericError
 from .frontend import load_features, save_features
 from .harness import (
@@ -22,9 +22,10 @@ from .harness import (
     load_corpus,
     load_run_config,
     run_bench,
+    write_report,
     write_synthetic_corpus,
 )
-from .metrics import score_matrix
+from .metrics import errdb
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -128,11 +129,9 @@ def _cmd_reconstruct(args) -> int:
             raise DataError(f"{item['spikes']} is {st.spikes.shape} but "
                             f"{item['features']} is {feats.values.shape}")
         est = decode_matrix(st)
-        score = score_matrix(feats.values, est, class_label=item["class_label"])
-        rows.append([item["codec"], item["clip"], item["class_label"],
-                     f"{score.errdb:.6f}", f"{score.snr:.6f}"])
-    write_csv(out_dir / "reconstruct_scores.csv",
-              ["codec", "clip", "class", "errdb", "snr"], rows)
+        e = errdb(feats.values, est)
+        rows.append([item["codec"], item["clip"], item["class_label"], e, -e])
+    write_report(out_dir, "reconstruct_scores", rows)
     print(f"decoded and scored {len(rows)} spike files; scores in {out_dir}")
     return EXIT_OK
 

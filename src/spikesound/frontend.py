@@ -17,7 +17,7 @@ import numpy as np
 from scipy.signal import get_window
 
 from .container import read_container, read_json, write_container, write_json
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .ingest import Waveform
 
 LOG_EPS = 1e-10
@@ -25,7 +25,6 @@ LOG_EPS = 1e-10
 # Analysis band boundaries in Hz; band b covers [edges[b], edges[b+1]), with
 # the last band closed at 20 kHz.
 BAND_EDGES_HZ = (20.0, 125.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0, 20000.0)
-N_BANDS = len(BAND_EDGES_HZ) - 1
 
 FEATURE_MAGIC = b"SPKF1"
 
@@ -39,6 +38,25 @@ class FrontendConfig:
     f_min: float = 20.0
     f_max: float = 20000.0
     window: str = "hann"
+
+    def __post_init__(self):
+        if self.n_fft < 1 or self.n_fft & (self.n_fft - 1):
+            raise ConfigError(f"n_fft must be a power of two, got {self.n_fft}")
+        if self.hop < 1:
+            raise ConfigError(f"hop must be >= 1, got {self.hop}")
+        if self.n_mels < 2:
+            raise ConfigError(f"n_mels must be >= 2, got {self.n_mels}")
+        if not self.f_min < self.f_max <= self.sample_rate / 2:
+            raise ConfigError("need f_min < f_max <= sample_rate / 2, got "
+                              f"{self.f_min} / {self.f_max} / {self.sample_rate}")
+        lo, *_, hi = mel_center_frequencies(self.n_mels, self.f_min, self.f_max)
+        if not BAND_EDGES_HZ[0] <= lo <= hi <= BAND_EDGES_HZ[-1]:
+            raise ConfigError(f"mel channel centers {lo:.2f} to {hi:.2f} Hz outside the "
+                              f"analysis bands, {BAND_EDGES_HZ[0]} to {BAND_EDGES_HZ[-1]} Hz")
+        try:
+            _analysis_window(self.window, self.n_fft)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad window {self.window!r}: {exc}") from exc
 
 
 @dataclass
@@ -68,15 +86,6 @@ class FeatureMatrix:
         offset = self.norm_state[:, :1]
         scale = self.norm_state[:, 1:]
         return self.values * scale + offset
-
-
-@dataclass
-class BandPartition:
-    edges_hz: tuple[float, ...]
-    assignment: np.ndarray  # per-channel band index, 0..N_BANDS-1
-
-    def channels_in_band(self, band: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == band)
 
 
 def hz_to_mel(f):
@@ -199,8 +208,8 @@ def mel_spectrogram(w: Waveform, cfg: FrontendConfig = FrontendConfig()) -> Feat
 
 
 def partition_bands(channel_center_hz: np.ndarray,
-                    edges_hz: tuple[float, ...] = BAND_EDGES_HZ) -> BandPartition:
-    """Assign each channel to the band containing its center frequency.
+                    edges_hz: tuple[float, ...] = BAND_EDGES_HZ) -> np.ndarray:
+    """The int64 index of the band containing each channel's center.
 
     Band b is [edges[b], edges[b+1]), except the last band which is closed
     at its upper edge.  Centers outside the overall range are an error.
@@ -209,9 +218,9 @@ def partition_bands(channel_center_hz: np.ndarray,
     if np.any(centers < edges_hz[0]) or np.any(centers > edges_hz[-1]):
         bad = centers[(centers < edges_hz[0]) | (centers > edges_hz[-1])]
         raise ValueError(f"channel centers outside [{edges_hz[0]}, {edges_hz[-1]}]: {bad}")
-    assignment = np.searchsorted(np.asarray(edges_hz), centers, side="right") - 1
-    assignment[centers == edges_hz[-1]] = len(edges_hz) - 2
-    return BandPartition(edges_hz=tuple(edges_hz), assignment=assignment.astype(np.int64))
+    bands = np.searchsorted(np.asarray(edges_hz), centers, side="right") - 1
+    bands[centers == edges_hz[-1]] = len(edges_hz) - 2
+    return bands.astype(np.int64)
 
 
 _HEADER = struct.Struct("<IIf")  # channels, frames, frame_rate

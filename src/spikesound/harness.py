@@ -9,6 +9,7 @@ config and seed, every non-timing output byte is reproducible.
 
 from __future__ import annotations
 
+import csv
 import io
 import logging
 import platform
@@ -33,23 +34,14 @@ from .codec import (
 )
 from .container import make_dir, read_json, write_csv, write_file, write_json
 from .errors import ConfigError, DataError
-from .frontend import (
-    FrontendConfig,
-    FeatureMatrix,
-    mel_spectrogram,
-    partition_bands,
-    N_BANDS,
-)
+from .frontend import FrontendConfig, FeatureMatrix, mel_spectrogram, partition_bands
 from .ingest import ManifestEntry, Waveform, center_crop, load_audio, read_manifest, write_manifest
 from .metrics import (
     encoder_state_bytes,
+    errdb,
     firing_rate,
-    score_matrix,
     score_per_band,
     score_per_class,
-    write_efficiency_csv,
-    write_per_band_csv,
-    write_per_class_csv,
 )
 from .snn import ProtocolSample, SnnConfig, run_protocol
 
@@ -73,6 +65,9 @@ class SyntheticSpec:
             raise ConfigError(f"unknown synthetic classes: {sorted(unknown)}")
         if self.n_clips < len(self.classes):
             raise ConfigError("need at least one clip per class")
+        if not (self.sample_rate > 0 and 0 < self.duration_s < np.inf):
+            raise ConfigError("need sample_rate > 0 and finite duration_s > 0, got "
+                              f"{self.sample_rate} / {self.duration_s}")
 
 
 @dataclass
@@ -93,11 +88,13 @@ class RunConfig:
     def __post_init__(self):
         if not self.codecs:
             raise ConfigError("at least one codec must be selected")
-        unknown = set(self.codecs) - set(CODEC_IDS)
+        unknown = (set(self.codecs) | set(self.codec_params)) - set(CODEC_IDS)
         if unknown:
-            raise ConfigError(f"unknown codecs: {sorted(unknown)}")
+            raise ConfigError(f"unknown codecs in codecs or codec_params: {sorted(unknown)}")
         if len(set(self.codecs)) != len(self.codecs):
             raise ConfigError(f"duplicate codecs: {list(self.codecs)}")
+        if self.crop_seconds is not None and not 0 < self.crop_seconds < np.inf:
+            raise ConfigError(f"crop_seconds must be finite and > 0, got {self.crop_seconds}")
         for c in self.codecs:
             if c not in self.codec_params:
                 self.codec_params[c] = CodecConfig()
@@ -305,6 +302,30 @@ def _decoded_clips(blocks: list[_Block], ccfg: CodecConfig, codec: str):
             yield entry, feats, st, block_est[rows], share_ms
 
 
+# Each report table: its file name ({codec} makes one file per codec), its
+# header, and how many label columns lead it; the other columns are numbers.
+REPORT_TABLES = {
+    "per_band": ("per_band.csv", ["codec", "band", "errdb", "snr"], 2),
+    "per_class": ("per_class.csv", ["codec", "class", "errdb"], 2),
+    "efficiency": ("efficiency.csv",
+                   ["codec", "dataset", "firing_rate_pct", "encode_ms", "aux_bytes"], 2),
+    "classification": ("classification.csv", ["codec", "dataset", "fold", "macro_acc"], 3),
+    "training_log": ("training_log_{codec}.csv", ["epoch", "split", "loss", "macro_acc"], 2),
+    "reconstruct_scores": ("reconstruct_scores.csv",
+                           ["codec", "clip", "class", "errdb", "snr"], 3),
+}
+
+
+def write_report(out_dir: Path, table: str, rows, codec: str = "") -> Path:
+    """Write the rows of one REPORT_TABLES table under out_dir, numbers with
+    six decimals; returns the file's path."""
+    name, header, labels = REPORT_TABLES[table]
+    path = out_dir / name.format(codec=codec)
+    write_csv(path, header, ([*row[:labels], *(f"{v:.6f}" for v in row[labels:])]
+                             for row in rows))
+    return path
+
+
 @dataclass
 class BenchResult:
     output_dir: Path
@@ -337,23 +358,18 @@ def run_bench(cfg: RunConfig) -> BenchResult:
     per_class_rows = []
     efficiency_rows = []
     classification_rows = []
-    training_logs = {}
+    training_logs = []
     for codec in sorted(cfg.codecs):
         ccfg = cfg.codec_params[codec]
-        band_errs = np.zeros(N_BANDS)
-        band_counts = np.zeros(N_BANDS, dtype=np.int64)
+        band_errs: dict[int, list[float]] = {}
         class_scores = []
         rates, times_ms, aux = [], [], []
         samples = []
         for entry, feats, st, est, ms in _decoded_clips(blocks, ccfg, codec):
             times_ms.append(ms)
-            overall = score_matrix(feats.values, est,
-                                   class_label=entry.class_label)
-            class_scores.append((entry.class_label, overall))
-            for sc in score_per_band(feats, est, bands):
-                if not sc.absent:
-                    band_errs[sc.band] += sc.errdb
-                    band_counts[sc.band] += 1
+            class_scores.append((entry.class_label, errdb(feats.values, est)))
+            for b, e in score_per_band(feats.values, est, bands).items():
+                band_errs.setdefault(b, []).append(e)
             rates.append(firing_rate(st))
             aux.append(serialized_size(st) + encoder_state_bytes(st))
             if cfg.run_snn:
@@ -364,10 +380,9 @@ def run_bench(cfg: RunConfig) -> BenchResult:
                     split=entry.split,
                 ))
         del st, est  # views that keep the last block alive through training
-        for b in range(N_BANDS):
-            if band_counts[b]:
-                mean_err = band_errs[b] / band_counts[b]
-                per_band_rows.append((codec, b, mean_err, -mean_err))
+        for b, errs in band_errs.items():
+            mean_err = sum(errs) / len(errs)
+            per_band_rows.append((codec, b, mean_err, -mean_err))
         for label, mean_err in score_per_class(class_scores).items():
             per_class_rows.append((codec, label, mean_err))
         efficiency_rows.append((
@@ -382,28 +397,19 @@ def run_bench(cfg: RunConfig) -> BenchResult:
                                             fr.macro_acc))
             classification_rows.append((codec, dataset_name, "mean",
                                         result.mean_macro_acc))
-            training_logs[codec] = result.histories
+            training_logs.append(("training_log", sum(result.histories, []), codec))
         log.info("bench: codec=%s clips=%d mean_rate=%.2f%%",
                  codec, len(clips), float(np.mean(rates)))
 
+    reports = [("per_band", per_band_rows), ("per_class", per_class_rows),
+               ("efficiency", efficiency_rows)]
+    if cfg.run_snn:
+        reports += [("classification", classification_rows), *training_logs]
     written = []
     try:
-        write_per_band_csv(out_dir / "per_band.csv", per_band_rows)
-        written.append(out_dir / "per_band.csv")
-        write_per_class_csv(out_dir / "per_class.csv", per_class_rows)
-        written.append(out_dir / "per_class.csv")
-        write_efficiency_csv(out_dir / "efficiency.csv", efficiency_rows)
-        written.append(out_dir / "efficiency.csv")
-        if cfg.run_snn:
-            _write_classification_csv(out_dir / "classification.csv",
-                                      classification_rows)
-            written.append(out_dir / "classification.csv")
-        for codec, histories in training_logs.items():
-            path = out_dir / f"training_log_{codec}.csv"
-            _write_training_log_csv(path, histories)
-            written.append(path)
+        for report in reports:
+            written.append(write_report(out_dir, *report))
         _write_run_summary(out_dir / "run_summary.json", cfg, dataset_name, clips)
-        written.append(out_dir / "run_summary.json")
     except Exception:
         for p in written:
             p.unlink(missing_ok=True)
@@ -415,17 +421,6 @@ def run_bench(cfg: RunConfig) -> BenchResult:
         efficiency_rows=efficiency_rows,
         classification_rows=classification_rows,
     )
-
-
-def _write_classification_csv(path: Path, rows) -> None:
-    write_csv(path, ["codec", "dataset", "fold", "macro_acc"],
-              ([codec, ds, fold, f"{acc:.6f}"] for codec, ds, fold, acc in rows))
-
-
-def _write_training_log_csv(path: Path, histories) -> None:
-    write_csv(path, ["epoch", "split", "loss", "macro_acc"], (
-        [epoch, split, f"{loss:.6f}", f"{acc:.6f}"]
-        for hist in histories for epoch, split, loss, acc in hist.rows))
 
 
 def _write_run_summary(path: Path, cfg: RunConfig, dataset_name: str,
@@ -454,11 +449,11 @@ def _write_run_summary(path: Path, cfg: RunConfig, dataset_name: str,
 # Report comparison
 # ---------------------------------------------------------------------------
 
-# name -> (file, key column, value column) of each table compare_report reads
-_REPORT_TABLES = {
-    "band": ("per_band.csv", "band", "errdb"),
-    "class": ("per_class.csv", "class", "errdb"),
-    "eff": ("efficiency.csv", "dataset", "firing_rate_pct"),
+# name -> (report table, key column, value column) of each table compare_report reads
+_COMPARED_TABLES = {
+    "band": ("per_band", "band", "errdb"),
+    "class": ("per_class", "class", "errdb"),
+    "eff": ("efficiency", "dataset", "firing_rate_pct"),
 }
 
 
@@ -466,8 +461,6 @@ def _read_csv_rows(path: Path, key_field: str,
                    value_field: str) -> list[tuple[str, str, float]]:
     """(codec, key, value) per row of a report CSV; DataError naming the file
     and line if it is unreadable, lacks a column or holds a non-number."""
-    import csv
-
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -534,8 +527,8 @@ def compare_report(report_a: str | Path, report_b: str | Path) -> dict:
     out: dict = {"reports": {t: str(d) for t, d in dirs.items()}}
     tables = {}
     for tag, d in dirs.items():
-        t = tables[tag] = {name: _read_csv_rows(d / fname, key, value)
-                           for name, (fname, key, value) in _REPORT_TABLES.items()}
+        t = tables[tag] = {name: _read_csv_rows(d / REPORT_TABLES[table][0], key, value)
+                           for name, (table, key, value) in _COMPARED_TABLES.items()}
         out[f"report_{tag}"] = {
             "errdb_ranking_per_band": _codec_ranking(t["band"]),
             "errdb_ranking_per_class": _codec_ranking(t["class"]),
@@ -567,12 +560,26 @@ def compare_report(report_a: str | Path, report_b: str | Path) -> dict:
 # Config (de)serialization
 # ---------------------------------------------------------------------------
 
+# JSON value types each scalar field type takes: an int field takes no
+# bool or float, a float field an int too.
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,),
+               type(None): (type(None),)}
+
+
+def _check_scalar(value, kind, what: str) -> None:
+    """ConfigError unless value has a JSON type the field type kind takes;
+    X | None also takes null."""
+    if not any(type(value) in _JSON_TYPES[k] for k in typing.get_args(kind) or (kind,)):
+        name = getattr(kind, "__name__", kind)
+        raise ConfigError(f"{what} must be {name}, got {value!r}")
+
+
 def _build(cls, data, what: str):
     """cls from a parsed JSON object.  Each value follows its field's type: a
     dataclass section is built the same way, a dict of dataclasses item by
-    item, and a tuple field takes a JSON list.  ConfigError names the
-    section on a non-object, an unknown key, a wrong container type or a
-    value the dataclass rejects."""
+    item, a tuple field takes a JSON list, and scalars go by _check_scalar.
+    ConfigError names the section on a non-object, an unknown key, a wrong
+    type or a value the dataclass rejects."""
     if not isinstance(data, dict):
         raise ConfigError(f"{what} config must be a JSON object, got {data!r}")
     unknown = set(data) - set(cls.__dataclass_fields__)
@@ -593,7 +600,11 @@ def _build(cls, data, what: str):
         elif origin is tuple:
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{what} {key} must be a JSON list, got {value!r}")
+            for item in value:
+                _check_scalar(item, typing.get_args(kind)[0], f"{what} {key} item")
             value = tuple(value)
+        else:
+            _check_scalar(value, kind, f"{what} {key}")
         kwargs[key] = value
     try:
         return cls(**kwargs)

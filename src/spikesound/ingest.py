@@ -311,7 +311,9 @@ def write_manifest(entries: list[ManifestEntry], path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
-    """Read a manifest CSV written by write_manifest."""
+    """Read a manifest CSV written by write_manifest.  A missing or
+    unreadable file is a ConfigError; a bad header, encoding or row a
+    DataError naming the file and line."""
     path = Path(path)
     entries = []
     try:
@@ -320,14 +322,19 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
             if reader.fieldnames != ["path", "class_label", "fold", "split"]:
                 raise DataError(f"bad manifest header in {path}: {reader.fieldnames}")
             for row in reader:
-                entries.append(
-                    ManifestEntry(
+                try:
+                    if None in row or None in row.values():
+                        raise ValueError("need the 4 fields path,class_label,fold,split")
+                    entries.append(ManifestEntry(
                         path=row["path"],
                         class_label=row["class_label"],
                         fold=int(row["fold"]) if row["fold"] != "" else None,
                         split=row["split"],
-                    )
-                )
+                    ))
+                except ValueError as exc:
+                    raise DataError(f"manifest {path} line {reader.line_num}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read manifest {path}: {exc}") from exc
     return entries

@@ -8,32 +8,11 @@ perfect reconstructions finite in CSV aggregation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
 from .codec import SpikeTrain
-from .container import write_csv
-from .frontend import BandPartition, FeatureMatrix, N_BANDS
 
 DB_CLAMP = 100.0
-
-
-@dataclass(frozen=True)
-class ReconScore:
-    """ERRdB/SNR over one scope (a band, a whole clip, or a class)."""
-
-    errdb: float
-    snr: float
-    band: int | str = "all"
-    class_label: str | None = None
-    n_channels: int = 0
-    n_frames: int = 0
-
-    @property
-    def absent(self) -> bool:
-        return self.n_channels == 0
 
 
 def snr_db(s: np.ndarray, s_hat: np.ndarray) -> float:
@@ -59,44 +38,32 @@ def errdb(s: np.ndarray, s_hat: np.ndarray) -> float:
     return -snr_db(s, s_hat)
 
 
-def score_matrix(s: np.ndarray, s_hat: np.ndarray, band: int | str = "all",
-                 class_label: str | None = None) -> ReconScore:
-    e = errdb(s, s_hat)
-    return ReconScore(
-        errdb=e, snr=-e, band=band, class_label=class_label,
-        n_channels=s.shape[0], n_frames=s.shape[1],
-    )
+def score_per_band(values: np.ndarray, estimate: np.ndarray,
+                   bands: np.ndarray) -> dict[int, float]:
+    """ERRdB over each band's channel rows, keyed by band in ascending order.
 
-
-def score_per_band(f: FeatureMatrix, f_hat: np.ndarray,
-                   bands: BandPartition) -> list[ReconScore]:
-    """One ReconScore per analysis band, over that band's channel rows.
-
-    Empty bands yield an absent score (n_channels == 0, NaN metrics).
+    bands holds the band index of each channel (partition_bands); a band
+    with no channels has no key.
     """
-    values = f.values
-    if values.shape != f_hat.shape:
-        raise ValueError(f"shape mismatch: {values.shape} vs {f_hat.shape}")
-    scores = []
-    for b in range(N_BANDS):
-        idx = bands.channels_in_band(b)
-        if len(idx) == 0:
-            scores.append(ReconScore(errdb=float("nan"), snr=float("nan"),
-                                     band=b, n_channels=0, n_frames=values.shape[1]))
-            continue
-        scores.append(score_matrix(values[idx], f_hat[idx], band=b))
+    if values.shape != estimate.shape:
+        raise ValueError(f"shape mismatch: {values.shape} vs {estimate.shape}")
+    scores = {}
+    for b in np.unique(bands):
+        idx = np.flatnonzero(bands == b)
+        scores[int(b)] = errdb(values[idx], estimate[idx])
     return scores
 
 
-def score_per_class(scores: list[tuple[str, ReconScore]]) -> dict[str, float]:
-    """Unweighted mean ERRdB per class label, keys sorted.
+def score_per_class(scores: list[tuple[str, float]]) -> dict[str, float]:
+    """Unweighted mean ERRdB per class label from (label, errdb) pairs,
+    keys sorted.
 
     Values are accumulated in sorted order so the result is bit-identical
     under any input permutation.
     """
     groups: dict[str, list[float]] = {}
-    for label, sc in scores:
-        groups.setdefault(label, []).append(sc.errdb)
+    for label, e in scores:
+        groups.setdefault(label, []).append(e)
     return {
         label: float(np.sum(np.sort(vals)) / len(vals))
         for label, vals in sorted(groups.items())
@@ -118,35 +85,3 @@ def encoder_state_bytes(st: SpikeTrain) -> int:
     if st.codec_id == "mw":
         per_channel += st.params.window * 8
     return st.n_channels * per_channel
-
-
-# ---------------------------------------------------------------------------
-# Report CSVs
-# ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
-
-
-def write_per_band_csv(path: str | Path,
-                       rows: list[tuple[str, int, float, float]]) -> None:
-    """Rows of (codec, band, errdb, snr), sorted by codec then band."""
-    write_csv(path, ["codec", "band", "errdb", "snr"], (
-        [codec, band, _fmt(e), _fmt(s)]
-        for codec, band, e, s in sorted(rows, key=lambda r: (r[0], r[1]))))
-
-
-def write_per_class_csv(path: str | Path,
-                        rows: list[tuple[str, str, float]]) -> None:
-    """Rows of (codec, class, errdb), sorted by codec then class."""
-    write_csv(path, ["codec", "class", "errdb"], (
-        [codec, label, _fmt(e)]
-        for codec, label, e in sorted(rows, key=lambda r: (r[0], r[1]))))
-
-
-def write_efficiency_csv(path: str | Path,
-                         rows: list[tuple[str, str, float, float, float]]) -> None:
-    """Rows of (codec, dataset, firing_rate_pct, encode_ms, aux_bytes)."""
-    write_csv(path, ["codec", "dataset", "firing_rate_pct", "encode_ms", "aux_bytes"], (
-        [codec, ds, _fmt(rate), _fmt(ms), _fmt(aux)]
-        for codec, ds, rate, ms, aux in sorted(rows, key=lambda r: (r[0], r[1]))))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +40,8 @@ class SnnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        if min(self.epochs, self.batch_size) < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
         if min((self.input_size, self.output_size, *self.hidden_sizes)) < 1:
             raise ValueError("layer sizes must be positive")
         if not 0.0 < self.beta < 1.0:
@@ -234,17 +234,10 @@ class ClipDataset:
         return len(self.labels)
 
 
-@dataclass
-class TrainHistory:
-    rows: list[tuple[int, str, float, float]] = field(default_factory=list)
-
-    def add(self, epoch: int, split: str, loss: float, macro_acc: float) -> None:
-        self.rows.append((epoch, split, loss, macro_acc))
-
-
 def train(net: SpikingNet, train_set: ClipDataset,
-          cfg: SnnConfig | None = None) -> tuple[SpikingNet, TrainHistory]:
-    """Adam + BPTT training on cross-entropy over output spike counts.
+          cfg: SnnConfig | None = None) -> tuple[SpikingNet, list[tuple]]:
+    """Adam + BPTT training on cross-entropy over output spike counts;
+    returns the net and one (epoch, "train", loss, macro_acc) row per epoch.
 
     Deterministic given cfg.seed (shuffling and init both derive from it).
     Raises NumericError if the loss goes non-finite and DataError if some
@@ -262,7 +255,7 @@ def train(net: SpikingNet, train_set: ClipDataset,
     rng = np.random.default_rng([cfg.seed, 1])
     opt = _AdamState(m=[np.zeros_like(w) for w in net.weights],
                      v=[np.zeros_like(w) for w in net.weights])
-    history = TrainHistory()
+    history = []
     n = len(train_set)
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
@@ -287,7 +280,7 @@ def train(net: SpikingNet, train_set: ClipDataset,
             total_loss += loss * len(idx)
             preds[idx] = np.argmax(cache.counts, axis=1)
         acc = _macro_from_predictions(labels, preds, len(train_set.class_names))
-        history.add(epoch, "train", total_loss / n, acc)
+        history.append((epoch, "train", total_loss / n, acc))
     return net, history
 
 
@@ -350,7 +343,7 @@ class FoldResult:
 class ProtocolResult:
     per_fold: list[FoldResult]
     mean_macro_acc: float
-    histories: list[TrainHistory]
+    histories: list[list[tuple[int, str, float, float]]]  # train's rows per model
 
 
 def _to_dataset(samples: list[ProtocolSample],
@@ -374,7 +367,7 @@ def run_protocol(samples: list[ProtocolSample], cfg: SnnConfig) -> ProtocolResul
                        "input_size": samples[0].inputs.shape[0]})
     folds = sorted({s.fold for s in samples if s.fold is not None})
     results: list[FoldResult] = []
-    histories: list[TrainHistory] = []
+    histories = []
     if folds:
         if any(s.fold is None for s in samples):
             raise DataError("mixed fold/no-fold samples: manifest does not match protocol")

@@ -12,13 +12,7 @@ import pytest
 from spikesound.cli import main
 from spikesound.codec import decode_matrix, encode_matrix, serialized_size
 from spikesound.errors import ConfigError, DataError
-from spikesound.frontend import (
-    N_BANDS,
-    load_features,
-    mel_spectrogram,
-    partition_bands,
-    save_features,
-)
+from spikesound.frontend import load_features, mel_spectrogram, partition_bands, save_features
 from spikesound.harness import (
     RunConfig,
     SyntheticSpec,
@@ -28,18 +22,16 @@ from spikesound.harness import (
     load_run_config,
     run_bench,
     run_config_from_dict,
+    write_report,
     write_synthetic_corpus,
 )
 from spikesound.ingest import read_manifest, write_manifest
 from spikesound.metrics import (
     encoder_state_bytes,
+    errdb,
     firing_rate,
-    score_matrix,
     score_per_band,
     score_per_class,
-    write_efficiency_csv,
-    write_per_band_csv,
-    write_per_class_csv,
 )
 
 from conftest import small_run_config
@@ -278,27 +270,26 @@ def _clip_by_clip_reports(cfg: RunConfig, out: Path) -> None:
     bands = partition_bands(clips[0][1].channel_center_hz)
     band_rows, class_rows, eff_rows = [], [], []
     for codec in sorted(cfg.codecs):
-        band_errs = np.zeros(N_BANDS)
-        band_counts = np.zeros(N_BANDS, dtype=np.int64)
+        band_errs = np.zeros(8)
         class_scores, rates, aux = [], [], []
         for entry, feats in clips:
             st = encode_matrix(feats, cfg.codec_params[codec], codec)
             est = decode_matrix(st)
-            class_scores.append((entry.class_label, score_matrix(feats.values, est)))
-            for sc in score_per_band(feats, est, bands):
-                band_errs[sc.band] += sc.errdb
-                band_counts[sc.band] += 1
+            class_scores.append((entry.class_label, errdb(feats.values, est)))
+            scores = score_per_band(feats.values, est, bands)
+            assert list(scores) == list(range(8))
+            band_errs += list(scores.values())
             rates.append(firing_rate(st))
             aux.append(serialized_size(st) + encoder_state_bytes(st))
-        for b in range(N_BANDS):
-            mean_err = band_errs[b] / band_counts[b]
+        for b in range(8):
+            mean_err = band_errs[b] / len(clips)
             band_rows.append((codec, b, mean_err, -mean_err))
         for label, mean_err in score_per_class(class_scores).items():
             class_rows.append((codec, label, mean_err))
         eff_rows.append((codec, name, float(np.mean(rates)), 0.0, float(np.mean(aux))))
-    write_per_band_csv(out / "per_band.csv", band_rows)
-    write_per_class_csv(out / "per_class.csv", class_rows)
-    write_efficiency_csv(out / "efficiency.csv", eff_rows)
+    write_report(out, "per_band", band_rows)
+    write_report(out, "per_class", class_rows)
+    write_report(out, "efficiency", eff_rows)
 
 
 class TestLoadCorpus:
@@ -664,6 +655,67 @@ class TestCli:
         feats = load_features(path)
         save_features(replace(feats, values=feats.values[:, :-1]), path)
         self._assert_reconstruct_data_error(enc, tmp_path, capsys)
+
+    # Bad input: a manifest row or encoding (exit 3, run through bench and
+    # encode) or a config value of the wrong JSON type or out of range
+    # (exit 2, through bench).  Each is (manifest bytes edit, config edit).
+    MUTATIONS = {
+        "fold_not_int": ((b",,train", b",x,train"), {}),
+        "fold_negative": ((b",,train", b",-1,train"), {}),
+        "split_dev": ((b",,train", b",,dev"), {}),
+        "short_row": ((b",,train", b""), {}),
+        "not_utf8": ((b"chirp/", b"chirp\xff/"), {}),
+        "seed_str": (None, {"seed": "x"}),
+        "seed_bool": (None, {"seed": True}),
+        "dataset_int": (None, {"dataset": 5}),
+        "run_snn_str": (None, {"run_snn": "yes"}),
+        "crop_str": (None, {"crop_seconds": "a"}),
+        "crop_bool": (None, {"crop_seconds": True}),
+        "crop_zero": (None, {"crop_seconds": 0}),
+        "crop_negative": (None, {"crop_seconds": -1}),
+        "crop_infinite": (None, {"crop_seconds": float("inf")}),
+        "n_fft_str": (None, {"frontend": {"n_fft": "a"}}),
+        "n_fft_float": (None, {"frontend": {"n_fft": 1024.0}}),
+        "n_fft_not_pow2": (None, {"frontend": {"n_fft": 1000}}),
+        "hop_zero": (None, {"frontend": {"hop": 0}}),
+        "n_mels_one": (None, {"frontend": {"n_mels": 1}}),
+        "rate_below_f_max": (None, {"frontend": {"sample_rate": 8000}}),
+        "f_min_below_bands": (None, {"frontend": {"f_min": 0.0}}),
+        "f_max_above_bands": (None, {"frontend": {"f_max": 22050.0}}),
+        "window_unknown": (None, {"frontend": {"window": "nope"}}),
+        "mw_window_float": (None, {"codec_params": {"mw": {"window": 1.5}}}),
+        "codec_params_unknown": (None, {"codec_params": {"taee": {"threshold_rel": 0.2}}}),
+        "snn_lr_str": (None, {"snn": {"lr": "x"}}),
+        "snn_batch_float": (None, {"snn": {"batch_size": 2.5}}),
+        "snn_batch_zero": (None, {"snn": {"batch_size": 0}}),
+        "snn_hidden_float": (None, {"snn": {"hidden_sizes": [1.5, 4, 4]}}),
+        "synth_rate_zero": (None, {"synthetic": {"sample_rate": 0}}),
+        "synth_duration_negative": (None, {"synthetic": {"duration_s": -1}}),
+        "synth_duration_nan": (None, {"synthetic": {"duration_s": float("nan")}}),
+    }
+
+    @pytest.mark.parametrize("command, mutation", [
+        (c, m) for m, (edit, _) in MUTATIONS.items()
+        for c in (("bench", "encode") if edit else ("bench",))])
+    def test_bad_input_exits_with_one_line(self, tmp_path, capsys, command, mutation):
+        edit, config = self.MUTATIONS[mutation]
+        manifest = write_synthetic_corpus(
+            SyntheticSpec(n_clips=5, duration_s=0.3), 5, tmp_path / "corpus")
+        if edit:
+            lines = manifest.read_bytes().split(b"\n")
+            lines[2] = lines[2].replace(*edit)  # the second clip's row
+            manifest.write_bytes(b"\n".join(lines))
+        path = self._config_file(tmp_path, **{"dataset": str(manifest), **config})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main([command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == (3 if edit else 2), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert err.startswith("data error:" if edit else "config error:"), err
+        if edit:
+            assert str(manifest) in err
+        assert not out.exists() or not [p for p in out.rglob("*") if p.is_file()]
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

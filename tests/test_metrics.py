@@ -1,4 +1,8 @@
-"""Metric identities, band/class aggregation, firing rate, encode cost."""
+"""Metric identities, band/class aggregation, firing rate, encode cost,
+and the report CSVs a bench run writes."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,17 +10,12 @@ import pytest
 from spikesound.codec import CodecConfig, SpikeTrain, encode_matrix, serialized_size
 from spikesound.frontend import FeatureMatrix, mel_center_frequencies, partition_bands
 from spikesound.metrics import (
-    ReconScore,
     encoder_state_bytes,
     errdb,
     firing_rate,
-    score_matrix,
     score_per_band,
     score_per_class,
     snr_db,
-    write_efficiency_csv,
-    write_per_band_csv,
-    write_per_class_csv,
 )
 
 
@@ -74,13 +73,12 @@ class TestSnrAndErrDb:
             snr_db(np.zeros((2, 3)), np.zeros((3, 2)))
 
     def test_score_matrix_identity(self):
+        # a whole matrix scored as one band is its errdb, and SNR is -errdb
         rng = np.random.default_rng(60)
         s = rng.normal(size=(3, 7))
-        sc = score_matrix(s, s * 0.9, band=2, class_label="dog")
-        assert sc.snr == -sc.errdb
-        assert sc.band == 2
-        assert sc.class_label == "dog"
-        assert (sc.n_channels, sc.n_frames) == (3, 7)
+        e = errdb(s, s * 0.9)
+        assert score_per_band(s, s * 0.9, np.zeros(3, dtype=np.int64)) == {0: e}
+        assert snr_db(s, s * 0.9) == -e
 
 
 class TestScorePerBand:
@@ -89,51 +87,49 @@ class TestScorePerBand:
         self.bands = partition_bands(self.centers)
         rng = np.random.default_rng(20)
         self.values = rng.uniform(0, 1, size=(128, 40))
-        self.features = make_features(self.values, self.centers)
 
     def test_perfect_reconstruction_all_bands(self):
-        scores = score_per_band(self.features, self.values.copy(), self.bands)
-        assert len(scores) == 8
-        assert all(sc.errdb == -100.0 for sc in scores)
+        scores = score_per_band(self.values, self.values.copy(), self.bands)
+        assert list(scores) == list(range(8))
+        assert all(e == -100.0 for e in scores.values())
 
     def test_targeted_corruption_isolates_band(self):
         corrupted = self.values.copy()
-        idx = self.bands.channels_in_band(3)
+        idx = np.flatnonzero(self.bands == 3)
         corrupted[idx] += 0.5
-        scores = score_per_band(self.features, corrupted, self.bands)
-        for sc in scores:
-            if sc.band == 3:
-                assert sc.errdb > -100.0
+        scores = score_per_band(self.values, corrupted, self.bands)
+        for b, e in scores.items():
+            if b == 3:
+                assert e > -100.0
             else:
-                assert sc.errdb == -100.0
+                assert e == -100.0
 
     def test_band_sizes_sum_to_128(self):
-        scores = score_per_band(self.features, self.values, self.bands)
-        assert sum(sc.n_channels for sc in scores) == 128
+        est = self.values + np.random.default_rng(21).normal(scale=0.1, size=(128, 40))
+        scores = score_per_band(self.values, est, self.bands)
+        rows = [np.flatnonzero(self.bands == b) for b in scores]
+        assert sum(len(idx) for idx in rows) == 128
+        for b, idx in zip(scores, rows):
+            assert scores[b] == errdb(self.values[idx], est[idx])
 
     def test_empty_band_flagged_absent(self):
         # two channels squeezed into band 0 leave the rest empty
-        f = make_features(np.ones((2, 5)), centers=[50.0, 100.0])
-        bands = partition_bands(f.channel_center_hz)
-        scores = score_per_band(f, np.ones((2, 5)), bands)
-        assert scores[0].n_channels == 2
-        assert all(sc.absent for sc in scores[1:])
+        bands = partition_bands(np.array([50.0, 100.0]))
+        scores = score_per_band(np.ones((2, 5)), np.ones((2, 5)), bands)
+        assert scores == {0: -100.0}
 
 
 class TestScorePerClass:
     def test_mean_within_class(self):
-        scores = [("dog", ReconScore(errdb=-10.0, snr=10.0)),
-                  ("dog", ReconScore(errdb=-20.0, snr=20.0))]
-        assert score_per_class(scores) == {"dog": -15.0}
+        assert score_per_class([("dog", -10.0), ("dog", -20.0)]) == {"dog": -15.0}
 
     def test_identical_classes_identical_rows(self):
-        sc = ReconScore(errdb=-7.5, snr=7.5)
-        table = score_per_class([("a", sc), ("b", sc)])
+        table = score_per_class([("a", -7.5), ("b", -7.5)])
         assert table["a"] == table["b"] == -7.5
 
     def test_order_invariance(self):
         rng = np.random.default_rng(30)
-        pairs = [(lab, ReconScore(errdb=float(rng.uniform(-60, 0)), snr=0.0))
+        pairs = [(lab, float(rng.uniform(-60, 0)))
                  for lab in rng.choice(["x", "y", "z"], size=30)]
         shuffled = list(pairs)
         rng.shuffle(shuffled)
@@ -218,25 +214,40 @@ class TestMeasureEncodeCost:
 
 
 class TestReportCsvs:
-    def test_per_band_rows_sorted(self, tmp_path):
-        path = tmp_path / "per_band.csv"
-        write_per_band_csv(path, [("tae", 1, -5.0, 5.0), ("sf", 0, -3.0, 3.0),
-                                  ("sf", 1, -4.0, 4.0)])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "codec,band,errdb,snr"
-        assert [l.split(",")[:2] for l in lines[1:]] == [
-            ["sf", "0"], ["sf", "1"], ["tae", "1"]]
+    """The report files run_bench writes: header, rows sorted by codec then
+    key, and every number with six decimals."""
 
-    def test_per_class_rows_sorted(self, tmp_path):
-        path = tmp_path / "per_class.csv"
-        write_per_class_csv(path, [("tae", "dog", -8.0), ("mw", "cat", -2.0)])
-        lines = path.read_text().splitlines()
-        assert lines[1].startswith("mw,cat")
-        assert lines[2].startswith("tae,dog")
+    NUMBER = re.compile(r"-?\d+\.\d{6}")
 
-    def test_efficiency_schema(self, tmp_path):
-        path = tmp_path / "efficiency.csv"
-        write_efficiency_csv(path, [("sf", "synthetic", 50.0, 8.5, 30562.0)])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "codec,dataset,firing_rate_pct,encode_ms,aux_bytes"
-        assert lines[1] == "sf,synthetic,50.000000,8.500000,30562.000000"
+    def _table(self, small_bench, name, header, labels):
+        cfg, result = small_bench
+        lines = (Path(cfg.output_dir) / name).read_text().splitlines()
+        assert lines[0] == header
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows:
+            assert all(self.NUMBER.fullmatch(v) for v in row[labels:]), row
+        return rows, result
+
+    def test_per_band_rows_sorted(self, small_bench):
+        rows, result = self._table(small_bench, "per_band.csv",
+                                   "codec,band,errdb,snr", 2)
+        keys = [(codec, int(band)) for codec, band, *_ in rows]
+        assert keys == sorted(keys) == [(c, b) for c in ("mw", "sf", "tae")
+                                        for b in range(8)]
+        assert rows == [[c, str(b), f"{e:.6f}", f"{s:.6f}"]
+                        for c, b, e, s in result.per_band_rows]
+
+    def test_per_class_rows_sorted(self, small_bench):
+        rows, result = self._table(small_bench, "per_class.csv",
+                                   "codec,class,errdb", 2)
+        keys = [tuple(row[:2]) for row in rows]
+        assert keys == sorted(keys) and len(keys) == 3 * 5
+        assert rows == [[c, label, f"{e:.6f}"] for c, label, e in result.per_class_rows]
+
+    def test_efficiency_schema(self, small_bench):
+        rows, result = self._table(
+            small_bench, "efficiency.csv",
+            "codec,dataset,firing_rate_pct,encode_ms,aux_bytes", 2)
+        assert [row[:2] for row in rows] == [[c, "synthetic"] for c in ("mw", "sf", "tae")]
+        assert rows == [[c, ds, *(f"{v:.6f}" for v in values)]
+                        for c, ds, *values in result.efficiency_rows]

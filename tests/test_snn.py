@@ -177,14 +177,14 @@ class TestTraining:
                         lr=0.0, epochs=1, batch_size=32, seed=10)
         net = init_net(cfg)
         _, hist = train(net, ds, cfg)
-        assert hist.rows[0][2] == pytest.approx(np.log(2), rel=0.1)
+        assert hist[0][2] == pytest.approx(np.log(2), rel=0.1)
 
     def test_separable_toy_set_reaches_perfect_accuracy(self):
         ds = toy_two_class_set()
         cfg = SnnConfig(input_size=8, hidden_sizes=(16, 16, 16), output_size=2,
                         lr=0.01, batch_size=32, epochs=200, seed=42)
         net, hist = train(init_net(cfg), ds, cfg)
-        accs = [row[3] for row in hist.rows]
+        accs = [row[3] for row in hist]
         assert max(accs) == 1.0
         assert accs[-1] == 1.0
 
@@ -196,7 +196,7 @@ class TestTraining:
         net_b, hist_b = train(init_net(cfg), ds, cfg)
         for wa, wb in zip(net_a.weights, net_b.weights):
             assert wa.tolist() == wb.tolist()
-        assert hist_a.rows == hist_b.rows
+        assert hist_a == hist_b
 
     def test_missing_class_rejected(self):
         ds = toy_two_class_set()
