@@ -21,25 +21,15 @@ from spikesound import (
     mel_spectrogram,
     run_protocol,
 )
-from spikesound.snn import ProtocolSample
 
 spec = SyntheticSpec(n_clips=40, duration_s=0.5)
 waveforms, entries = generate_synthetic(spec, seed=11)
 print(f"corpus: {len(waveforms)} clips, classes {sorted(set(e.class_label for e in entries))}")
 
 codec_cfg = CodecConfig()
-samples = []
-for wav, entry in zip(waveforms, entries):
-    features = mel_spectrogram(wav)
-    train = encode_matrix(features, codec_cfg, "tae")
-    samples.append(ProtocolSample(
-        inputs=train.spikes.astype(np.float64),
-        label=entry.class_label,
-        fold=entry.fold,
-        split=entry.split,
-    ))
-print(f"encoded: {samples[0].inputs.shape[0]} channels x "
-      f"{samples[0].inputs.shape[1]} frames per clip")
+inputs = np.stack([encode_matrix(mel_spectrogram(wav), codec_cfg, "tae").spikes
+                   for wav in waveforms], dtype=np.float64)
+print(f"encoded: {inputs.shape[1]} channels x {inputs.shape[2]} frames per clip")
 
 snn_cfg = SnnConfig(
     hidden_sizes=(64, 64, 64),
@@ -48,14 +38,16 @@ snn_cfg = SnnConfig(
     epochs=80,
     seed=5,
 )
-result = run_protocol(samples, snn_cfg)
+results, histories = run_protocol(
+    inputs, [e.class_label for e in entries], [e.fold for e in entries],
+    [e.split for e in entries], snn_cfg)
 
-history = result.histories[0]
+history = histories[0]
 print("\nepoch  train loss  train macro-acc")
 for epoch, _, loss, acc in history[::10] + history[-1:]:
     print(f"{epoch:5d}  {loss:10.4f}  {acc:15.3f}")
 
-fold = result.per_fold[0]
-print(f"\nheld-out macro accuracy: {fold.macro_acc:.3f}")
-for name, recall in sorted(fold.per_class_recall.items()):
+_, macro_acc, recalls = results[0]
+print(f"\nheld-out macro accuracy: {macro_acc:.3f}")
+for name, recall in sorted(recalls.items()):
     print(f"  recall[{name}] = {recall:.3f}")

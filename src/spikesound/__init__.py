@@ -53,7 +53,6 @@ from .snn import (
     SnnConfig,
     SpikingNet,
     ClipDataset,
-    ProtocolSample,
     init_net,
     forward,
     train,

@@ -43,7 +43,7 @@ from .metrics import (
     score_per_band,
     score_per_class,
 )
-from .snn import ProtocolSample, SnnConfig, run_protocol
+from .snn import SnnConfig, run_protocol
 
 log = logging.getLogger(__name__)
 
@@ -351,6 +351,7 @@ def run_bench(cfg: RunConfig) -> BenchResult:
     if cfg.run_snn and len(frames) > 1:
         raise DataError(f"the SNN protocol needs equal-length clips, got {frames[0]} "
                         f"to {frames[-1]} frames; set crop_seconds")
+    entries = [e for e, _ in clips]
     bands = partition_bands(clips[0][1].channel_center_hz)
     blocks = _stack_blocks(clips)
 
@@ -364,7 +365,7 @@ def run_bench(cfg: RunConfig) -> BenchResult:
         band_errs: dict[int, list[float]] = {}
         class_scores = []
         rates, times_ms, aux = [], [], []
-        samples = []
+        spikes = []
         for entry, feats, st, est, ms in _decoded_clips(blocks, ccfg, codec):
             times_ms.append(ms)
             class_scores.append((entry.class_label, errdb(feats.values, est)))
@@ -373,13 +374,8 @@ def run_bench(cfg: RunConfig) -> BenchResult:
             rates.append(firing_rate(st))
             aux.append(serialized_size(st) + encoder_state_bytes(st))
             if cfg.run_snn:
-                samples.append(ProtocolSample(
-                    inputs=st.spikes.astype(np.float64),
-                    label=entry.class_label,
-                    fold=entry.fold,
-                    split=entry.split,
-                ))
-        del st, est  # views that keep the last block alive through training
+                spikes.append(st.spikes)
+        del st, est  # views that keep the last block's estimate alive through training
         for b, errs in band_errs.items():
             mean_err = sum(errs) / len(errs)
             per_band_rows.append((codec, b, mean_err, -mean_err))
@@ -390,14 +386,15 @@ def run_bench(cfg: RunConfig) -> BenchResult:
             float(np.median(times_ms)), float(np.mean(aux)),
         ))
         if cfg.run_snn:
-            result = run_protocol(samples, cfg.snn)
-            for fr in result.per_fold:
-                fold_label = "holdout" if fr.fold is None else str(fr.fold)
-                classification_rows.append((codec, dataset_name, fold_label,
-                                            fr.macro_acc))
+            results, histories = run_protocol(
+                np.stack(spikes, dtype=np.float64), [e.class_label for e in entries],
+                [e.fold for e in entries], [e.split for e in entries], cfg.snn)
+            for fold, acc, _ in results:
+                classification_rows.append((codec, dataset_name,
+                                            "holdout" if fold is None else str(fold), acc))
             classification_rows.append((codec, dataset_name, "mean",
-                                        result.mean_macro_acc))
-            training_logs.append(("training_log", sum(result.histories, []), codec))
+                                        float(np.mean([acc for _, acc, _ in results]))))
+            training_logs.append(("training_log", sum(histories, []), codec))
         log.info("bench: codec=%s clips=%d mean_rate=%.2f%%",
                  codec, len(clips), float(np.mean(rates)))
 

@@ -46,8 +46,10 @@ class SnnConfig:
             raise ValueError("layer sizes must be positive")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0, 1)")
-        if self.theta <= 0.0:
-            raise ValueError("theta must be > 0")
+        for name in ("theta", "surrogate_slope", "lr"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -279,19 +281,17 @@ def train(net: SpikingNet, train_set: ClipDataset,
                 )
             total_loss += loss * len(idx)
             preds[idx] = np.argmax(cache.counts, axis=1)
-        acc = _macro_from_predictions(labels, preds, len(train_set.class_names))
+        recalls = _recalls(labels, preds, train_set.class_names)
+        acc = float(np.mean(list(recalls.values())))
         history.append((epoch, "train", total_loss / n, acc))
     return net, history
 
 
-def _macro_from_predictions(labels: np.ndarray, preds: np.ndarray,
-                            n_classes: int) -> float:
-    recalls = []
-    for c in range(n_classes):
-        mask = labels == c
-        if mask.any():
-            recalls.append(float(np.mean(preds[mask] == c)))
-    return float(np.mean(recalls)) if recalls else 0.0
+def _recalls(labels: np.ndarray, preds: np.ndarray,
+             class_names: tuple[str, ...]) -> dict[str, float]:
+    """Recall of each class that has samples, by name, in class order."""
+    return {name: float(np.mean(preds[labels == c] == c))
+            for c, name in enumerate(class_names) if np.any(labels == c)}
 
 
 def evaluate_macro(net: SpikingNet,
@@ -305,94 +305,67 @@ def evaluate_macro(net: SpikingNet,
         raise DataError("empty test set")
     labels = np.asarray(test_set.labels)
     preds = np.empty(len(labels), dtype=np.int64)
-    bs = max(net.config.batch_size, 1)
+    bs = net.config.batch_size
     for start in range(0, len(labels), bs):
         cache = _forward_batch(net, test_set.inputs[start : start + bs],
                                keep_cache=False)
         preds[start : start + len(cache.counts)] = np.argmax(cache.counts, axis=1)
-    recalls = {}
-    for c, name in enumerate(test_set.class_names):
-        mask = labels == c
-        if not mask.any():
+    recalls = _recalls(labels, preds, test_set.class_names)
+    for name in test_set.class_names:
+        if name not in recalls:
             raise DataError(f"test class {name!r} is empty")
-        recalls[name] = float(np.mean(preds[mask] == c))
-    macro = float(np.mean(list(recalls.values())))
-    return macro, recalls
+    return float(np.mean(list(recalls.values()))), recalls
 
 
 # ---------------------------------------------------------------------------
 # Evaluation protocol
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProtocolSample:
-    inputs: np.ndarray  # (channels, frames)
-    label: str
-    fold: int | None = None
-    split: str = "train"
-
-
-@dataclass
-class FoldResult:
-    fold: int | None
-    macro_acc: float
-    per_class_recall: dict[str, float]
-
-
-@dataclass
-class ProtocolResult:
-    per_fold: list[FoldResult]
-    mean_macro_acc: float
-    histories: list[list[tuple[int, str, float, float]]]  # train's rows per model
-
-
-def _to_dataset(samples: list[ProtocolSample],
-                class_names: tuple[str, ...]) -> ClipDataset:
-    index = {name: i for i, name in enumerate(class_names)}
-    inputs = np.stack([s.inputs for s in samples])
-    labels = np.array([index[s.label] for s in samples], dtype=np.int64)
-    return ClipDataset(inputs=inputs, labels=labels, class_names=class_names)
-
-
-def run_protocol(samples: list[ProtocolSample], cfg: SnnConfig) -> ProtocolResult:
+def run_protocol(inputs: np.ndarray, labels, folds, splits,
+                 cfg: SnnConfig) -> tuple[list[tuple], list[list[tuple]]]:
     """Cross-validation when folds are present, otherwise train/test holdout.
 
-    For k folds: train on k-1, test on the held-out fold, average the macro
-    accuracies.  A fresh net is initialized per fold from (cfg.seed, fold).
+    inputs is (clips, channels, frames); labels, folds and splits give each
+    clip's class name, fold (int or None) and split ("train" or "test").
+    With k folds, model i trains on the other folds and tests on the i-th
+    smallest; the holdout is one model testing on the "test" split.  Model i
+    starts from init_net seeded with (cfg.seed, i).  Returns one (fold,
+    macro_acc, per-class recalls) per model, fold None for the holdout, and
+    train's rows per model.  Raises DataError before any training if a
+    model's train or test part lacks a class.
     """
-    if not samples:
+    if len(labels) == 0:
         raise DataError("no samples provided")
-    class_names = tuple(sorted({s.label for s in samples}))
+    class_names = tuple(sorted(set(labels)))
+    index = {name: i for i, name in enumerate(class_names)}
+    y = np.array([index[label] for label in labels], dtype=np.int64)
     cfg = SnnConfig(**{**asdict(cfg), "output_size": len(class_names),
-                       "input_size": samples[0].inputs.shape[0]})
-    folds = sorted({s.fold for s in samples if s.fold is not None})
-    results: list[FoldResult] = []
-    histories = []
-    if folds:
-        if any(s.fold is None for s in samples):
+                       "input_size": inputs.shape[1]})
+    fold_ids = sorted({f for f in folds if f is not None})
+    if fold_ids:
+        if None in folds:
             raise DataError("mixed fold/no-fold samples: manifest does not match protocol")
-        for i, held_out in enumerate(folds):
-            train_part = [s for s in samples if s.fold != held_out]
-            test_part = [s for s in samples if s.fold == held_out]
-            net = init_net(cfg, np.random.default_rng([cfg.seed, i]))
-            net, hist = train(net, _to_dataset(train_part, class_names), cfg)
-            acc, recalls = evaluate_macro(net, _to_dataset(test_part, class_names))
-            results.append(FoldResult(fold=held_out, macro_acc=acc,
-                                      per_class_recall=recalls))
-            histories.append(hist)
+        parts = [(f, np.asarray(folds) == f) for f in fold_ids]
     else:
-        train_part = [s for s in samples if s.split == "train"]
-        test_part = [s for s in samples if s.split == "test"]
-        if not train_part or not test_part:
+        test = np.asarray(splits) == "test"
+        if test.all() or not test.any():
             raise DataError("holdout protocol needs both train and test samples")
-        net = init_net(cfg, np.random.default_rng([cfg.seed, 0]))
-        net, hist = train(net, _to_dataset(train_part, class_names), cfg)
-        acc, recalls = evaluate_macro(net, _to_dataset(test_part, class_names))
-        results.append(FoldResult(fold=None, macro_acc=acc, per_class_recall=recalls))
+        parts = [(None, test)]
+    for fold, test in parts:
+        for part, mask in (("train", ~test), ("test", test)):
+            counts = np.bincount(y[mask], minlength=len(class_names))
+            if not counts.all():
+                model = "holdout" if fold is None else f"fold {fold}"
+                raise DataError(f"{model}: {part} part has no clips of class "
+                                f"{class_names[counts.argmin()]!r}")
+    results, histories = [], []
+    for i, (fold, test) in enumerate(parts):
+        net = init_net(cfg, np.random.default_rng([cfg.seed, i]))
+        net, hist = train(net, ClipDataset(inputs[~test], y[~test], class_names), cfg)
+        acc, recalls = evaluate_macro(net, ClipDataset(inputs[test], y[test], class_names))
+        results.append((fold, acc, recalls))
         histories.append(hist)
-    mean_acc = float(np.mean([r.macro_acc for r in results]))
-    return ProtocolResult(per_fold=results, mean_macro_acc=mean_acc,
-                          histories=histories)
+    return results, histories
 
 
 # ---------------------------------------------------------------------------

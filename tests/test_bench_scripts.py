@@ -9,6 +9,7 @@ attribute they read off an imported spikesound module.
 import ast
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,30 @@ def test_stale_name_is_caught():
                      "harness.run_bench\nharness._no_such_helper\n")
     assert _missing_names(tree) == ["spikesound.metrics.score_matrix",
                                     "spikesound.harness._no_such_helper"]
+
+
+def test_trace_hooks_see_the_snn_protocol(tmp_path, monkeypatch):
+    """perfbench's span wrappers still find run_protocol, train and
+    evaluate_macro, and _count_train still reads train's arguments."""
+    import time
+
+    from conftest import write_fold_corpus
+    from spikesound.cli import main
+
+    monkeypatch.syspath_prepend(str(ROOT))
+    spans = importlib.import_module("perfbench.spans")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dataset": str(write_fold_corpus(tmp_path / "corpus")), "codecs": ["sf", "tae"],
+        "snn": {"hidden_sizes": [4, 4, 4], "epochs": 2, "batch_size": 8}}))
+    tracer = spans.Tracer()
+    with tracer.iteration(0):
+        t0 = time.perf_counter()
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        wall_s = time.perf_counter() - t0
+    out = tracer.summarize(0, wall_s)
+    lines = (tmp_path / "out" / "classification.csv").read_text().splitlines()[1:]
+    assert out["snn.models"] == len([l for l in lines if ",mean," not in l]) == 8
+    assert out["snn.batches"] > 0
+    for key in ("snn.protocol_s", "snn.train_s", "snn.eval_s"):
+        assert out[key] > 0, key

@@ -34,7 +34,7 @@ from spikesound.metrics import (
     score_per_class,
 )
 
-from conftest import small_run_config
+from conftest import small_run_config, write_fold_corpus
 
 
 class TestGenerateSynthetic:
@@ -180,6 +180,28 @@ class TestRunBench:
         accs = [float(l.rsplit(",", 1)[1]) for l in lines[1:]]
         assert all(0.0 <= a <= 1.0 for a in accs)
         assert result.classification_rows[-1][2] == "mean"
+
+    def test_fold_path_reports(self, tmp_path):
+        from spikesound.snn import SnnConfig
+
+        epochs = 2
+        cfg = RunConfig(dataset=str(write_fold_corpus(tmp_path / "corpus")),
+                        codecs=("sf", "tae"), run_snn=True,
+                        snn=SnnConfig(hidden_sizes=(8, 8, 8), epochs=epochs,
+                                      batch_size=8, seed=2),
+                        output_dir=str(tmp_path / "out"))
+        result = run_bench(cfg)
+        out = Path(cfg.output_dir)
+        lines = (out / "classification.csv").read_text().splitlines()[1:]
+        for codec in ("sf", "tae"):
+            cells = [l.split(",") for l in lines if l.startswith(codec + ",")]
+            assert [c[2] for c in cells] == ["0", "1", "2", "3", "mean"]
+            rows = [r for r in result.classification_rows if r[0] == codec]
+            accs = [r[3] for r in rows[:-1]]
+            assert rows[-1][3] == float(np.mean(accs))
+            assert cells[-1][3] == f"{np.mean(accs):.6f}"
+            log_lines = (out / f"training_log_{codec}.csv").read_text().splitlines()
+            assert len(log_lines) == 1 + 4 * epochs
 
 
 class TestUnequalLengths:
@@ -496,6 +518,26 @@ class TestCli:
             assert [l.split(",")[:2] for l in lines[1:]] == [
                 [str(e), "train"] for e in (1, 2, 3)]
 
+    def test_class_missing_from_a_fold_exits_3_before_training(self, tmp_path, capsys,
+                                                               monkeypatch):
+        import spikesound.snn as snn
+
+        calls = []
+        monkeypatch.setattr(snn, "train", lambda *args: calls.append(args))
+        manifest = write_fold_corpus(tmp_path / "corpus")
+        entries = read_manifest(manifest)
+        # fold 3's only tone clip moves to fold 0
+        entries = [replace(e, fold=0) if (e.fold, e.class_label) == (3, "tone") else e
+                   for e in entries]
+        write_manifest(entries, manifest)
+        cfg = self._config_file(tmp_path, dataset=str(manifest), codecs=["sf"],
+                                snn={"hidden_sizes": [4, 4, 4], "epochs": 1})
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: fold 3: test part has no clips of class 'tone'\n"
+        assert calls == []
+
     def test_encode_bad_clip_names_it(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         manifest = write_synthetic_corpus(
@@ -689,6 +731,11 @@ class TestCli:
         "snn_batch_float": (None, {"snn": {"batch_size": 2.5}}),
         "snn_batch_zero": (None, {"snn": {"batch_size": 0}}),
         "snn_hidden_float": (None, {"snn": {"hidden_sizes": [1.5, 4, 4]}}),
+        "snn_lr_zero": (None, {"snn": {"lr": 0}}),
+        "snn_lr_negative": (None, {"snn": {"lr": -0.5}}),
+        "snn_lr_nan": (None, {"snn": {"lr": float("nan")}}),
+        "snn_slope_zero": (None, {"snn": {"surrogate_slope": 0}}),
+        "snn_theta_inf": (None, {"snn": {"theta": float("inf")}}),
         "synth_rate_zero": (None, {"synthetic": {"sample_rate": 0}}),
         "synth_duration_negative": (None, {"synthetic": {"duration_s": -1}}),
         "synth_duration_nan": (None, {"synthetic": {"duration_s": float("nan")}}),
