@@ -23,11 +23,11 @@ cfg = RunConfig(
     output_dir=str(out_dir),
     seed=7,
 )
-result = run_bench(cfg)
-print(f"reports written to {result.output_dir}\n")
+reports = run_bench(cfg)
+print(f"reports written to {cfg.output_dir}\n")
 
 band_err = {}
-for codec, band, e, _ in result.per_band_rows:
+for codec, band, e, _ in reports["per_band.csv"]:
     band_err.setdefault(codec, {})[band] = e
 
 print(f"{'band':>4s} {'range':>16s} " + " ".join(f"{c:>8s}" for c in sorted(band_err)))
@@ -40,7 +40,7 @@ print("\nmean ERRdB per band (most negative wins); note how every codec")
 print("loses fidelity toward the high bands, where spectra move fastest.\n")
 
 print(f"{'codec':6s} {'firing rate':>12s} {'median encode':>14s} {'aux bytes':>10s}")
-for codec, _, rate, ms, aux in result.efficiency_rows:
+for codec, _, rate, ms, aux in reports["efficiency.csv"]:
     print(f"{codec:6s} {rate:11.2f}% {ms:11.2f} ms {aux:10.0f}")
 
 print("\nper_band.csv / per_class.csv / efficiency.csv in the output dir")

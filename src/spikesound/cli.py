@@ -138,18 +138,17 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _resolve_config(args)
-    result = run_bench(cfg)
-    print(f"bench complete: reports in {result.output_dir}")
+    run_bench(cfg)
+    print(f"bench complete: reports in {cfg.output_dir}")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
     cfg = replace(_resolve_config(args), run_snn=True)
-    result = run_bench(cfg)
-    for codec, _, fold, acc in result.classification_rows:
+    for codec, _, fold, acc in run_bench(cfg)["classification.csv"]:
         if fold == "mean":
             print(f"{codec}: mean macro accuracy {acc:.3f}")
-    print(f"train complete: reports in {result.output_dir}")
+    print(f"train complete: reports in {cfg.output_dir}")
     return EXIT_OK
 
 

@@ -210,30 +210,28 @@ def _tae_next(t: np.ndarray, fired: np.ndarray, tmin: np.ndarray, tmax: np.ndarr
     return out
 
 
-def _tae_encode_rows(x: np.ndarray, t0: np.ndarray, cfg: CodecConfig):
-    """Spikes plus the threshold used at each frame decision (a transposed
-    view that encode_matrix drops: the decoder replays it from the spikes)."""
+def _tae_encode_rows(x: np.ndarray, t0: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    # Frame-major on two threshold rows: t decides the frame, _tae_next
+    # writes the next frame's thresholds to nxt, and the rows swap.
     xt = np.ascontiguousarray(x.T)
     n, c = xt.shape
     tmin, tmax = _tae_bounds(t0, cfg)
     spikes = np.zeros((n, c), dtype=np.int8)
-    trace = np.empty((n, c))
-    trace[:2] = t0
     base = xt[0].copy()
-    d, neg, step, grown = np.empty((4, c))
+    t, nxt, d, neg, step, grown = np.empty((6, c))
+    t[:] = t0
     up, dn, fired = np.empty((3, c), dtype=bool)
     up8, dn8 = up.view(np.int8), dn.view(np.int8)
     for i in range(1, n):
-        t = trace[i]
         np.subtract(xt[i], base, out=d)
         np.greater(d, t, out=up)
         np.less(d, np.negative(t, out=neg), out=dn)
         s = np.subtract(up8, dn8, out=spikes[i])
         base += np.multiply(s, t, out=step)
-        if i + 1 < n:
-            _tae_next(t, np.logical_or(up, dn, out=fired), tmin, tmax,
-                      cfg.tae_gamma, trace[i + 1], grown)
-    return np.ascontiguousarray(spikes.T), trace.T
+        _tae_next(t, np.logical_or(up, dn, out=fired), tmin, tmax,
+                  cfg.tae_gamma, nxt, grown)
+        t, nxt = nxt, t
+    return np.ascontiguousarray(spikes.T)
 
 
 def _tae_thresholds(spikes: np.ndarray, t0: np.ndarray, cfg: CodecConfig) -> np.ndarray:
@@ -273,7 +271,7 @@ def encode_matrix(f: FeatureMatrix, cfg: CodecConfig, codec: str) -> SpikeTrain:
     elif codec == "mw":
         spikes = _mw_encode_rows(x, t, cfg.window)
     else:
-        spikes, _ = _tae_encode_rows(x, t, cfg)
+        spikes = _tae_encode_rows(x, t, cfg)
     return SpikeTrain(spikes=spikes, side_info=np.column_stack([x[:, 0], t]),
                       codec_id=codec, params=cfg)
 

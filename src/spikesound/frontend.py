@@ -207,19 +207,19 @@ def mel_spectrogram(w: Waveform, cfg: FrontendConfig = FrontendConfig()) -> Feat
     )
 
 
-def partition_bands(channel_center_hz: np.ndarray,
-                    edges_hz: tuple[float, ...] = BAND_EDGES_HZ) -> np.ndarray:
+def partition_bands(channel_center_hz: np.ndarray) -> np.ndarray:
     """The int64 index of the band containing each channel's center.
 
-    Band b is [edges[b], edges[b+1]), except the last band which is closed
-    at its upper edge.  Centers outside the overall range are an error.
+    Band b is [BAND_EDGES_HZ[b], BAND_EDGES_HZ[b+1]), except the last band
+    which is closed at its upper edge.  Centers outside them are an error.
     """
+    lo, *_, hi = BAND_EDGES_HZ
     centers = np.asarray(channel_center_hz, dtype=np.float64)
-    if np.any(centers < edges_hz[0]) or np.any(centers > edges_hz[-1]):
-        bad = centers[(centers < edges_hz[0]) | (centers > edges_hz[-1])]
-        raise ValueError(f"channel centers outside [{edges_hz[0]}, {edges_hz[-1]}]: {bad}")
-    bands = np.searchsorted(np.asarray(edges_hz), centers, side="right") - 1
-    bands[centers == edges_hz[-1]] = len(edges_hz) - 2
+    if np.any(centers < lo) or np.any(centers > hi):
+        bad = centers[(centers < lo) | (centers > hi)]
+        raise ValueError(f"channel centers outside [{lo}, {hi}]: {bad}")
+    bands = np.searchsorted(BAND_EDGES_HZ, centers, side="right") - 1
+    bands[centers == hi] = len(BAND_EDGES_HZ) - 2
     return bands.astype(np.int64)
 
 

@@ -60,6 +60,8 @@ class SyntheticSpec:
     sample_rate: int = 44100
 
     def __post_init__(self):
+        if not self.classes:
+            raise ConfigError("need at least one synthetic class")
         unknown = set(self.classes) - set(SYNTH_CLASSES)
         if unknown:
             raise ConfigError(f"unknown synthetic classes: {sorted(unknown)}")
@@ -68,6 +70,9 @@ class SyntheticSpec:
         if not (self.sample_rate > 0 and 0 < self.duration_s < np.inf):
             raise ConfigError("need sample_rate > 0 and finite duration_s > 0, got "
                               f"{self.sample_rate} / {self.duration_s}")
+        if round(self.duration_s * self.sample_rate) < 2:
+            raise ConfigError("need at least 2 samples per clip, got duration_s "
+                              f"{self.duration_s} at {self.sample_rate} Hz")
 
 
 @dataclass
@@ -144,7 +149,7 @@ def _impulse_train(rng, n, rate):
     while pos < n / rate:
         x[int(pos * rate)] = 0.9 * rng.choice([-1.0, 1.0])
         pos += period * (1.0 + rng.uniform(-0.1, 0.1))
-    click = np.exp(-np.arange(int(0.002 * rate)) / (0.0005 * rate))
+    click = np.exp(-np.arange(max(1, int(0.002 * rate))) / (0.0005 * rate))
     return np.convolve(x, click)[:n]
 
 
@@ -326,17 +331,9 @@ def write_report(out_dir: Path, table: str, rows, codec: str = "") -> Path:
     return path
 
 
-@dataclass
-class BenchResult:
-    output_dir: Path
-    per_band_rows: list[tuple[str, int, float, float]]
-    per_class_rows: list[tuple[str, str, float]]
-    efficiency_rows: list[tuple[str, str, float, float, float]]
-    classification_rows: list[tuple[str, str, str, float]]
-
-
-def run_bench(cfg: RunConfig) -> BenchResult:
-    """Full pipeline for every selected codec; writes the report files.
+def run_bench(cfg: RunConfig) -> dict[str, list[tuple]]:
+    """Full pipeline for every selected codec; writes the report files and
+    returns the rows of each CSV by file name.
 
     Outputs land in cfg.output_dir: per_band.csv, per_class.csv,
     efficiency.csv, run_summary.json, and, when the SNN protocol is enabled,
@@ -402,22 +399,16 @@ def run_bench(cfg: RunConfig) -> BenchResult:
                ("efficiency", efficiency_rows)]
     if cfg.run_snn:
         reports += [("classification", classification_rows), *training_logs]
-    written = []
+    written = {}
     try:
-        for report in reports:
-            written.append(write_report(out_dir, *report))
+        for table, rows, *codec in reports:
+            written[write_report(out_dir, table, rows, *codec)] = rows
         _write_run_summary(out_dir / "run_summary.json", cfg, dataset_name, clips)
     except Exception:
         for p in written:
             p.unlink(missing_ok=True)
         raise
-    return BenchResult(
-        output_dir=out_dir,
-        per_band_rows=per_band_rows,
-        per_class_rows=per_class_rows,
-        efficiency_rows=efficiency_rows,
-        classification_rows=classification_rows,
-    )
+    return {p.name: rows for p, rows in written.items()}
 
 
 def _write_run_summary(path: Path, cfg: RunConfig, dataset_name: str,
@@ -454,48 +445,50 @@ _COMPARED_TABLES = {
 }
 
 
-def _read_csv_rows(path: Path, key_field: str,
-                   value_field: str) -> list[tuple[str, str, float]]:
-    """(codec, key, value) per row of a report CSV; DataError naming the file
-    and line if it is unreadable, lacks a column or holds a non-number."""
+def _read_table(path: Path, key_field: str,
+                value_field: str) -> dict[str, dict[str, float]]:
+    """{key: {codec: value}} of a report CSV; DataError naming the file and
+    line if it is unreadable, lacks a column, holds a non-number or a
+    non-finite one, or repeats a (codec, key) cell."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             missing = {"codec", key_field, value_field} - set(reader.fieldnames or ())
             if missing:
                 raise DataError(f"report file {path} lacks column(s) {sorted(missing)}")
-            rows = []
+            table: dict[str, dict[str, float]] = {}
             for row in reader:
                 codec, key, value = row["codec"], row[key_field], row[value_field]
                 where = f"report file {path} line {reader.line_num}"
                 if codec is None or key is None:
                     raise DataError(f"short row in {where}")
                 try:
-                    rows.append((codec, key, float(value)))
+                    number = float(value)
                 except (TypeError, ValueError) as exc:
                     raise DataError(f"bad {value_field} {value!r} in {where}") from exc
-            return rows
+                if not np.isfinite(number):
+                    raise DataError(f"non-finite {value_field} {value!r} in {where}")
+                cells = table.setdefault(key, {})
+                if codec in cells:
+                    raise DataError(f"repeated {codec}/{key} cell in {where}")
+                cells[codec] = number
+            return table
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read report file {path}: {exc}") from exc
 
 
-def _codec_ranking(rows):
+def _codec_ranking(table):
     """Per key: codecs sorted ascending by value (lower is better)."""
-    table: dict[str, list[tuple[float, str]]] = {}
-    for codec, key, value in rows:
-        table.setdefault(key, []).append((value, codec))
-    return {k: [c for _, c in sorted(v)] for k, v in sorted(table.items())}
+    return {k: sorted(cells, key=lambda c: (cells[c], c))
+            for k, cells in sorted(table.items())}
 
 
-def _win_counts(rows):
+def _win_counts(table):
     """Codec -> number of keys where it is strictly best."""
-    values: dict[str, dict[str, float]] = {}
-    for codec, key, value in rows:
-        values.setdefault(key, {})[codec] = value
     wins: dict[str, int] = {}
-    for key, per_codec in values.items():
-        best = min(per_codec.values())
-        winners = [c for c, v in per_codec.items() if v == best]
+    for cells in table.values():
+        best = min(cells.values())
+        winners = [c for c, v in cells.items() if v == best]
         if len(winners) == 1:
             wins[winners[0]] = wins.get(winners[0], 0) + 1
     return wins
@@ -524,7 +517,7 @@ def compare_report(report_a: str | Path, report_b: str | Path) -> dict:
     out: dict = {"reports": {t: str(d) for t, d in dirs.items()}}
     tables = {}
     for tag, d in dirs.items():
-        t = tables[tag] = {name: _read_csv_rows(d / REPORT_TABLES[table][0], key, value)
+        t = tables[tag] = {name: _read_table(d / REPORT_TABLES[table][0], key, value)
                            for name, (table, key, value) in _COMPARED_TABLES.items()}
         out[f"report_{tag}"] = {
             "errdb_ranking_per_band": _codec_ranking(t["band"]),
@@ -535,12 +528,12 @@ def compare_report(report_a: str | Path, report_b: str | Path) -> dict:
         }
 
     def cell_relations(name):
-        a_map, b_map = ({(codec, key): value for codec, key, value in tables[tag][name]}
-                        for tag in "ab")
+        a, b = tables["a"][name], tables["b"][name]
         rel = {}
-        for cell in sorted(set(a_map) & set(b_map)):
-            va, vb = a_map[cell], b_map[cell]
-            rel["/".join(cell)] = "tie" if va == vb else ("a" if va < vb else "b")
+        for codec, key in sorted((c, k) for k in a.keys() & b.keys()
+                                 for c in a[k].keys() & b[k].keys()):
+            va, vb = a[key][codec], b[key][codec]
+            rel[f"{codec}/{key}"] = "tie" if va == vb else ("a" if va < vb else "b")
         return rel
 
     out["cross_report"] = {

@@ -46,14 +46,11 @@ class Waveform:
         Sampling rate in Hz, > 0.
     source_path : str
         Origin of the audio (file path or synthetic tag).
-    duration_s : float
-        len(samples) / sample_rate, computed unless given.
     """
 
     samples: np.ndarray
     sample_rate: int
     source_path: str = ""
-    duration_s: float | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -63,8 +60,10 @@ class Waveform:
             raise ValueError("sample_rate must be > 0")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform contains non-finite samples")
-        if self.duration_s is None:
-            self.duration_s = len(self.samples) / self.sample_rate
+
+    @property
+    def duration_s(self) -> float:
+        return len(self.samples) / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -149,8 +148,8 @@ def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Wave
     Raises
     ------
     DataError
-        If the file is unreadable, not PCM/float WAV, has zero length, or
-        holds non-finite float samples.
+        If the file is unreadable, not PCM/float WAV, has a sample rate of
+        0 Hz or zero length, or holds non-finite float samples.
     """
     path = Path(path)
     try:
@@ -161,6 +160,8 @@ def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Wave
         raise DataError(f"unsupported codec in {path}: {exc}") from exc
     except Exception as exc:  # malformed RIFF, truncated file, ...
         raise DataError(f"cannot read audio file {path}: {exc}") from exc
+    if rate == 0:
+        raise DataError(f"sample rate of 0 Hz in {path}")
     if data.size == 0:
         raise DataError(f"zero-length audio: {path}")
     x = _pcm_to_float(data)
@@ -312,8 +313,9 @@ def write_manifest(entries: list[ManifestEntry], path: str | Path) -> None:
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read a manifest CSV written by write_manifest.  A missing or
-    unreadable file is a ConfigError; a bad header, encoding or row a
-    DataError naming the file and line."""
+    unreadable file is a ConfigError; a bad header, encoding or row, or a
+    clip path that is absolute or has a '..' part, a DataError naming the
+    file and line."""
     path = Path(path)
     entries = []
     try:
@@ -325,6 +327,10 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
                 try:
                     if None in row or None in row.values():
                         raise ValueError("need the 4 fields path,class_label,fold,split")
+                    clip = Path(row["path"])
+                    if clip.is_absolute() or ".." in clip.parts:
+                        raise ValueError(f"clip path {row['path']!r} must be relative "
+                                         "to the manifest, without '..' parts")
                     entries.append(ManifestEntry(
                         path=row["path"],
                         class_label=row["class_label"],

@@ -236,16 +236,15 @@ class ClipDataset:
         return len(self.labels)
 
 
-def train(net: SpikingNet, train_set: ClipDataset,
-          cfg: SnnConfig | None = None) -> tuple[SpikingNet, list[tuple]]:
+def train(net: SpikingNet, train_set: ClipDataset) -> tuple[SpikingNet, list[tuple]]:
     """Adam + BPTT training on cross-entropy over output spike counts;
     returns the net and one (epoch, "train", loss, macro_acc) row per epoch.
 
-    Deterministic given cfg.seed (shuffling and init both derive from it).
-    Raises NumericError if the loss goes non-finite and DataError if some
-    class has no training samples.
+    Deterministic given net.config, which holds every setting (shuffling
+    and init both derive from its seed).  Raises NumericError if the loss
+    goes non-finite and DataError if some class has no training samples.
     """
-    cfg = cfg or net.config
+    cfg = net.config
     labels = np.asarray(train_set.labels)
     if len(labels) == 0:
         raise DataError("empty training set")
@@ -361,7 +360,7 @@ def run_protocol(inputs: np.ndarray, labels, folds, splits,
     results, histories = [], []
     for i, (fold, test) in enumerate(parts):
         net = init_net(cfg, np.random.default_rng([cfg.seed, i]))
-        net, hist = train(net, ClipDataset(inputs[~test], y[~test], class_names), cfg)
+        net, hist = train(net, ClipDataset(inputs[~test], y[~test], class_names))
         acc, recalls = evaluate_macro(net, ClipDataset(inputs[test], y[test], class_names))
         results.append((fold, acc, recalls))
         histories.append(hist)

@@ -1,11 +1,14 @@
 """Shared signal builders and stacked codec calls for codec tests."""
 
+from unittest import mock
+
 import numpy as np
 
+import spikesound.codec
 from spikesound.codec import (
     CodecConfig,
     SpikeTrain,
-    _tae_encode_rows,
+    _tae_next,
     _tae_thresholds,
     decode_matrix,
     encode_matrix,
@@ -78,12 +81,23 @@ def decode_row(spikes, x0, t, codec, cfg=CodecConfig()):
 
 def tae_traces(signals, cfg):
     """Per signal, in order: the TAE encoder's threshold at each frame
-    decision and the decoder's replay of it from the spikes and T0."""
+    decision and the decoder's replay of it from the spikes and T0.
+
+    The encoder's thresholds are the rows it passes to _tae_next: at frame
+    i, from 1 on, the row frame i was decided with.  Frame 0 holds T0."""
     out = [None] * len(signals)
     for idx, x in _stacks(signals):
-        t0 = encode_matrix(make_features(x), cfg, "tae").side_info[:, 1]
-        spikes, trace = _tae_encode_rows(x, t0, cfg)
-        replay = _tae_thresholds(spikes, t0, cfg)
+        used = []
+
+        def record(t, *args):
+            used.append(t.copy())
+            return _tae_next(t, *args)
+
+        with mock.patch.object(spikesound.codec, "_tae_next", record):
+            st = encode_matrix(make_features(x), cfg, "tae")
+        t0 = st.side_info[:, 1]
+        trace = np.array([t0, *used]).T
+        replay = _tae_thresholds(st.spikes, t0, cfg)
         for r, i in enumerate(idx):
             out[i] = trace[r], replay[r]
     return out

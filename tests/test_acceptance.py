@@ -186,7 +186,7 @@ def test_criterion_7_snn_numeric_checks():
         ds = toy_two_class_set()
         cfg = SnnConfig(input_size=8, hidden_sizes=(16, 16, 16), output_size=2,
                         lr=0.01, batch_size=32, epochs=200, seed=42)
-        _, hist = train(init_net(cfg), ds, cfg)
+        _, hist = train(init_net(cfg), ds)
         assert any(row[3] == 1.0 for row in hist)
 
 
@@ -223,12 +223,12 @@ def test_criterion_9_trend_reproduction(double_bench):
     bands; values pinned to the frozen reference run."""
     result, _, _, _ = double_bench
     with criterion("9. trend reproduction"):
-        rates = {codec: rate for codec, _, rate, _, _ in result.efficiency_rows}
+        rates = {codec: rate for codec, _, rate, _, _ in result["efficiency.csv"]}
         assert rates["tae"] < rates["sf"]
         assert rates["tae"] < rates["mw"]
 
         band_err = {c: [None] * 8 for c in CODEC_IDS}
-        for codec, band, e, _ in result.per_band_rows:
+        for codec, band, e, _ in result["per_band.csv"]:
             band_err[codec][band] = e
         tae_wins = sum(
             1 for b in range(8)

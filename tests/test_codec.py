@@ -1,6 +1,7 @@
 """Spike codec behavior: hand traces, round-trip bounds, serialization."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,18 @@ class TestMatrixEncoding:
         bad[1, 2] = np.nan
         with pytest.raises(ValueError):
             encode_matrix(make_features(bad), CodecConfig(), "sf")
+
+    def test_tae_peak_memory_near_sf(self):
+        # TAE keeps two threshold rows, not a frames x channels trace
+        # (3.5 MB of float64 on this block).
+        f = make_features(np.random.default_rng(8).uniform(0, 1, (512, 858)))
+        peaks = {}
+        for codec in ("sf", "tae"):
+            tracemalloc.start()
+            encode_matrix(f, CodecConfig(), codec)
+            peaks[codec] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks["tae"] - peaks["sf"] <= 64 * 1024, peaks
 
 
 class TestBitExactOutput:

@@ -114,7 +114,7 @@ class TestRunBench:
 
     def test_snr_column_is_negated_errdb(self, small_bench):
         cfg, result = small_bench
-        for _, _, e, s in result.per_band_rows:
+        for _, _, e, s in result["per_band.csv"]:
             assert s == -e
 
     def test_rerun_identical_config_byte_identical(self, tmp_path):
@@ -148,7 +148,7 @@ class TestRunBench:
         cfg = small_run_config(tmp_path / "solo", seed=11)
         cfg = RunConfig(**{**_as_kwargs(cfg), "codecs": ("tae",)})
         result = run_bench(cfg)
-        assert {r[0] for r in result.per_band_rows} == {"tae"}
+        assert {r[0] for r in result["per_band.csv"]} == {"tae"}
 
     def test_crop_seconds_shortens_frames(self, tmp_path):
         cfg = small_run_config(tmp_path / "crop", seed=12)
@@ -179,7 +179,7 @@ class TestRunBench:
         assert lines[2].startswith("sf,synthetic,mean,")
         accs = [float(l.rsplit(",", 1)[1]) for l in lines[1:]]
         assert all(0.0 <= a <= 1.0 for a in accs)
-        assert result.classification_rows[-1][2] == "mean"
+        assert result["classification.csv"][-1][2] == "mean"
 
     def test_fold_path_reports(self, tmp_path):
         from spikesound.snn import SnnConfig
@@ -196,7 +196,7 @@ class TestRunBench:
         for codec in ("sf", "tae"):
             cells = [l.split(",") for l in lines if l.startswith(codec + ",")]
             assert [c[2] for c in cells] == ["0", "1", "2", "3", "mean"]
-            rows = [r for r in result.classification_rows if r[0] == codec]
+            rows = [r for r in result["classification.csv"] if r[0] == codec]
             accs = [r[3] for r in rows[:-1]]
             assert rows[-1][3] == float(np.mean(accs))
             assert cells[-1][3] == f"{np.mean(accs):.6f}"
@@ -368,7 +368,7 @@ class TestCompareReport:
         summary = compare_report(cfg.output_dir, cfg.output_dir)
         # hand-sort the in-memory rows: winner per band = lowest errdb
         by_band = {}
-        for codec, band, e, _ in result.per_band_rows:
+        for codec, band, e, _ in result["per_band.csv"]:
             by_band.setdefault(band, []).append((e, codec))
         wins = {}
         for band, entries in by_band.items():
@@ -455,6 +455,12 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "corpus" / "manifest.csv").exists()
         assert len(list((tmp_path / "corpus").rglob("*.wav"))) == 20
+
+    def test_synth_at_400_hz(self, tmp_path):
+        # the 2 ms click of an impulse train is under one sample at 400 Hz
+        cfg = self._config_file(tmp_path, synthetic={"n_clips": 5, "sample_rate": 400})
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "corpus")]) == 0
+        assert len(list((tmp_path / "corpus").rglob("*.wav"))) == 5
 
     def test_bench_and_compare_flow(self, tmp_path):
         cfg = self._config_file(tmp_path)
@@ -607,10 +613,12 @@ class TestCli:
         ("per_class.csv", "codec,class,errdb\n", "codec,class\n"),  # dropped column
         ("per_class.csv", "\nmw,", "\nmw,abc,abc\nmw,"),        # non-numeric cell
         ("efficiency.csv", "\nsf,", "\nsf\nsf,"),               # short row
+        ("per_band.csv", "\nmw,0,", "\nmw,0,nan,nan\nmw,9,"),    # nan ERRdB in band 0
+        ("per_band.csv", "\nmw,1,", "\nmw,1,0.5,-0.5\nmw,1,"),   # repeated mw/1 cell
         ("run_summary.json", "{", "["),                          # malformed JSON
         ("run_summary.json", '"dataset": {', '"corpus": {'),     # missing key
     ], ids=["renamed_column", "dropped_column", "non_numeric", "short_row",
-            "summary_json", "summary_key"])
+            "non_finite", "repeated_cell", "summary_json", "summary_key"])
     def test_compare_malformed_report_file(self, small_bench, tmp_path, capsys,
                                            name, old, new):
         cfg, _ = small_bench
@@ -707,6 +715,8 @@ class TestCli:
         "split_dev": ((b",,train", b",,dev"), {}),
         "short_row": ((b",,train", b""), {}),
         "not_utf8": ((b"chirp/", b"chirp\xff/"), {}),
+        "path_absolute": ((b"chirp/", b"/chirp/"), {}),
+        "path_parent": ((b"chirp/", b"../chirp/"), {}),
         "seed_str": (None, {"seed": "x"}),
         "seed_bool": (None, {"seed": True}),
         "dataset_int": (None, {"dataset": 5}),
@@ -739,6 +749,9 @@ class TestCli:
         "synth_rate_zero": (None, {"synthetic": {"sample_rate": 0}}),
         "synth_duration_negative": (None, {"synthetic": {"duration_s": -1}}),
         "synth_duration_nan": (None, {"synthetic": {"duration_s": float("nan")}}),
+        "synth_classes_empty": (None, {"synthetic": {"classes": []}}),
+        "synth_no_samples": (None, {"synthetic": {"duration_s": 0.00001}}),
+        "synth_one_sample": (None, {"synthetic": {"duration_s": 0.00003}}),
     }
 
     @pytest.mark.parametrize("command, mutation", [
@@ -857,6 +870,20 @@ class TestCli:
         cfg = self._config_file(tmp_path, dataset=str(manifest))
         assert main(["bench", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 3
+
+    def test_zero_rate_wav_exits_3_naming_it(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        manifest = write_synthetic_corpus(
+            SyntheticSpec(n_clips=5, duration_s=0.3), 5, corpus)
+        victim = sorted(corpus.rglob("*.wav"))[0]
+        wav = victim.read_bytes()
+        victim.write_bytes(wav[:24] + bytes(8) + wav[32:])  # sample rate, byte rate
+        cfg = self._config_file(tmp_path, dataset=str(manifest))
+        capsys.readouterr()
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert repr(victim.relative_to(corpus).as_posix()) in err
 
     def test_numeric_error_exit_code(self, monkeypatch):
         import spikesound.cli as cli

@@ -235,14 +235,14 @@ class TestReportCsvs:
         assert keys == sorted(keys) == [(c, b) for c in ("mw", "sf", "tae")
                                         for b in range(8)]
         assert rows == [[c, str(b), f"{e:.6f}", f"{s:.6f}"]
-                        for c, b, e, s in result.per_band_rows]
+                        for c, b, e, s in result["per_band.csv"]]
 
     def test_per_class_rows_sorted(self, small_bench):
         rows, result = self._table(small_bench, "per_class.csv",
                                    "codec,class,errdb", 2)
         keys = [tuple(row[:2]) for row in rows]
         assert keys == sorted(keys) and len(keys) == 3 * 5
-        assert rows == [[c, label, f"{e:.6f}"] for c, label, e in result.per_class_rows]
+        assert rows == [[c, label, f"{e:.6f}"] for c, label, e in result["per_class.csv"]]
 
     def test_efficiency_schema(self, small_bench):
         rows, result = self._table(
@@ -250,4 +250,4 @@ class TestReportCsvs:
             "codec,dataset,firing_rate_pct,encode_ms,aux_bytes", 2)
         assert [row[:2] for row in rows] == [[c, "synthetic"] for c in ("mw", "sf", "tae")]
         assert rows == [[c, ds, *(f"{v:.6f}" for v in values)]
-                        for c, ds, *values in result.efficiency_rows]
+                        for c, ds, *values in result["efficiency.csv"]]

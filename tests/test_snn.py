@@ -161,14 +161,15 @@ class TestSurrogateGradients:
 
 class TestTraining:
     def test_zero_learning_rate_leaves_weights_unchanged(self):
-        # SnnConfig rejects lr 0, so a plain namespace carries it to train:
-        # every weight change goes through the lr-scaled Adam step
+        # SnnConfig rejects lr 0, so a plain namespace as net.config carries
+        # it to train: every weight change goes through the lr-scaled Adam step
         ds = toy_two_class_set()
         cfg = SnnConfig(input_size=8, hidden_sizes=(8, 8, 8), output_size=2,
                         epochs=3, batch_size=16, seed=9)
         net = init_net(cfg)
         before = [w.copy() for w in net.weights]
-        net, _ = train(net, ds, SimpleNamespace(**{**asdict(cfg), "lr": 0.0}))
+        net.config = SimpleNamespace(**{**asdict(cfg), "lr": 0.0})
+        net, _ = train(net, ds)
         for w, w0 in zip(net.weights, before):
             assert w.tolist() == w0.tolist()
 
@@ -180,14 +181,14 @@ class TestTraining:
         cfg = SnnConfig(input_size=8, hidden_sizes=(8, 8, 8), output_size=2,
                         epochs=1, batch_size=32, seed=10)
         net = init_net(cfg)
-        _, hist = train(net, ds, cfg)
+        _, hist = train(net, ds)
         assert hist[0][2] == pytest.approx(np.log(2), rel=0.1)
 
     def test_separable_toy_set_reaches_perfect_accuracy(self):
         ds = toy_two_class_set()
         cfg = SnnConfig(input_size=8, hidden_sizes=(16, 16, 16), output_size=2,
                         lr=0.01, batch_size=32, epochs=200, seed=42)
-        net, hist = train(init_net(cfg), ds, cfg)
+        net, hist = train(init_net(cfg), ds)
         accs = [row[3] for row in hist]
         assert max(accs) == 1.0
         assert accs[-1] == 1.0
@@ -196,8 +197,8 @@ class TestTraining:
         ds = toy_two_class_set()
         cfg = SnnConfig(input_size=8, hidden_sizes=(8, 8, 8), output_size=2,
                         lr=0.01, batch_size=8, epochs=5, seed=11)
-        net_a, hist_a = train(init_net(cfg), ds, cfg)
-        net_b, hist_b = train(init_net(cfg), ds, cfg)
+        net_a, hist_a = train(init_net(cfg), ds)
+        net_b, hist_b = train(init_net(cfg), ds)
         for wa, wb in zip(net_a.weights, net_b.weights):
             assert wa.tolist() == wb.tolist()
         assert hist_a == hist_b
@@ -210,7 +211,7 @@ class TestTraining:
         cfg = SnnConfig(input_size=8, hidden_sizes=(8,), output_size=2,
                         epochs=1, seed=1)
         with pytest.raises(DataError):
-            train(init_net(cfg), only_zero, cfg)
+            train(init_net(cfg), only_zero)
 
     def test_non_finite_weights_abort_with_diagnostic(self):
         # binary spikes launder inf into {0, 1}, so corruption is caught by
@@ -222,7 +223,7 @@ class TestTraining:
         net.weights[0][0, 0] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="epoch"):
-                train(net, ds, cfg)
+                train(net, ds)
 
 
 class TestEvaluateMacro:
@@ -253,7 +254,7 @@ class TestEvaluateMacro:
         ds = toy_two_class_set()
         cfg = SnnConfig(input_size=8, hidden_sizes=(16, 16, 16), output_size=2,
                         lr=0.01, batch_size=32, epochs=60, seed=42)
-        net, _ = train(init_net(cfg), ds, cfg)
+        net, _ = train(init_net(cfg), ds)
         macro, _ = evaluate_macro(net, ds)
         assert macro == 1.0
 
@@ -261,7 +262,7 @@ class TestEvaluateMacro:
         ds = toy_two_class_set()
         cfg = SnnConfig(input_size=8, hidden_sizes=(16, 16, 16), output_size=2,
                         lr=0.01, batch_size=32, epochs=40, seed=13)
-        net, _ = train(init_net(cfg), ds, cfg)
+        net, _ = train(init_net(cfg), ds)
         macro, _ = evaluate_macro(net, ds)
         # swap the two classes everywhere: inputs, labels, readout weights
         swapped = ClipDataset(inputs=ds.inputs,
