@@ -19,6 +19,7 @@ TAE  like SF, but the threshold grows by a factor (up to a cap) after each
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, asdict
@@ -86,14 +87,6 @@ class SpikeTrain:
         return self.spikes.shape[1]
 
 
-def _step_sum(spikes: np.ndarray, x0: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """SF/TAE decoder: x0 + cumsum(spike * step), step a column (SF) or the
-    replayed per-frame thresholds (TAE); cumsum adds frame by frame."""
-    steps = np.multiply(spikes, step, dtype=np.float64)
-    steps[:, 0] = x0
-    return np.cumsum(steps, axis=1, out=steps)
-
-
 # ---------------------------------------------------------------------------
 # Step Forward
 # ---------------------------------------------------------------------------
@@ -114,51 +107,86 @@ def _sf_encode_rows(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(spikes.T)
 
 
+def _sf_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # x0 + cumsum(spike * T); cumsum adds frame by frame.
+    steps = np.multiply(spikes, t[:, None], dtype=np.float64)
+    steps[:, 0] = x0
+    return np.cumsum(steps, axis=1, out=steps)
+
+
 # ---------------------------------------------------------------------------
 # Moving Window
 # ---------------------------------------------------------------------------
 
-# Frames per slab of the MW encoder's bulk window sum; bounds the temporaries
-# of windows of 8 and more (up to 14 slabs of frames x rows).
+# Frames per slab of the MW encoder: bounds its buffers to slabs of frames x
+# rows (windows of 8 and more sum through up to 14 such slabs).
 _SLAB_FRAMES = 128
 
 
 def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
-    # Frame-major.  The baseline, mean(x[i-k:i]) with k = min(i, window),
-    # depends on x alone, so every frame from `window` on is summed at once
-    # from the shifted frame slabs xt[j : j + n - window], j < window.
-    xt = np.ascontiguousarray(x.T)
-    n = len(xt)
-    base = np.empty_like(xt)
-    base[0] = xt[0]
-    for i in range(1, min(window, n)):
-        np.divide(_window_sum(xt[:i], base[i]), i, out=base[i])
-    if n > window:
-        slabs = np.moveaxis(
-            np.lib.stride_tricks.sliding_window_view(xt[:-1], window, axis=0), -1, 0)
-        for lo in range(0, n - window, _SLAB_FRAMES):
-            part = slice(lo, lo + _SLAB_FRAMES)
-            _window_sum(slabs[:, part], base[window:][part])
-        base[window:] /= window
-    dn = xt < base - t
-    base += t  # now the upper edge, in place
-    spikes = (xt > base).view(np.int8) - dn.view(np.int8)
+    # Frame-major, one slab of frames at a time, straight into the spikes.
+    # The baseline, mean(x[i-k:i]) with k = min(i, window), depends on x
+    # alone: frames below `window` are summed one by one, the others of a slab
+    # at once from the shifted frame rows xin[j : j + m], j < window.
+    c, n = x.shape
+    window = min(window, n)  # a longer window sums the same frames
+    spikes = np.empty((n, c), dtype=np.int8)
+    xin = np.empty((_SLAB_FRAMES + window, c))
+    base, edge = np.empty((2, _SLAB_FRAMES, c))
+    up, dn = np.empty((2, _SLAB_FRAMES, c), dtype=bool)
+    for lo in range(0, n, _SLAB_FRAMES):
+        hi = min(lo + _SLAB_FRAMES, n)
+        first = max(0, lo - window)  # the slab's frames and the window before
+        rows = xin[: hi - first]
+        np.copyto(rows, x[:, first:hi].T)
+        b = base[: hi - lo]
+        for i in range(lo, min(hi, window)):
+            if i == 0:
+                b[0] = rows[0]
+            else:
+                np.divide(_window_sum(rows[:i], b[i - lo]), i, out=b[i - lo])
+        if hi > window:
+            bulk = max(lo, window)
+            slabs = np.moveaxis(
+                np.lib.stride_tricks.sliding_window_view(rows[:-1], window, axis=0), -1, 0)
+            _window_sum(slabs[:, bulk - window - first :], b[bulk - lo :])
+            b[bulk - lo :] /= window
+        m = hi - lo
+        seg = rows[lo - first :]
+        np.less(seg, np.subtract(b, t, out=edge[:m]), out=dn[:m])
+        np.greater(seg, np.add(b, t, out=edge[:m]), out=up[:m])
+        np.subtract(up[:m].view(np.int8), dn[:m].view(np.int8), out=spikes[lo:hi])
     return np.ascontiguousarray(spikes.T)
 
 
-def _mw_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray,
-                    window: int) -> np.ndarray:
-    # Frame-major: est[i] = spike[i] * T + mean(est[i-k:i]), k = min(i, window).
-    n = spikes.shape[1]
-    est = np.empty((n, len(t)))
-    np.multiply(spikes.T, t, out=est)
-    est[0] = x0
-    mean = np.empty(len(t))
-    for i in range(1, n):
-        k = min(i, window)
-        np.divide(_window_sum(est[i - k : i], mean), k, out=mean)
-        est[i] += mean
-    return np.ascontiguousarray(est.T)
+def _window_decode(spikes: np.ndarray, x0: np.ndarray, thresholds,
+                   window: int) -> np.ndarray:
+    """MW and TAE decoder: est[i] = spike[i] * T + mean(est[i-k:i]) with
+    k = min(i, window) and T the next row of thresholds, for i >= 1.
+
+    Frame-major: frame i sits in row window + i - lo of buf, after the
+    `window` frames before its slab, and each filled slab is copied into
+    the channel-major estimate."""
+    sp = np.ascontiguousarray(spikes.T)
+    n, c = sp.shape
+    window = min(window, n)  # a longer window sums the same frames
+    est = np.empty((c, n))
+    buf = np.empty((window + _SLAB_FRAMES, c))
+    mean = np.empty(c)
+    for lo in range(0, n, _SLAB_FRAMES):
+        m = min(_SLAB_FRAMES, n - lo)
+        for i in range(lo, lo + m):
+            r = window + i - lo
+            if i == 0:
+                buf[r] = x0
+                continue
+            k = min(i, window)
+            prev = (buf[r - 1] if k == 1 else
+                    np.divide(_window_sum(buf[r - k : r], mean), k, out=mean))
+            np.add(np.multiply(sp[i], next(thresholds), out=buf[r]), prev, out=buf[r])
+        est[:, lo : lo + m] = buf[window : window + m].T
+        buf[:window] = buf[m : m + window]
+    return est
 
 
 def _window_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -234,16 +262,18 @@ def _tae_encode_rows(x: np.ndarray, t0: np.ndarray, cfg: CodecConfig) -> np.ndar
     return np.ascontiguousarray(spikes.T)
 
 
-def _tae_thresholds(spikes: np.ndarray, t0: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """Replay the encoder's per-frame thresholds from the spikes and T0."""
-    fired = np.ascontiguousarray(spikes.T) != 0
+def _tae_replay(spike_rows: np.ndarray, t0: np.ndarray, cfg: CodecConfig):
+    """Yield the encoder's threshold for frames 1, 2, ... from frame-major
+    spike rows: T0 for frame 1, then _tae_next of each frame's spikes.  The
+    row yielded for spike_rows[j] is frame j + 1's and is reused after."""
     tmin, tmax = _tae_bounds(t0, cfg)
-    trace = np.empty(fired.shape)
-    trace[:2] = t0
-    grown = np.empty(len(t0))
-    for i in range(2, len(trace)):
-        _tae_next(trace[i - 1], fired[i - 1], tmin, tmax, cfg.tae_gamma, trace[i], grown)
-    return np.ascontiguousarray(trace.T)
+    t, nxt, grown = np.empty((3, len(t0)))
+    t[:] = t0
+    fired = np.empty(len(t0), dtype=bool)
+    for s in spike_rows:
+        yield t
+        _tae_next(t, np.not_equal(s, 0, out=fired), tmin, tmax, cfg.tae_gamma, nxt, grown)
+        t, nxt = nxt, t
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +310,11 @@ def decode_matrix(st: SpikeTrain) -> np.ndarray:
     """Signal estimate for every channel of a SpikeTrain."""
     x0, t = st.side_info.T
     if st.codec_id == "sf":
-        return _step_sum(st.spikes, x0, t[:, None])
+        return _sf_decode_rows(st.spikes, x0, t)
     if st.codec_id == "mw":
-        return _mw_decode_rows(st.spikes, x0, t, st.params.window)
+        return _window_decode(st.spikes, x0, itertools.repeat(t), st.params.window)
     if st.codec_id == "tae":
-        return _step_sum(st.spikes, x0, _tae_thresholds(st.spikes, t, st.params))
+        return _window_decode(st.spikes, x0, _tae_replay(st.spikes[:, 1:].T, t, st.params), 1)
     raise DataError(f"unknown codec_id {st.codec_id!r}")
 
 

@@ -28,6 +28,10 @@ BAND_EDGES_HZ = (20.0, 125.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0, 2000
 
 FEATURE_MAGIC = b"SPKF1"
 
+# Frames per chunk of the STFT: bounds its windowed-frame and spectrum
+# buffers to 32 rows while the power matrix is filled in place.
+_STFT_CHUNK = 32
+
 
 @dataclass(frozen=True)
 class FrontendConfig:
@@ -118,8 +122,21 @@ def stft_power(w: Waveform, n_fft: int = 1024, hop: int = 256,
     if n_fft & (n_fft - 1):
         raise ValueError("n_fft must be a power of two")
     frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop]
-    spec = np.fft.rfft(frames * _analysis_window(window, n_fft), axis=1)
-    return (spec.real**2 + spec.imag**2).T
+    win = _analysis_window(window, n_fft)
+    # Frame-major, _STFT_CHUNK frames at a time through reused buffers, so no
+    # frames x n_fft temporary is made; the squares add as re**2 + im**2.
+    power = np.empty((len(frames), n_fft // 2 + 1))
+    seg = np.empty((_STFT_CHUNK, n_fft))
+    spec = np.empty((_STFT_CHUNK, n_fft // 2 + 1), dtype=np.complex128)
+    im2 = np.empty(spec.shape)
+    for lo in range(0, len(frames), _STFT_CHUNK):
+        out = power[lo : lo + _STFT_CHUNK]
+        m = len(out)
+        np.fft.rfft(np.multiply(frames[lo : lo + m], win, out=seg[:m]), axis=1,
+                    out=spec[:m])
+        np.square(spec[:m].real, out=out)
+        out += np.square(spec[:m].imag, out=im2[:m])
+    return power.T
 
 
 def mel_center_frequencies(n_mels: int, f_min: float, f_max: float) -> np.ndarray:
@@ -195,9 +212,9 @@ def mel_spectrogram(w: Waveform, cfg: FrontendConfig = FrontendConfig()) -> Feat
 
     values = minmax(log10(melFB @ stft_power + 1e-10)) per channel.
     """
-    power = stft_power(w, cfg.n_fft, cfg.hop, cfg.window)
-    fb = _mel_basis(cfg)
-    logmel = np.log10(fb @ power + LOG_EPS)
+    logmel = _mel_basis(cfg) @ stft_power(w, cfg.n_fft, cfg.hop, cfg.window)
+    logmel += LOG_EPS
+    np.log10(logmel, out=logmel)
     values, state = normalize_channels(logmel)
     return FeatureMatrix(
         values=values,

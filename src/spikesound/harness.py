@@ -244,11 +244,12 @@ def _clip_features(root: Path, e: ManifestEntry, cfg: RunConfig) -> FeatureMatri
         raise DataError(f"clip {e.path!r}: {exc}") from exc
 
 
-# Most feature entries (rows x frames) one encode call takes: 4 clips of
-# 128 x 858.  Memory sets the size: one block for the whole 40-clip default
-# corpus raised a bench run's peak RSS from 183 to 224 MB, while 4-clip
-# blocks peak no higher than one clip per block.
-BLOCK_ENTRIES = 1 << 19
+# Most feature entries (rows x frames) one encode call takes: 8 clips of
+# 128 x 858.  Memory sets the size, as a block's float64 estimate and its
+# encoder's frame-major copy grow with it: perfbench's bench_synth (the
+# default 40-clip corpus; 2 vCPUs, numpy 2.4) peaks at 152 MB RSS with
+# 4-clip blocks and 164 MB with 8-clip blocks.
+BLOCK_ENTRIES = 1 << 20
 
 _Block = tuple[FeatureMatrix, list[tuple[ManifestEntry, FeatureMatrix, slice]]]
 
@@ -305,6 +306,7 @@ def _decoded_clips(blocks: list[_Block], ccfg: CodecConfig, codec: str):
                             side_info=block_st.side_info[rows],
                             codec_id=codec, params=ccfg)
             yield entry, feats, st, block_est[rows], share_ms
+        del block_st, block_est, st  # freed before the next block is encoded
 
 
 # Each report table: its file name ({codec} makes one file per codec), its
@@ -372,7 +374,7 @@ def run_bench(cfg: RunConfig) -> dict[str, list[tuple]]:
             aux.append(serialized_size(st) + encoder_state_bytes(st))
             if cfg.run_snn:
                 spikes.append(st.spikes)
-        del st, est  # views that keep the last block's estimate alive through training
+            del st, est  # views that would keep this block alive through the next
         for b, errs in band_errs.items():
             mean_err = sum(errs) / len(errs)
             per_band_rows.append((codec, b, mean_err, -mean_err))

@@ -9,7 +9,7 @@ from spikesound.codec import (
     CodecConfig,
     SpikeTrain,
     _tae_next,
-    _tae_thresholds,
+    _tae_replay,
     decode_matrix,
     encode_matrix,
 )
@@ -81,7 +81,8 @@ def decode_row(spikes, x0, t, codec, cfg=CodecConfig()):
 
 def tae_traces(signals, cfg):
     """Per signal, in order: the TAE encoder's threshold at each frame
-    decision and the decoder's replay of it from the spikes and T0.
+    decision and the decoder's replay of it from the spikes and T0
+    (codec._tae_replay, which decode_matrix steps through).
 
     The encoder's thresholds are the rows it passes to _tae_next: at frame
     i, from 1 on, the row frame i was decided with.  Frame 0 holds T0."""
@@ -97,7 +98,7 @@ def tae_traces(signals, cfg):
             st = encode_matrix(make_features(x), cfg, "tae")
         t0 = st.side_info[:, 1]
         trace = np.array([t0, *used]).T
-        replay = _tae_thresholds(st.spikes, t0, cfg)
+        replay = np.array([t0, *map(np.copy, _tae_replay(st.spikes[:, 1:].T, t0, cfg))]).T
         for r, i in enumerate(idx):
             out[i] = trace[r], replay[r]
     return out

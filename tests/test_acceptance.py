@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import siggen
 from spikesound.codec import CODEC_IDS, CodecConfig
 from spikesound.frontend import (
@@ -111,14 +112,19 @@ def test_criterion_2_round_trip_bounds():
 
 
 def test_criterion_3_tae_decoder_replay():
-    """Encoder and decoder threshold sequences identical on 1000 signals."""
+    """Encoder and decoder threshold sequences identical on 1000 signals,
+    and both equal, entry for entry, the threshold each frame was decided
+    with in the straight-line oracle, so an encoder that decides with any
+    other threshold than the one it hands on fails here on its own."""
     cfg = CodecConfig(threshold_rel=0.05, tae_gamma=2.0,
                       tae_tmin_rel=0.01, tae_tmax_rel=0.5)
+    tae = (cfg.threshold_rel, cfg.tae_gamma, cfg.tae_tmin_rel, cfg.tae_tmax_rel)
     with criterion("3. TAE decoder replay"):
         rng = np.random.default_rng(303)
         signals = [rng.uniform(0, 1, size=rng.integers(2, 120)) for _ in range(1000)]
-        for enc_trace, dec_trace in siggen.tae_traces(signals, cfg):
-            assert enc_trace.tolist() == dec_trace.tolist()
+        for x, (enc_trace, dec_trace) in zip(signals, siggen.tae_traces(signals, cfg)):
+            decided = oracles.tae_encode(x.tolist(), *tae)[3]
+            assert enc_trace.tolist() == dec_trace.tolist() == decided
 
 
 def test_criterion_4_metric_identities():

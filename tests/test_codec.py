@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spikesound import codec as codec_module
 from spikesound.codec import (
     CODEC_IDS,
     CodecConfig,
@@ -20,6 +21,7 @@ from spikesound.codec import (
 )
 from spikesound.errors import ConfigError, DataError
 
+import oracles
 import siggen
 from siggen import code_row, code_rows, decode_row, make_features, tae_traces
 
@@ -98,6 +100,46 @@ class TestMovingWindow:
         a = decode_row(spikes, 0.5, 0.07, "mw", CodecConfig(window=3))
         b = decode_row(spikes, 0.5, 0.07, "mw", CodecConfig(window=3))
         assert a.tolist() == b.tolist()
+
+    def test_window_past_the_signal_sizes_no_buffer(self):
+        # A window longer than the signal sums the same frames as one of the
+        # signal's length, so it changes no byte and sizes no buffer (a
+        # damaged .spk header can declare a window of millions).
+        f = make_features(np.random.default_rng(9).uniform(0, 1, (4, 50)))
+        out, peaks = {}, {}
+        for window in (50, 100_000):
+            tracemalloc.start()
+            st = encode_matrix(f, CodecConfig(window=window), "mw")
+            out[window] = st.spikes.tobytes() + decode_matrix(st).tobytes()
+            peaks[window] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert out[100_000] == out[50]
+        assert peaks[100_000] <= peaks[50] + 4096, peaks
+
+    @pytest.mark.parametrize("window", [1, 3, 8, 12, 129, 200])
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 300])
+    def test_slab_edges_match_oracle(self, n, window):
+        # Encoder and decoder fill their frames a slab of 128 at a time:
+        # these lengths put frames on both sides of each slab edge, and the
+        # windows reach past a slab and past the signal.  Values on a 1/64
+        # grid sum exactly in any order, so the oracle's in-turn window sums
+        # are numpy's pairwise ones.  The estimate's window sums are not
+        # exact, so from 8 frames on it is checked against the channel-major
+        # recurrence, whose numpy sums the frame-major decoder reproduces.
+        cfg = CodecConfig(window=window)
+        rng = np.random.default_rng(1000 * n + window)
+        signals = [rng.integers(0, 65, n) / 64.0 for _ in range(3)]
+        for x, (spikes, (x0, t), est) in zip(signals, code_rows(signals, cfg, "mw")):
+            ref_code = oracles.mw_encode(x.tolist(), cfg.threshold_rel, window)
+            assert (spikes.tolist(), x0, t) == ref_code
+            if window < 8:
+                assert est.tolist() == oracles.mw_decode(spikes.tolist(), x0, t, window)
+            ref = spikes * t
+            ref[0] = x0
+            for i in range(1, n):
+                k = min(i, window)
+                ref[i] += ref[i - k : i].sum() / k
+            assert est.tobytes() == ref.tobytes()
 
 
 class TestThresholdAdaptive:
@@ -276,6 +318,36 @@ class TestMatrixEncoding:
             peaks[codec] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert peaks["tae"] - peaks["sf"] <= 64 * 1024, peaks
+
+    def test_mw_peak_memory_near_sf(self):
+        # MW builds its baseline and both comparisons one slab of frames at
+        # a time, straight into the int8 spikes, not as frames x channels
+        # float64 arrays (10.5 MB more than SF on this block).
+        f = make_features(np.random.default_rng(8).uniform(0, 1, (512, 858)))
+        peaks = {}
+        for codec in ("sf", "mw"):
+            tracemalloc.start()
+            encode_matrix(f, CodecConfig(), codec)
+            peaks[codec] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks["mw"] <= peaks["sf"] + codec_module._SLAB_FRAMES * 512 * 8, peaks
+
+    def test_decode_peak_memory_near_sf(self):
+        # MW and TAE decode frame-major through one slab buffer into the
+        # estimate: beside it they keep a frame-major int8 copy of the
+        # spikes, but no float64 threshold trace or transposed estimate.
+        f = make_features(np.random.default_rng(8).uniform(0, 1, (512, 858)))
+        cfg = CodecConfig()
+        peaks = {}
+        for codec in CODEC_IDS:
+            st = encode_matrix(f, cfg, codec)
+            tracemalloc.start()
+            decode_matrix(st)
+            peaks[codec] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        slab = (cfg.window + codec_module._SLAB_FRAMES) * 512 * 8
+        for codec in ("mw", "tae"):
+            assert peaks[codec] <= peaks["sf"] + 512 * 858 + slab, peaks
 
 
 class TestBitExactOutput:

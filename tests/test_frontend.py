@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,24 @@ class TestStftPower:
         w = Waveform(samples=np.zeros(5000), sample_rate=44100)
         with pytest.raises(ValueError):
             stft_power(w, n_fft=1000)
+
+    @pytest.mark.parametrize("n_fft", [256, 1024])
+    @pytest.mark.parametrize("frames", [1, 31, 32, 33, 64, 65, 858])
+    def test_chunks_equal_one_shot_formula(self, n_fft, frames):
+        # stft_power fills the power matrix a chunk of frames at a time; the
+        # one-shot formula over all frames is the oracle, bit for bit and in
+        # the same transposed layout.  The hop does not divide n_fft, and the
+        # clip ends between two frame starts.
+        hop = 100
+        rng = np.random.default_rng(frames)
+        x = rng.uniform(-1.0, 1.0, n_fft + (frames - 1) * hop + 37)
+        oracle_frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop]
+        spec = np.fft.rfft(oracle_frames * frontend._analysis_window("hann", n_fft), axis=1)
+        oracle = (spec.real**2 + spec.imag**2).T
+        power = stft_power(Waveform(samples=x, sample_rate=44100), n_fft, hop)
+        assert power.shape == oracle.shape == (n_fft // 2 + 1, frames)
+        assert power.strides == oracle.strides
+        assert power.tobytes() == oracle.tobytes()
 
 
 class TestMelFilterbank:
@@ -149,6 +168,18 @@ class TestMelSpectrogram:
         a = mel_spectrogram(w)
         b = mel_spectrogram(w)
         assert a.values.tobytes() == b.values.tobytes()
+
+    def test_peak_memory_one_power_matrix(self):
+        # No full-size temporary beside the power matrix: not the windowed
+        # frames, the complex spectrum nor the squares (5 s clip).
+        w = Waveform(samples=np.random.default_rng(5).uniform(-0.5, 0.5, 220500),
+                     sample_rate=44100)
+        mel_spectrogram(w)  # builds the cached window and filterbank
+        tracemalloc.start()
+        mel_spectrogram(w)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 858 * 513 * 8 + (1 << 20), peak
 
 
 class TestNormalization:

@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -283,6 +284,31 @@ class TestBlockStacking:
         for name in ("per_band.csv", "per_class.csv"):
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
         assert _strip_timing(out / "efficiency.csv") == _strip_timing(ref / "efficiency.csv")
+
+
+    def test_block_freed_before_next_block_is_encoded(self, tmp_path, monkeypatch):
+        # Blocks of two 0.3 s clips (48 frames), three per codec: when a block
+        # is encoded, no estimate of an earlier block may still be alive.
+        import spikesound.harness as harness
+
+        monkeypatch.setattr(harness, "BLOCK_ENTRIES", 2 * 128 * 48)
+        estimates, live_at_encode = [], []
+
+        def counted_encode(*args):
+            live_at_encode.append(sum(ref() is not None for ref in estimates))
+            return encode_matrix(*args)
+
+        def tracked_decode(st):
+            est = decode_matrix(st)
+            estimates.append(weakref.ref(est))
+            return est
+
+        monkeypatch.setattr(harness, "encode_matrix", counted_encode)
+        monkeypatch.setattr(harness, "decode_matrix", tracked_decode)
+        run_bench(RunConfig(synthetic=SyntheticSpec(n_clips=5, duration_s=0.3),
+                            output_dir=str(tmp_path / "out")))
+        assert len(estimates) == 9
+        assert live_at_encode == [0] * 9
 
 
 def _clip_by_clip_reports(cfg: RunConfig, out: Path) -> None:
