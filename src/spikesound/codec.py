@@ -118,8 +118,9 @@ def _sf_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray) -> np.nda
 # Moving Window
 # ---------------------------------------------------------------------------
 
-# Frames per slab of the MW encoder: bounds its buffers to slabs of frames x
-# rows (windows of 8 and more sum through up to 14 such slabs).
+# Frames per slab of the MW encoder and the MW/TAE decoder: bounds their
+# buffers to slabs of frames x rows (MW windows of 8 and more sum through up
+# to 14 such slabs).
 _SLAB_FRAMES = 128
 
 
@@ -127,7 +128,7 @@ def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
     # Frame-major, one slab of frames at a time, straight into the spikes.
     # The baseline, mean(x[i-k:i]) with k = min(i, window), depends on x
     # alone: frames below `window` are summed one by one, the others of a slab
-    # at once from the shifted frame rows xin[j : j + m], j < window.
+    # at once from the shifted frame rows rows[j : j + m], j < window.
     c, n = x.shape
     window = min(window, n)  # a longer window sums the same frames
     spikes = np.empty((n, c), dtype=np.int8)
