@@ -19,7 +19,6 @@ TAE  like SF, but the threshold grows by a factor (up to a cap) after each
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from dataclasses import dataclass, asdict
@@ -118,7 +117,7 @@ def _sf_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray) -> np.nda
 # Moving Window
 # ---------------------------------------------------------------------------
 
-# Frames per slab of the MW encoder and the MW/TAE decoder: bounds their
+# Frames per slab of the MW encoder and the MW and TAE decoders: bounds their
 # buffers to slabs of frames x rows (MW windows of 8 and more sum through up
 # to 14 such slabs).
 _SLAB_FRAMES = 128
@@ -160,33 +159,27 @@ def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
     return np.ascontiguousarray(spikes.T)
 
 
-def _window_decode(spikes: np.ndarray, x0: np.ndarray, thresholds,
-                   window: int) -> np.ndarray:
-    """MW and TAE decoder: est[i] = spike[i] * T + mean(est[i-k:i]) with
-    k = min(i, window) and T the next row of thresholds, for i >= 1.
-
-    Frame-major: frame i sits in row window + i - lo of buf, after the
-    `window` frames before its slab, and each filled slab is copied into
-    the channel-major estimate."""
-    sp = np.ascontiguousarray(spikes.T)
-    n, c = sp.shape
+def _mw_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray,
+                    window: int) -> np.ndarray:
+    # Frame-major: est[i] = spike[i] * T + mean(est[i-k:i]), k = min(i, window).
+    # Frame i sits in row window + i - lo of buf, after the `window` frames
+    # before its slab; each filled slab is copied into the channel-major est.
+    c, n = spikes.shape
     window = min(window, n)  # a longer window sums the same frames
     est = np.empty((c, n))
     buf = np.empty((window + _SLAB_FRAMES, c))
     mean = np.empty(c)
     for lo in range(0, n, _SLAB_FRAMES):
-        m = min(_SLAB_FRAMES, n - lo)
-        for i in range(lo, lo + m):
+        rows = buf[window : window + min(_SLAB_FRAMES, n - lo)]
+        np.multiply(spikes[:, lo : lo + len(rows)].T, t, out=rows)
+        if lo == 0:
+            rows[0] = x0
+        for i in range(max(lo, 1), lo + len(rows)):
             r = window + i - lo
-            if i == 0:
-                buf[r] = x0
-                continue
             k = min(i, window)
-            prev = (buf[r - 1] if k == 1 else
-                    np.divide(_window_sum(buf[r - k : r], mean), k, out=mean))
-            np.add(np.multiply(sp[i], next(thresholds), out=buf[r]), prev, out=buf[r])
-        est[:, lo : lo + m] = buf[window : window + m].T
-        buf[:window] = buf[m : m + window]
+            buf[r] += np.divide(_window_sum(buf[r - k : r], mean), k, out=mean)
+        est[:, lo : lo + len(rows)] = rows.T
+        buf[:window] = buf[len(rows) : len(rows) + window]
     return est
 
 
@@ -263,18 +256,38 @@ def _tae_encode_rows(x: np.ndarray, t0: np.ndarray, cfg: CodecConfig) -> np.ndar
     return np.ascontiguousarray(spikes.T)
 
 
-def _tae_replay(spike_rows: np.ndarray, t0: np.ndarray, cfg: CodecConfig):
-    """Yield the encoder's threshold for frames 1, 2, ... from frame-major
-    spike rows: T0 for frame 1, then _tae_next of each frame's spikes.  The
-    row yielded for spike_rows[j] is frame j + 1's and is reused after."""
+def _tae_decode_rows(spikes: np.ndarray, x0: np.ndarray, t0: np.ndarray,
+                     cfg: CodecConfig) -> np.ndarray:
+    # est[i] = est[i-1] + spike[i] * T[i], T replayed from the spikes: T0 for
+    # frames 0 and 1, then _tae_next of the frame before.  Frame-major, a slab
+    # at a time: the slab's rows take its thresholds, then its steps, then
+    # (cumsum adds frame by frame) its estimates, copied into the
+    # channel-major est; t and last carry its last threshold and estimate.
+    fired = np.ascontiguousarray(spikes.T) != 0
+    n, c = fired.shape
     tmin, tmax = _tae_bounds(t0, cfg)
-    t, nxt, grown = np.empty((3, len(t0)))
+    est = np.empty((c, n))
+    slab = np.empty((_SLAB_FRAMES, c))
+    t, last, grown = np.empty((3, c))
     t[:] = t0
-    fired = np.empty(len(t0), dtype=bool)
-    for s in spike_rows:
-        yield t
-        _tae_next(t, np.not_equal(s, 0, out=fired), tmin, tmax, cfg.tae_gamma, nxt, grown)
-        t, nxt = nxt, t
+    for lo in range(0, n, _SLAB_FRAMES):
+        rows = slab[: min(_SLAB_FRAMES, n - lo)]
+        for j in range(len(rows)):
+            if lo + j < 2:
+                rows[j] = t0
+            else:
+                _tae_next(rows[j - 1] if j else t, fired[lo + j - 1], tmin, tmax,
+                          cfg.tae_gamma, rows[j], grown)
+        t[:] = rows[-1]
+        np.multiply(spikes[:, lo : lo + len(rows)].T, rows, out=rows)
+        if lo == 0:
+            rows[0] = x0
+        else:
+            rows[0] += last
+        np.cumsum(rows, axis=0, out=rows)
+        last[:] = rows[-1]
+        est[:, lo : lo + len(rows)] = rows.T
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +326,9 @@ def decode_matrix(st: SpikeTrain) -> np.ndarray:
     if st.codec_id == "sf":
         return _sf_decode_rows(st.spikes, x0, t)
     if st.codec_id == "mw":
-        return _window_decode(st.spikes, x0, itertools.repeat(t), st.params.window)
+        return _mw_decode_rows(st.spikes, x0, t, st.params.window)
     if st.codec_id == "tae":
-        return _window_decode(st.spikes, x0, _tae_replay(st.spikes[:, 1:].T, t, st.params), 1)
+        return _tae_decode_rows(st.spikes, x0, t, st.params)
     raise DataError(f"unknown codec_id {st.codec_id!r}")
 
 

@@ -9,7 +9,6 @@ from spikesound.codec import (
     CodecConfig,
     SpikeTrain,
     _tae_next,
-    _tae_replay,
     decode_matrix,
     encode_matrix,
 )
@@ -81,24 +80,31 @@ def decode_row(spikes, x0, t, codec, cfg=CodecConfig()):
 
 def tae_traces(signals, cfg):
     """Per signal, in order: the TAE encoder's threshold at each frame
-    decision and the decoder's replay of it from the spikes and T0
-    (codec._tae_replay, which decode_matrix steps through).
+    decision and the decoder's replay of it from the spikes and T0.
 
-    The encoder's thresholds are the rows it passes to _tae_next: at frame
-    i, from 1 on, the row frame i was decided with.  Frame 0 holds T0."""
+    Both are read by wrapping _tae_next.  The encoder's thresholds are the
+    rows it passes to it: at frame i, from 1 on, the row frame i was decided
+    with.  The decoder's are the rows it writes: frame i's from 2 on.
+    Frame 0 holds T0 in both, and so does frame 1 in the decoder's."""
     out = [None] * len(signals)
     for idx, x in _stacks(signals):
-        used = []
+        used, replayed = [], []
 
-        def record(t, *args):
+        def record_used(t, *args):
             used.append(t.copy())
             return _tae_next(t, *args)
 
-        with mock.patch.object(spikesound.codec, "_tae_next", record):
+        def record_replayed(*args):
+            replayed.append(_tae_next(*args).copy())
+            return replayed[-1]
+
+        with mock.patch.object(spikesound.codec, "_tae_next", record_used):
             st = encode_matrix(make_features(x), cfg, "tae")
+        with mock.patch.object(spikesound.codec, "_tae_next", record_replayed):
+            decode_matrix(st)
         t0 = st.side_info[:, 1]
         trace = np.array([t0, *used]).T
-        replay = np.array([t0, *map(np.copy, _tae_replay(st.spikes[:, 1:].T, t0, cfg))]).T
+        replay = np.array([t0, t0, *replayed][: x.shape[1]]).T
         for r, i in enumerate(idx):
             out[i] = trace[r], replay[r]
     return out
