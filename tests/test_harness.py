@@ -285,7 +285,6 @@ class TestBlockStacking:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
         assert _strip_timing(out / "efficiency.csv") == _strip_timing(ref / "efficiency.csv")
 
-
     def test_block_freed_before_next_block_is_encoded(self, tmp_path, monkeypatch):
         # Blocks of two 0.3 s clips (48 frames), three per codec: when a block
         # is encoded, no estimate of an earlier block may still be alive.
