@@ -58,8 +58,6 @@ from .snn import (
     train,
     evaluate_macro,
     run_protocol,
-    save_checkpoint,
-    load_checkpoint,
 )
 from .harness import (
     SyntheticSpec,

@@ -33,30 +33,34 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="run configuration JSON")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--codec", choices=["sf", "mw", "tae"],
-                   help="restrict the run to one codec")
-    p.add_argument("--out", type=Path, help="output directory")
+_FLAGS = {
+    "--config": dict(type=Path, help="run configuration JSON"),
+    "--seed": dict(type=int, help="override the config seed"),
+    "--codec": dict(choices=["sf", "mw", "tae"], help="restrict the run to one codec"),
+    "--out": dict(type=Path, help="output directory"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand, each given only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="spikesound",
         description="Spike-encoding benchmark harness for environmental sound",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("synth", "generate the synthetic corpus (WAVs + manifest.csv)"),
-        ("encode", "encode a corpus to spike-train files"),
-        ("reconstruct", "decode spike files and score the reconstruction"),
-        ("bench", "full encode/decode/score benchmark with CSV reports"),
-        ("train", "bench with the spiking-classifier protocol on"),
-        ("compare", "rank codecs across two bench reports"),
+    for name, flags, doc in [
+        ("synth", ("--config", "--seed", "--out"),
+         "generate the synthetic corpus (WAVs + manifest.csv)"),
+        ("encode", tuple(_FLAGS), "encode a corpus to spike-train files"),
+        ("reconstruct", ("--codec", "--out"),
+         "decode spike files and score the reconstruction"),
+        ("bench", tuple(_FLAGS), "full encode/decode/score benchmark with CSV reports"),
+        ("train", tuple(_FLAGS), "bench with the spiking-classifier protocol on"),
+        ("compare", ("--out",), "rank codecs across two bench reports"),
     ]:
         p = sub.add_parser(name, help=doc)
-        _add_common(p)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         if name == "reconstruct":
             p.add_argument("encoded_dir", type=Path,
                            help="directory produced by the encode subcommand")
@@ -70,7 +74,7 @@ def _resolve_config(args) -> RunConfig:
     cfg = load_run_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.codec is not None:
+    if getattr(args, "codec", None) is not None:  # synth has no --codec
         cfg = replace(cfg, codecs=(args.codec,))
     if args.out is not None:
         cfg = replace(cfg, output_dir=str(args.out))

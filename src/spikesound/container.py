@@ -1,8 +1,8 @@
 """On-disk containers and JSON files: the one place their rules live.
 
 A container is a magic string, a little-endian struct header, then payload
-pieces whose lengths follow exactly from the header.  The spike (.spk),
-feature (.spkf) and checkpoint (.spkn) modules keep only their layouts.
+pieces whose lengths follow exactly from the header.  The spike (.spk)
+and feature (.spkf) modules keep only their layouts.
 JSON files are written with sorted keys, two-space indent and a newline,
 CSV files by csv.writer with "\n" line endings.  Every file is written
 through write_file and every output directory made by make_dir, so one

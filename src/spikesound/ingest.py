@@ -13,7 +13,7 @@ import csv
 import logging
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
 
@@ -192,6 +192,8 @@ def wav_duration(path: str | Path) -> float:
                 tag, size = hdr[:4], struct.unpack("<I", hdr[4:])[0]
                 if tag == b"fmt ":
                     fmt = fh.read(size)
+                    if len(fmt) < 16:
+                        raise DataError(f"WAV fmt chunk under 16 bytes: {path}")
                     _, _, sample_rate, byte_rate, block_align, _ = struct.unpack(
                         "<HHIIHH", fmt[:16]
                     )

@@ -13,17 +13,11 @@ gradients are exact, which is what the finite-difference checks verify.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, asdict
-from pathlib import Path
 
 import numpy as np
 
-from .container import read_container, write_container
 from .errors import DataError, NumericError
-
-MODEL_MAGIC = b"SPKN1"
 
 
 @dataclass(frozen=True)
@@ -366,38 +360,3 @@ def run_protocol(inputs: np.ndarray, labels, folds, splits,
         histories.append(hist)
     return results, histories
 
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-_CKPT_HEADER = struct.Struct("<I")  # length of the config JSON
-
-
-def save_checkpoint(net: SpikingNet, path: str | Path) -> None:
-    """SPKN1 container: magic, u32 JSON length, config JSON, then row-major
-    float32 weight matrices in layer order."""
-    blob = json.dumps(
-        {"config": asdict(net.config)}, sort_keys=True
-    ).encode("utf-8")
-    write_container(path, MODEL_MAGIC, _CKPT_HEADER, (len(blob),),
-                    [blob, *(w.astype("<f4").tobytes(order="C") for w in net.weights)])
-
-
-def load_checkpoint(path: str | Path) -> SpikingNet:
-    """Read a save_checkpoint file; DataError if it is unreadable, holds a bad
-    config or non-finite weights, or is not exactly as long as its config
-    implies."""
-
-    def layout(fields, take):
-        raw = json.loads(take(fields[0]).decode("utf-8"))["config"]
-        raw["hidden_sizes"] = tuple(raw["hidden_sizes"])
-        cfg = SnnConfig(**raw)
-        weights = [np.frombuffer(take(4 * n_in * n_out), dtype="<f4")
-                   .reshape(n_in, n_out).astype(np.float64)
-                   for n_in, n_out in zip(cfg.layer_sizes[:-1], cfg.layer_sizes[1:])]
-        if not all(np.all(np.isfinite(w)) for w in weights):
-            raise DataError("non-finite weights")
-        return SpikingNet(weights=weights, config=cfg)
-
-    return read_container(path, MODEL_MAGIC, _CKPT_HEADER, "checkpoint", layout)

@@ -1,4 +1,4 @@
-"""The shared container rules, and corruption of .spk, .spkf and .spkn files.
+"""The shared container rules, and corruption of .spk and .spkf files.
 
 Every prefix of a container and one byte past its end must raise DataError;
 flipping any byte must either load or raise DataError, never another
@@ -23,7 +23,6 @@ from spikesound.container import (
 )
 from spikesound.errors import DataError
 from spikesound.frontend import FeatureMatrix, load_features, save_features
-from spikesound.snn import SnnConfig, init_net, load_checkpoint, save_checkpoint
 
 HEADER = struct.Struct("<HI")
 
@@ -101,7 +100,7 @@ def _small_features(rng, channels=3, frames=11):
 
 
 def _containers(tmp_path):
-    """(path, loader) of a small .spk per codec, a .spkf and a .spkn."""
+    """(path, loader) of a small .spk per codec and a .spkf."""
     rng = np.random.default_rng(5)
     out = []
     for codec in CODEC_IDS:
@@ -111,10 +110,6 @@ def _containers(tmp_path):
     path = tmp_path / "clip.spkf"
     save_features(_small_features(rng), path)
     out.append((path, load_features))
-    path = tmp_path / "model.spkn"
-    save_checkpoint(init_net(SnnConfig(input_size=3, hidden_sizes=(2, 2),
-                                       output_size=2)), path)
-    out.append((path, load_checkpoint))
     return out
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikesound.cli import main
+from spikesound.cli import build_parser, main
 from spikesound.codec import decode_matrix, encode_matrix, serialized_size
 from spikesound.errors import ConfigError, DataError
 from spikesound.frontend import load_features, mel_spectrogram, partition_bands, save_features
@@ -731,9 +731,10 @@ class TestCli:
         save_features(replace(feats, values=feats.values[:, :-1]), path)
         self._assert_reconstruct_data_error(enc, tmp_path, capsys)
 
-    # Bad input: a manifest row or encoding (exit 3, run through bench and
-    # encode) or a config value of the wrong JSON type or out of range
-    # (exit 2, through bench).  Each is (manifest bytes edit, config edit).
+    # Bad input: a manifest row or encoding (exit 3, run through every
+    # subcommand that reads a manifest) or a config value of the wrong JSON
+    # type or out of range (exit 2, through every subcommand that reads a
+    # config).  Each is (manifest bytes edit, config edit).
     MUTATIONS = {
         "fold_not_int": ((b",,train", b",x,train"), {}),
         "fold_negative": ((b",,train", b",-1,train"), {}),
@@ -771,6 +772,9 @@ class TestCli:
         "snn_lr_nan": (None, {"snn": {"lr": float("nan")}}),
         "snn_slope_zero": (None, {"snn": {"surrogate_slope": 0}}),
         "snn_theta_inf": (None, {"snn": {"theta": float("inf")}}),
+        "snn_beta_above_one": (None, {"snn": {"beta": 1.5}}),
+        "snn_hidden_zero": (None, {"snn": {"hidden_sizes": [8, 0, 8]}}),
+        "snn_key_unknown": (None, {"snn": {"dropout": 0.5}}),
         "synth_rate_zero": (None, {"synthetic": {"sample_rate": 0}}),
         "synth_duration_negative": (None, {"synthetic": {"duration_s": -1}}),
         "synth_duration_nan": (None, {"synthetic": {"duration_s": float("nan")}}),
@@ -781,7 +785,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command, mutation", [
         (c, m) for m, (edit, _) in MUTATIONS.items()
-        for c in (("bench", "encode") if edit else ("bench",))])
+        for c in (("bench", "encode", "train") if edit
+                  else ("bench", "encode", "synth", "train"))])
     def test_bad_input_exits_with_one_line(self, tmp_path, capsys, command, mutation):
         edit, config = self.MUTATIONS[mutation]
         manifest = write_synthetic_corpus(
@@ -801,6 +806,30 @@ class TestCli:
         if edit:
             assert str(manifest) in err
         assert not out.exists() or not [p for p in out.rglob("*") if p.is_file()]
+
+    # The flags each subcommand reads; argparse rejects any other (exit 2).
+    FLAGS = {
+        "synth": ("--config", "--seed", "--out"),
+        "encode": ("--config", "--seed", "--codec", "--out"),
+        "reconstruct": ("--codec", "--out"),
+        "bench": ("--config", "--seed", "--codec", "--out"),
+        "train": ("--config", "--seed", "--codec", "--out"),
+        "compare": ("--out",),
+    }
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--config", "c.json"), ("--seed", "1"), ("--codec", "sf"), ("--out", "o")])
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_subcommand_takes_only_the_flags_it_reads(self, capsys, command, flag, value):
+        positionals = {"reconstruct": ["enc"], "compare": ["a", "b"]}.get(command, [])
+        argv = [command, *positionals, flag, value]
+        if flag in self.FLAGS[command]:
+            assert str(getattr(build_parser().parse_args(argv), flag[2:])) == value
+        else:
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

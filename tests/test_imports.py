@@ -1,0 +1,48 @@
+"""Every name a spikesound module imports is used in that module.
+
+The package's __init__.py is skipped: its imports are the public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted(p for p in (Path(__file__).parents[1] / "src" / "spikesound").glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """'line N: name' for each imported name that no expression reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
+
+
+def test_modules_found():
+    assert "cli.py" in {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_unused_imports():
+    source = ("from __future__ import annotations\n"
+              "import json, os.path\n"
+              "import numpy as np\n"
+              "from dataclasses import dataclass, field\n"
+              "@dataclass\n"
+              "class A:\n"
+              "    x: np.ndarray\n"
+              "print(os.sep)\n")
+    assert unused_imports(source) == ["line 2: json", "line 4: field"]

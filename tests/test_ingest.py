@@ -195,6 +195,25 @@ class TestFilterExactDuration:
         write_wav(tmp_path / "p.wav", np.zeros(36000), 8000)
         assert wav_duration(tmp_path / "p.wav") == pytest.approx(4.5)
 
+    FMT = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 16000, 2, 16)
+    DATA = b"data" + struct.pack("<I", 4) + bytes(4)
+
+    @pytest.mark.parametrize("body, message", [
+        (b"WAVX" + FMT + DATA, "not a RIFF/WAVE"),
+        (b"WAVE" + b"fmt " + struct.pack("<I", 8) + bytes(8) + DATA, "fmt chunk under 16"),
+        (b"WAVE" + DATA + FMT, "data chunk before fmt"),
+        (b"WAVE" + FMT, "no data chunk"),
+    ], ids=["not_wave", "short_fmt", "data_first", "no_data"])
+    def test_wav_duration_bad_header_is_data_error(self, tmp_path, body, message):
+        path = tmp_path / "a" / "bad.wav"
+        path.parent.mkdir()
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(DataError, match=message) as info:
+            wav_duration(path)
+        assert str(path) in str(info.value)
+        with pytest.raises(DataError, match=message):
+            build_manifest(tmp_path, DatasetRules(labels=("a",), duration_s=1.0))
+
 
 class TestBuildManifest:
     def populate(self, root, layout):

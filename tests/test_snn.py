@@ -1,7 +1,5 @@
 """LIF dynamics, surrogate-gradient BPTT, training, and the eval protocol."""
 
-import json
-import struct
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -17,9 +15,7 @@ from spikesound.snn import (
     evaluate_macro,
     forward,
     init_net,
-    load_checkpoint,
     run_protocol,
-    save_checkpoint,
     smooth_loss_and_grads,
     train,
 )
@@ -358,57 +354,3 @@ class TestRunProtocol:
             run_protocol(inputs, labels, folds or no_folds, splits or default_splits,
                          self._cfg())
 
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        cfg = SnnConfig(input_size=6, hidden_sizes=(5, 4, 3), output_size=2,
-                        seed=8)
-        net = init_net(cfg)
-        dest = tmp_path / "model.spkn"
-        save_checkpoint(net, dest)
-        loaded = load_checkpoint(dest)
-        assert loaded.config == cfg
-        for wa, wb in zip(net.weights, loaded.weights):
-            np.testing.assert_allclose(wa, wb, atol=1e-6)  # float32 container
-
-    def test_bad_magic_rejected(self, tmp_path):
-        dest = tmp_path / "junk.spkn"
-        dest.write_bytes(b"WRONG" + b"\x00" * 16)
-        with pytest.raises(DataError):
-            load_checkpoint(dest)
-
-    @staticmethod
-    def _with_config(whole, **changes):
-        """The same checkpoint with its config blob edited."""
-        (blob_len,) = struct.unpack_from("<I", whole, 5)
-        meta = json.loads(whole[9 : 9 + blob_len])
-        meta["config"].update(changes)
-        blob = json.dumps(meta).encode("utf-8")
-        return whole[:5] + struct.pack("<I", len(blob)) + blob + whole[9 + blob_len:]
-
-    @pytest.mark.parametrize("corrupt", [
-        lambda whole: whole[:7],                        # inside the length field
-        lambda whole: whole[:20],                       # inside the config JSON
-        lambda whole: whole[:-3],                       # inside the last weights
-        lambda whole: whole + b"\x00" * 4,              # trailing bytes
-        lambda whole: whole[:9] + b"[" + whole[10:],    # JSON syntax
-        lambda whole: TestCheckpoint._with_config(whole, beta=1.5),
-        lambda whole: TestCheckpoint._with_config(whole, hidden_sizes=[5, 0]),
-        lambda whole: TestCheckpoint._with_config(whole, input_size="six"),
-        lambda whole: TestCheckpoint._with_config(whole, dropout=0.5),
-        lambda whole: TestCheckpoint._with_config(whole, hidden_sizes=None),
-    ], ids=["cut7", "cut20", "short3", "trailing", "json", "beta", "zero_layer",
-            "str_size", "unknown_key", "no_hidden"])
-    def test_corrupt_checkpoint_rejected(self, tmp_path, corrupt):
-        dest = tmp_path / "model.spkn"
-        save_checkpoint(init_net(SnnConfig(input_size=6, hidden_sizes=(5, 4),
-                                           output_size=2)), dest)
-        bad = corrupt(dest.read_bytes())
-        dest.write_bytes(bad)
-        with pytest.raises(DataError):
-            load_checkpoint(dest)
-        assert dest.read_bytes() == bad
-
-    def test_missing_checkpoint_rejected(self, tmp_path):
-        with pytest.raises(DataError):
-            load_checkpoint(tmp_path / "absent.spkn")
