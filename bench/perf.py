@@ -6,14 +6,15 @@ Usage, from the repository root:
     python3 bench/perf.py --out BENCH_9.json --src other/checkout/src
 
 On the default corpus (40 synthetic 5 s clips at 44.1 kHz, seed 1234) the
-script times a full `run_bench` with and without the SNN protocol, and then
-each stage on its own: synthesis, WAV write and load, STFT, mel/log/normalize,
-and encode, decode and score per codec over the stacked blocks `run_bench`
-uses.  Every figure is the median of RUNS = 5 timed runs after one untimed
-warm-up; the raw runs are kept too.  A traced `run_bench` per run
-(perfbench/spans.py) splits the full run by layer, and the host-speed
-reference (perfbench/hostspeed.py) is probed between stages, so two files
-taken on a busy host can be told apart from a change in the code.
+script times a full `run_bench` with and without the SNN protocol,
+synthesis, synthesis with the WAV write, and one SNN batch.  Every figure
+is the median of RUNS = 5 timed runs after one untimed warm-up; the raw
+runs are kept too.  The pipeline stages (WAV load, STFT, mel, encode and
+decode per codec, scoring) come only from RUNS traced `run_bench` calls
+(perfbench/spans.py), so each has one figure, timed inside the run it
+belongs to.  The host-speed reference (perfbench/hostspeed.py) is probed
+between stages, so two files taken on a busy host can be told apart from a
+change in the code.
 
 The SNN is timed per batch (one forward and one backward pass of the whole
 network); a per-layer split would need spans inside snn.py.  BLAS threads
@@ -23,6 +24,7 @@ are capped at the usable CPU count, as perfbench/run.py does.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import platform
 import statistics
@@ -30,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,21 +98,19 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     import spikesound
     from spikesound import harness
-    from spikesound.codec import decode_matrix, encode_matrix
-    from spikesound.frontend import mel_spectrogram, partition_bands, stft_power
+    from spikesound.codec import encode_matrix
     from spikesound.harness import RunConfig, run_bench
-    from spikesound.ingest import load_audio, read_manifest
-    from spikesound.metrics import errdb, firing_rate, score_per_band
     from spikesound.snn import SnnConfig, _backward_batch, _forward_batch, cross_entropy, init_net
 
     clock = hostspeed.Clock()
     stages = Stages(RUNS, clock)
     cfg = RunConfig()
-    spec, fcfg = cfg.synthetic, cfg.frontend
+    spec = cfg.synthetic
     with tempfile.TemporaryDirectory(prefix="spikesound-perf-") as tmp:
         tmp = Path(tmp)
 
-        # Full runs, untraced, then traced for the per-layer split.
+        # Full runs, untraced, then traced: the spans of the traced runs time
+        # every pipeline stage.
         plain = RunConfig(output_dir=str(tmp / "bench"))
         snn = RunConfig(output_dir=str(tmp / "bench_snn"), run_snn=True,
                         snn=SnnConfig(epochs=SNN_EPOCHS))
@@ -124,46 +125,20 @@ def main(argv=None) -> int:
                 wall = time.perf_counter() - t0
             layers.append(tracer.summarize(run_id, wall))
 
-        # Stage by stage over the same corpus.
         stages.time("synthesis", lambda: harness.generate_synthetic(spec, cfg.seed))
-        manifest = tmp / "corpus" / "manifest.csv"
         stages.time("synthesis_wav_write", lambda: harness.write_synthetic_corpus(
             spec, cfg.seed, tmp / "corpus"))
-        entries = read_manifest(manifest)
-        paths = [manifest.parent / e.path for e in entries]
-        stages.time("wav_load", lambda: [load_audio(p, fcfg.sample_rate) for p in paths])
-        waves = [load_audio(p, fcfg.sample_rate) for p in paths]
-        stages.time("stft", lambda: [stft_power(w, fcfg.n_fft, fcfg.hop, fcfg.window)
-                                     for w in waves])
-        stages.time("mel", lambda: [mel_spectrogram(w, fcfg) for w in waves])
-        clips = [(e, mel_spectrogram(w, fcfg)) for e, w in zip(entries, waves)]
-        bands = partition_bands(clips[0][1].channel_center_hz)
-        blocks = harness._stack_blocks(clips)
-        stacked = [block for block, _ in blocks]
 
-        def score(estimates, spike_trains):
-            for (_, members), est, st in zip(blocks, estimates, spike_trains):
-                for _, feats, rows in members:
-                    errdb(feats.values, est[rows])
-                    score_per_band(feats.values, est[rows], bands)
-                firing_rate(st)
-
-        for codec in sorted(cfg.codecs):
-            ccfg = cfg.codec_params[codec]
-            stages.time(f"encode.{codec}",
-                        lambda: [encode_matrix(b, ccfg, codec) for b in stacked])
-            trains = [encode_matrix(b, ccfg, codec) for b in stacked]
-            stages.time(f"decode.{codec}", lambda: [decode_matrix(st) for st in trains])
-            estimates = [decode_matrix(st) for st in trains]
-            stages.time(f"score.{codec}", lambda: score(estimates, trains))
-
-        # One SNN batch at the default network size on TAE spikes.
-        net_cfg = SnnConfig(input_size=fcfg.n_mels, output_size=len(spec.classes))
+        # One SNN batch at the default network size on the TAE spikes of the
+        # first clips of the corpus just written.
+        net_cfg = SnnConfig(input_size=cfg.frontend.n_mels, output_size=len(spec.classes))
         net = init_net(net_cfg)
-        batch = min(net_cfg.batch_size, len(clips))
+        corpus = replace(cfg, dataset=str(tmp / "corpus" / "manifest.csv"))
+        _, clips = harness.load_corpus(corpus, tmp)
         x = np.stack([encode_matrix(f, cfg.codec_params["tae"], "tae").spikes
-                      for _, f in clips[:batch]]).astype(np.float64)
-        labels = np.arange(batch) % net_cfg.output_size
+                      for _, f in itertools.islice(clips, net_cfg.batch_size)]
+                     ).astype(np.float64)
+        labels = np.arange(len(x)) % net_cfg.output_size
         stages.time("snn.forward_batch", lambda: _forward_batch(net, x))
         cache = _forward_batch(net, x)
         d_counts = cross_entropy(cache.counts, labels)[1]
@@ -174,11 +149,15 @@ def main(argv=None) -> int:
     medians["mel_log_normalize"] = statistics.median(
         r["frontend.mel_s"] - r["frontend.stft_s"] for r in layers)
     trace = {k: statistics.median(r[k] for r in layers) for k in layers[0]}
+    scale = clock.scale()
     record = {
-        "description": "median seconds of each stage over the default corpus; "
-                       "mel includes stft; mel_log_normalize is mel minus stft "
-                       "within each traced run_bench; host_scaled times are "
-                       "scaled by the host-speed probe (perfbench/hostspeed.py)",
+        "description": "median seconds over the default corpus; median_s times whole "
+                       "run_bench runs, synthesis and one SNN batch; every pipeline "
+                       "stage is taken from the traced run_bench runs "
+                       "(run_bench_layers, perfbench/spans.py), where mel includes "
+                       "stft; mel_log_normalize is mel minus stft within each traced "
+                       "run; host_scaled times are scaled by the host-speed probe "
+                       "(perfbench/hostspeed.py)",
         "src": {"commit": _git(args.src, "rev-parse", "HEAD"),
                 "uncommitted_changes": bool(_git(args.src, "status", "--porcelain", ".")),
                 "spikesound": spikesound.__version__},
@@ -190,13 +169,14 @@ def main(argv=None) -> int:
         "host_probe": clock.summary(),
         "corpus": {"clips": spec.n_clips, "duration_s": spec.duration_s,
                    "sample_rate": spec.sample_rate, "seed": cfg.seed,
-                   "channels": clips[0][1].n_channels, "frames": clips[0][1].n_frames,
-                   "blocks": len(blocks), "snn_epochs": SNN_EPOCHS,
-                   "snn_batch": list(x.shape)},
+                   "channels": x.shape[1], "frames": x.shape[2],
+                   "snn_epochs": SNN_EPOCHS, "snn_batch": list(x.shape)},
         "runs": RUNS,
         "median_s": medians,
-        "median_host_scaled_s": {k: v * clock.scale() for k, v in medians.items()},
+        "median_host_scaled_s": {k: v * scale for k, v in medians.items()},
         "run_bench_layers": trace,
+        "run_bench_layers_host_scaled_s": {k: v * scale for k, v in trace.items()
+                                           if k.split(".")[1].endswith("_s")},
         "raw_s": stages.raw,
     }
     out = args.out or _next_bench_path()

@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .codec import decode_matrix, encode_matrix, load_spikes, save_spikes
+from .codec import CODEC_IDS, decode_matrix, encode_matrix, load_spikes, save_spikes
 from .container import make_dir, read_json, write_json
 from .errors import ConfigError, DataError, NumericError
 from .frontend import load_features, save_features
@@ -36,7 +36,7 @@ EXIT_NUMERIC = 4
 _FLAGS = {
     "--config": dict(type=Path, help="run configuration JSON"),
     "--seed": dict(type=int, help="override the config seed"),
-    "--codec": dict(choices=["sf", "mw", "tae"], help="restrict the run to one codec"),
+    "--codec": dict(choices=CODEC_IDS, help="restrict the run to one codec"),
     "--out": dict(type=Path, help="output directory"),
 }
 
@@ -124,11 +124,13 @@ def _cmd_reconstruct(args) -> int:
                         f"fields {', '.join(fields)}")
     out_dir = make_dir(args.out or enc_dir)
     rows = []
+    feats_rel = feats = None  # encode writes the index clip-major: keep the last clip
     for item in index:
         if args.codec and item["codec"] != args.codec:
             continue
         st = load_spikes(enc_dir / item["spikes"])
-        feats = load_features(enc_dir / item["features"])
+        if item["features"] != feats_rel:
+            feats_rel, feats = item["features"], load_features(enc_dir / item["features"])
         if st.spikes.shape != feats.values.shape:
             raise DataError(f"{item['spikes']} is {st.spikes.shape} but "
                             f"{item['features']} is {feats.values.shape}")

@@ -336,7 +336,7 @@ def decode_matrix(st: SpikeTrain) -> np.ndarray:
 # Serialization: SPKS1 container, spikes packed 2 bits per entry
 # ---------------------------------------------------------------------------
 
-_CODEC_TAGS = {"sf": 0, "mw": 1, "tae": 2}
+_CODEC_TAGS = {c: i for i, c in enumerate(CODEC_IDS)}  # on disk: sf 0, mw 1, tae 2
 _TAG_CODECS = {v: k for k, v in _CODEC_TAGS.items()}
 _HEADER = struct.Struct("<BIIfIfff")  # codec, channels, frames, params...
 

@@ -182,7 +182,6 @@ def wav_duration(path: str | Path) -> float:
             riff = fh.read(12)
             if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
                 raise DataError(f"not a RIFF/WAVE file: {path}")
-            byte_rate = None
             block_align = None
             sample_rate = None
             while True:
@@ -194,7 +193,7 @@ def wav_duration(path: str | Path) -> float:
                     fmt = fh.read(size)
                     if len(fmt) < 16:
                         raise DataError(f"WAV fmt chunk under 16 bytes: {path}")
-                    _, _, sample_rate, byte_rate, block_align, _ = struct.unpack(
+                    _, _, sample_rate, _, block_align, _ = struct.unpack(
                         "<HHIIHH", fmt[:16]
                     )
                 elif tag == b"data":

@@ -77,10 +77,6 @@ class SpikingNet:
     weights: list[np.ndarray]  # each (n_in, n_out), bias-free
     config: SnnConfig
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
 
 def init_net(cfg: SnnConfig, rng: np.random.Generator | None = None) -> SpikingNet:
     """Uniform +/- sqrt(1/fan_in) initialization from the config seed."""
@@ -151,7 +147,7 @@ def _backward_batch(net: SpikingNet, cache: _ForwardCache,
     """
     cfg = net.config
     frames = cache.inputs.shape[2]
-    n_layers = net.n_layers
+    n_layers = len(net.weights)
     grads = [np.zeros_like(w) for w in net.weights]
     carry = [np.zeros_like(cache.pre_reset[l][0]) for l in range(n_layers)]
     d_pre = [None] * n_layers

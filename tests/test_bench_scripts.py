@@ -60,28 +60,50 @@ def test_stale_name_is_caught():
                                     "spikesound.harness._no_such_helper"]
 
 
-def test_trace_hooks_see_the_snn_protocol(tmp_path, monkeypatch):
-    """perfbench's span wrappers still find run_protocol, train and
-    evaluate_macro, and _count_train still reads train's arguments."""
+def _traced_main(argv, monkeypatch) -> dict[str, float]:
+    """perfbench's per-layer summary of one traced `spikesound` CLI call."""
     import time
 
-    from conftest import write_fold_corpus
     from spikesound.cli import main
 
     monkeypatch.syspath_prepend(str(ROOT))
     spans = importlib.import_module("perfbench.spans")
+    tracer = spans.Tracer()
+    with tracer.iteration(0):
+        t0 = time.perf_counter()
+        assert main(argv) == 0
+        wall_s = time.perf_counter() - t0
+    return tracer.summarize(0, wall_s)
+
+
+def test_trace_hooks_see_the_snn_protocol(tmp_path, monkeypatch):
+    """perfbench's span wrappers still find run_protocol, train and
+    evaluate_macro, and _count_train still reads train's arguments."""
+    from conftest import write_fold_corpus
+
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "dataset": str(write_fold_corpus(tmp_path / "corpus")), "codecs": ["sf", "tae"],
         "snn": {"hidden_sizes": [4, 4, 4], "epochs": 2, "batch_size": 8}}))
-    tracer = spans.Tracer()
-    with tracer.iteration(0):
-        t0 = time.perf_counter()
-        assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-        wall_s = time.perf_counter() - t0
-    out = tracer.summarize(0, wall_s)
+    out = _traced_main(["train", "--config", str(config), "--out", str(tmp_path / "out")],
+                       monkeypatch)
     lines = (tmp_path / "out" / "classification.csv").read_text().splitlines()[1:]
     assert out["snn.models"] == len([l for l in lines if ",mean," not in l]) == 8
     assert out["snn.batches"] > 0
     for key in ("snn.protocol_s", "snn.train_s", "snn.eval_s"):
         assert out[key] > 0, key
+
+
+def test_trace_times_every_stage_perf_reads(tmp_path, monkeypatch):
+    """bench/perf.py takes each pipeline stage from a traced run_bench, so
+    every one of these spans must still find the function it wraps."""
+    from spikesound.codec import CODEC_IDS
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synthetic": {"n_clips": 5, "duration_s": 0.3}}))
+    out = _traced_main(["bench", "--config", str(config), "--out", str(tmp_path / "out")],
+                       monkeypatch)
+    stages = ["ingest.load_audio_s", "frontend.stft_s", "frontend.mel_s", "metrics.score_s",
+              *[f"codec.{op}_s.{c}" for op in ("encode", "decode") for c in CODEC_IDS]]
+    for key in stages:
+        assert out.get(key, 0.0) > 0, key

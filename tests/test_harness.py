@@ -512,6 +512,22 @@ class TestCli:
         errdb_val = float(scores[1].split(",")[3])
         assert -100.0 <= errdb_val < 0.0
 
+    def test_reconstruct_loads_each_clip_features_once(self, tmp_path, monkeypatch):
+        # encode writes the index clip-major, so a clip's codecs share one .spkf
+        import spikesound.cli as cli
+
+        loaded = []
+        load = cli.load_features
+        monkeypatch.setattr(cli, "load_features", lambda path: loaded.append(path) or load(path))
+        cfg = self._config_file(tmp_path, codecs=["sf", "tae"],
+                                synthetic={"n_clips": 5, "duration_s": 0.3})
+        enc_dir = tmp_path / "enc"
+        assert main(["encode", "--config", str(cfg), "--out", str(enc_dir)]) == 0
+        assert main(["reconstruct", str(enc_dir)]) == 0
+        assert len(loaded) == len(set(loaded)) == 5
+        scores = (enc_dir / "reconstruct_scores.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in scores] == ["sf", "tae"] * 5
+
     def test_train_subcommand(self, tmp_path):
         cfg = self._config_file(
             tmp_path, codecs=["tae"],

@@ -1,4 +1,4 @@
-"""Every name a spikesound module imports is used in that module.
+"""Every name a spikesound module or bench/perf.py imports is used there.
 
 The package's __init__.py is skipped: its imports are the public re-exports.
 """
@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).parents[1] / "src" / "spikesound").glob("*.py")
-                 if p.name != "__init__.py")
+ROOT = Path(__file__).parents[1]
+MODULES = [*sorted(p for p in (ROOT / "src" / "spikesound").glob("*.py")
+                   if p.name != "__init__.py"), ROOT / "bench" / "perf.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,7 +29,7 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_modules_found():
-    assert "cli.py" in {p.name for p in MODULES}
+    assert {"cli.py", "perf.py"} <= {p.name for p in MODULES}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
