@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -106,9 +106,10 @@ def _sf_encode_rows(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(spikes.T)
 
 
-def _sf_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # x0 + cumsum(spike * T); cumsum adds frame by frame.
-    steps = np.multiply(spikes, t[:, None], dtype=np.float64)
+def _step_sum(steps: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """The SF and TAE decoder, x0 + cumsum(spike * T), on the channel-major
+    steps spike * T, in place: frame 0 becomes x0 (its spike is ignored),
+    then cumsum adds frame by frame."""
     steps[:, 0] = x0
     return np.cumsum(steps, axis=1, out=steps)
 
@@ -117,9 +118,9 @@ def _sf_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray) -> np.nda
 # Moving Window
 # ---------------------------------------------------------------------------
 
-# Frames per slab of the MW encoder and the MW and TAE decoders: bounds their
-# buffers to slabs of frames x rows (MW windows of 8 and more sum through up
-# to 14 such slabs).
+# Frames per slab of the MW encoder, the MW decoder and the TAE threshold
+# replay: bounds their buffers to slabs of frames x rows (MW windows of 8 and
+# more sum through up to 14 such slabs).
 _SLAB_FRAMES = 128
 
 
@@ -233,15 +234,15 @@ def _tae_next(t: np.ndarray, fired: np.ndarray, tmin: np.ndarray, tmax: np.ndarr
 
 
 def _tae_encode_rows(x: np.ndarray, t0: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    # Frame-major on two threshold rows: t decides the frame, _tae_next
-    # writes the next frame's thresholds to nxt, and the rows swap.
+    # Frame-major on one threshold row t: it decides the frame, then
+    # _tae_next steps it in place to the next frame's thresholds.
     xt = np.ascontiguousarray(x.T)
     n, c = xt.shape
     tmin, tmax = _tae_bounds(t0, cfg)
     spikes = np.zeros((n, c), dtype=np.int8)
     base = xt[0].copy()
-    t, nxt, d, neg, step, grown = np.empty((6, c))
-    t[:] = t0
+    t = t0.copy()
+    d, neg, step, grown = np.empty((4, c))
     up, dn, fired = np.empty((3, c), dtype=bool)
     up8, dn8 = up.view(np.int8), dn.view(np.int8)
     for i in range(1, n):
@@ -251,43 +252,32 @@ def _tae_encode_rows(x: np.ndarray, t0: np.ndarray, cfg: CodecConfig) -> np.ndar
         s = np.subtract(up8, dn8, out=spikes[i])
         base += np.multiply(s, t, out=step)
         _tae_next(t, np.logical_or(up, dn, out=fired), tmin, tmax,
-                  cfg.tae_gamma, nxt, grown)
-        t, nxt = nxt, t
+                  cfg.tae_gamma, t, grown)
     return np.ascontiguousarray(spikes.T)
 
 
 def _tae_decode_rows(spikes: np.ndarray, x0: np.ndarray, t0: np.ndarray,
                      cfg: CodecConfig) -> np.ndarray:
-    # est[i] = est[i-1] + spike[i] * T[i], T replayed from the spikes: T0 for
-    # frames 0 and 1, then _tae_next of the frame before.  Frame-major, a slab
-    # at a time: the slab's rows take its thresholds, then its steps, then
-    # (cumsum adds frame by frame) its estimates, copied into the
-    # channel-major est; t and last carry its last threshold and estimate.
+    # The SF step sum with T replayed from the spikes: T0 for frames 0 and 1,
+    # then _tae_next of the frame before.  The replay runs frame-major a slab
+    # at a time, each slab copied into the channel-major steps; a slab's
+    # first row steps from slab[-1], the last row of the full slab before.
     fired = np.ascontiguousarray(spikes.T) != 0
     n, c = fired.shape
     tmin, tmax = _tae_bounds(t0, cfg)
-    est = np.empty((c, n))
+    steps = np.empty((c, n))
     slab = np.empty((_SLAB_FRAMES, c))
-    t, last, grown = np.empty((3, c))
-    t[:] = t0
+    grown = np.empty(c)
     for lo in range(0, n, _SLAB_FRAMES):
         rows = slab[: min(_SLAB_FRAMES, n - lo)]
         for j in range(len(rows)):
             if lo + j < 2:
                 rows[j] = t0
             else:
-                _tae_next(rows[j - 1] if j else t, fired[lo + j - 1], tmin, tmax,
+                _tae_next(slab[j - 1], fired[lo + j - 1], tmin, tmax,
                           cfg.tae_gamma, rows[j], grown)
-        t[:] = rows[-1]
-        np.multiply(spikes[:, lo : lo + len(rows)].T, rows, out=rows)
-        if lo == 0:
-            rows[0] = x0
-        else:
-            rows[0] += last
-        np.cumsum(rows, axis=0, out=rows)
-        last[:] = rows[-1]
-        est[:, lo : lo + len(rows)] = rows.T
-    return est
+        steps[:, lo : lo + len(rows)] = rows.T
+    return _step_sum(np.multiply(steps, spikes, out=steps), x0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +314,7 @@ def decode_matrix(st: SpikeTrain) -> np.ndarray:
     """Signal estimate for every channel of a SpikeTrain."""
     x0, t = st.side_info.T
     if st.codec_id == "sf":
-        return _sf_decode_rows(st.spikes, x0, t)
+        return _step_sum(np.multiply(st.spikes, t[:, None], dtype=np.float64), x0)
     if st.codec_id == "mw":
         return _mw_decode_rows(st.spikes, x0, t, st.params.window)
     if st.codec_id == "tae":
@@ -338,7 +328,7 @@ def decode_matrix(st: SpikeTrain) -> np.ndarray:
 
 _CODEC_TAGS = {c: i for i, c in enumerate(CODEC_IDS)}  # on disk: sf 0, mw 1, tae 2
 _TAG_CODECS = {v: k for k, v in _CODEC_TAGS.items()}
-_HEADER = struct.Struct("<BIIfIfff")  # codec, channels, frames, params...
+_HEADER = struct.Struct("<BIIfIfff")  # codec, channels, frames, CodecConfig fields
 
 
 def pack_spikes(spikes: np.ndarray) -> bytes:
@@ -379,16 +369,14 @@ def save_spikes(st: SpikeTrain, path: str | Path) -> None:
     The sidecar mirrors the header, params, and side_info, and adds
     per-channel spike counts; the packed payload stays binary-only.
     """
-    p = st.params
     write_container(path, SPIKE_MAGIC, _HEADER, (
-        _CODEC_TAGS[st.codec_id], st.n_channels, st.n_frames, p.threshold_rel,
-        p.window, p.tae_gamma, p.tae_tmin_rel, p.tae_tmax_rel,
+        _CODEC_TAGS[st.codec_id], st.n_channels, st.n_frames, *astuple(st.params),
     ), [pack_spikes(st.spikes), st.side_info.astype("<f4").tobytes(order="C")])
     write_json(f"{path}.json", {
         "codec_id": st.codec_id,
         "channels": st.n_channels,
         "frames": st.n_frames,
-        "params": asdict(p),
+        "params": asdict(st.params),
         "side_info": st.side_info.tolist(),
         "spike_counts": np.count_nonzero(st.spikes, axis=1).tolist(),
     })
@@ -399,13 +387,12 @@ def load_spikes(path: str | Path) -> SpikeTrain:
     holds invalid codec parameters or non-finite side_info."""
 
     def layout(fields, take):
-        tag, channels, frames, thr, window, gamma, tmin, tmax = fields
+        tag, channels, frames, *params = fields
         if tag not in _TAG_CODECS:
             raise DataError(f"unknown codec tag {tag}")
         if frames < 1:
             raise DataError("no frames")
-        params = CodecConfig(threshold_rel=thr, window=window, tae_gamma=gamma,
-                             tae_tmin_rel=tmin, tae_tmax_rel=tmax)
+        params = CodecConfig(*params)  # the header holds the fields in order
         payload = take(spike_payload_bytes(channels, frames))
         side = np.frombuffer(take(channels * 2 * 4), dtype="<f4")
         if not np.all(np.isfinite(side)):

@@ -100,6 +100,8 @@ class RunConfig:
             raise ConfigError(f"duplicate codecs: {list(self.codecs)}")
         if self.crop_seconds is not None and not 0 < self.crop_seconds < np.inf:
             raise ConfigError(f"crop_seconds must be finite and > 0, got {self.crop_seconds}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for c in self.codecs:
             if c not in self.codec_params:
                 self.codec_params[c] = CodecConfig()
@@ -450,8 +452,9 @@ _COMPARED_TABLES = {
 def _read_table(path: Path, key_field: str,
                 value_field: str) -> dict[str, dict[str, float]]:
     """{key: {codec: value}} of a report CSV; DataError naming the file and
-    line if it is unreadable, lacks a column, holds a non-number or a
-    non-finite one, or repeats a (codec, key) cell."""
+    line if it is unreadable, lacks a column, has a row shorter or longer
+    than its header, holds a non-number or a non-finite one, or repeats a
+    (codec, key) cell."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -462,8 +465,8 @@ def _read_table(path: Path, key_field: str,
             for row in reader:
                 codec, key, value = row["codec"], row[key_field], row[value_field]
                 where = f"report file {path} line {reader.line_num}"
-                if codec is None or key is None:
-                    raise DataError(f"short row in {where}")
+                if codec is None or key is None or None in row:
+                    raise DataError(f"short or long row in {where}")
                 try:
                     number = float(value)
                 except (TypeError, ValueError) as exc:

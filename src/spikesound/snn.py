@@ -36,6 +36,8 @@ class SnnConfig:
     def __post_init__(self):
         if min(self.epochs, self.batch_size) < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min((self.input_size, self.output_size, *self.hidden_sizes)) < 1:
             raise ValueError("layer sizes must be positive")
         if not 0.0 < self.beta < 1.0:

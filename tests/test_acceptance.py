@@ -7,9 +7,7 @@ and run on the bundled deterministic synthetic corpus.
 """
 
 import itertools
-import json
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +24,7 @@ from spikesound.frontend import (
 from spikesound.harness import RunConfig, run_bench
 from spikesound.ingest import Waveform
 from spikesound.metrics import errdb, snr_db
-from spikesound.snn import ClipDataset, SnnConfig, forward, init_net, train
+from spikesound.snn import SnnConfig, forward, init_net, train
 from test_codec_oracle import CFG, COARSE_GRID, FINE_GRID, check_oracle
 from test_snn import max_grad_rel_error, toy_two_class_set
 

@@ -10,6 +10,7 @@ from spikesound import codec as codec_module
 from spikesound.codec import (
     CODEC_IDS,
     CodecConfig,
+    SpikeTrain,
     decode_matrix,
     encode_matrix,
     load_spikes,
@@ -286,6 +287,25 @@ class TestMatrixEncoding:
             ref = decode_row(st.spikes[2], x0, t, codec, cfg)
             assert est[2].tolist() == ref.tolist()
 
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+    def test_decode_ignores_frame_zero_spike(self, n):
+        # The encoders never emit a frame-0 spike, but a decoder handed one
+        # must still start at x0, as the oracles do: they skip spikes[0].
+        cfg = CodecConfig()
+        rng = np.random.default_rng(n)
+        spikes = rng.integers(-1, 2, size=(6, n), dtype=np.int8)
+        spikes[:, 0] = [1, -1, 1, -1, 1, -1]
+        side = np.column_stack([rng.uniform(0, 1, 6), rng.uniform(0.01, 0.1, 6)])
+        tae = (cfg.threshold_rel, cfg.tae_gamma, cfg.tae_tmin_rel, cfg.tae_tmax_rel)
+        for codec in CODEC_IDS:
+            est = decode_matrix(SpikeTrain(spikes, side, codec, cfg))
+            assert est[:, 0].tolist() == side[:, 0].tolist(), codec
+            for row, (x0, t), e in zip(spikes.tolist(), side.tolist(), est):
+                ref = {"sf": lambda: oracles.sf_decode(row, x0, t),
+                       "mw": lambda: oracles.mw_decode(row, x0, t, cfg.window),
+                       "tae": lambda: oracles.tae_decode(row, x0, t, *tae)[0]}[codec]()
+                assert e.tolist() == ref, codec
+
     def test_encode_decode_pure_functions(self):
         rng = np.random.default_rng(10)
         f = make_features(rng.uniform(0, 1, size=(6, 70)))
@@ -308,7 +328,7 @@ class TestMatrixEncoding:
             encode_matrix(make_features(bad), CodecConfig(), "sf")
 
     def test_tae_peak_memory_near_sf(self):
-        # TAE keeps two threshold rows, not a frames x channels trace
+        # TAE keeps one threshold row, not a frames x channels trace
         # (3.5 MB of float64 on this block).
         f = make_features(np.random.default_rng(8).uniform(0, 1, (512, 858)))
         peaks = {}
@@ -333,9 +353,10 @@ class TestMatrixEncoding:
         assert peaks["mw"] <= peaks["sf"] + codec_module._SLAB_FRAMES * 512 * 8, peaks
 
     def test_decode_peak_memory_near_sf(self):
-        # MW and TAE decode frame-major through one slab buffer into the
-        # estimate: beside it they keep a frame-major int8 copy of the
-        # spikes, but no float64 threshold trace or transposed estimate.
+        # MW decodes, and TAE replays its thresholds, frame-major through one
+        # slab buffer into the estimate: beside it they keep a frame-major
+        # int8 copy of the spikes, but no float64 threshold trace or
+        # transposed estimate.
         f = make_features(np.random.default_rng(8).uniform(0, 1, (512, 858)))
         cfg = CodecConfig()
         peaks = {}

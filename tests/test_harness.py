@@ -654,12 +654,13 @@ class TestCli:
         ("per_class.csv", "codec,class,errdb\n", "codec,class\n"),  # dropped column
         ("per_class.csv", "\nmw,", "\nmw,abc,abc\nmw,"),        # non-numeric cell
         ("efficiency.csv", "\nsf,", "\nsf\nsf,"),               # short row
+        ("per_band.csv", "\nmw,0,", "\nmw,9,0.5,0.5,EXTRA\nmw,0,"),  # long row
         ("per_band.csv", "\nmw,0,", "\nmw,0,nan,nan\nmw,9,"),    # nan ERRdB in band 0
         ("per_band.csv", "\nmw,1,", "\nmw,1,0.5,-0.5\nmw,1,"),   # repeated mw/1 cell
         ("run_summary.json", "{", "["),                          # malformed JSON
         ("run_summary.json", '"dataset": {', '"corpus": {'),     # missing key
     ], ids=["renamed_column", "dropped_column", "non_numeric", "short_row",
-            "non_finite", "repeated_cell", "summary_json", "summary_key"])
+            "long_row", "non_finite", "repeated_cell", "summary_json", "summary_key"])
     def test_compare_malformed_report_file(self, small_bench, tmp_path, capsys,
                                            name, old, new):
         cfg, _ = small_bench
@@ -761,6 +762,7 @@ class TestCli:
         "path_parent": ((b"chirp/", b"../chirp/"), {}),
         "seed_str": (None, {"seed": "x"}),
         "seed_bool": (None, {"seed": True}),
+        "seed_negative": (None, {"seed": -3}),
         "dataset_int": (None, {"dataset": 5}),
         "run_snn_str": (None, {"run_snn": "yes"}),
         "crop_str": (None, {"crop_seconds": "a"}),
@@ -791,6 +793,7 @@ class TestCli:
         "snn_beta_above_one": (None, {"snn": {"beta": 1.5}}),
         "snn_hidden_zero": (None, {"snn": {"hidden_sizes": [8, 0, 8]}}),
         "snn_key_unknown": (None, {"snn": {"dropout": 0.5}}),
+        "snn_seed_negative": (None, {"snn": {"seed": -3}}),
         "synth_rate_zero": (None, {"synthetic": {"sample_rate": 0}}),
         "synth_duration_negative": (None, {"synthetic": {"duration_s": -1}}),
         "synth_duration_nan": (None, {"synthetic": {"duration_s": float("nan")}}),
@@ -822,6 +825,15 @@ class TestCli:
         if edit:
             assert str(manifest) in err
         assert not out.exists() or not [p for p in out.rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("command", ["synth", "encode", "bench", "train"])
+    def test_negative_seed_flag_exits_2_before_writing(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: seed must be >= 0, got -1\n", err
+        assert not out.exists()
 
     # The flags each subcommand reads; argparse rejects any other (exit 2).
     FLAGS = {

@@ -1,4 +1,5 @@
-"""Every name a spikesound module or bench/perf.py imports is used there.
+"""Every name a spikesound module, bench/perf.py, a test or a demo imports
+is used there.
 
 The package's __init__.py is skipped: its imports are the public re-exports.
 """
@@ -10,7 +11,8 @@ import pytest
 
 ROOT = Path(__file__).parents[1]
 MODULES = [*sorted(p for p in (ROOT / "src" / "spikesound").glob("*.py")
-                   if p.name != "__init__.py"), ROOT / "bench" / "perf.py"]
+                   if p.name != "__init__.py"), ROOT / "bench" / "perf.py",
+           *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,7 +31,9 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_modules_found():
-    assert {"cli.py", "perf.py"} <= {p.name for p in MODULES}
+    names = {p.relative_to(ROOT).as_posix() for p in MODULES}
+    assert {"src/spikesound/cli.py", "bench/perf.py", "tests/test_acceptance.py",
+            "demos/01_encode_decode_tour.py"} <= names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,0 +1,130 @@
+"""Known-wrong variants of private kernels, each killed by a named fast check.
+
+Each row swaps one kernel for a mutant and runs one in-process check of the
+suite: the check must pass on the real kernel, and fail on the mutant within
+a second.  A change that weakens one of these checks fails here instead of
+passing quietly.  A new mutant that no fast check kills is a finding.
+"""
+
+import time
+from functools import partial
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from spikesound import codec, metrics, snn
+
+import test_codec
+import test_codec_oracle
+import test_metrics
+import test_snn
+
+_real_tae_encode_rows = codec._tae_encode_rows
+_real_mw_decode_rows = codec._mw_decode_rows
+_real_lif_update = snn._lif_update
+
+
+def sf_fires_on_equal(x, t):
+    # >= and <= for > and <: a signal exactly T off the baseline fires.
+    xt = np.ascontiguousarray(x.T)
+    spikes = np.zeros(xt.shape, dtype=np.int8)
+    base = xt[0].copy()
+    for i in range(1, len(xt)):
+        spikes[i] = (xt[i] >= base + t).astype(np.int8) - (xt[i] <= base - t)
+        base += spikes[i] * t
+    return np.ascontiguousarray(spikes.T)
+
+
+def mw_decode_window_off_by_one(spikes, x0, t, window):
+    return _real_mw_decode_rows(spikes, x0, t, window + 1)
+
+
+def step_sum_adds_x0(steps, x0):
+    # x0 added to frame 0's step instead of replacing it.
+    steps[:, 0] += x0
+    return np.cumsum(steps, axis=1, out=steps)
+
+
+def tae_replay_shifted(spikes, x0, t0, cfg):
+    # Frame i's threshold stepped from frame i's own spike, one frame early.
+    tmin, tmax = codec._tae_bounds(t0, cfg)
+    t, grown = t0.copy(), np.empty_like(t0)
+    steps = np.empty(spikes.shape)
+    steps[:, 0] = t0
+    for i in range(1, spikes.shape[1]):
+        codec._tae_next(t, spikes[:, i] != 0, tmin, tmax, cfg.tae_gamma, t, grown)
+        steps[:, i] = t
+    return codec._step_sum(steps * spikes, x0)
+
+
+def tae_clamps_from_span(x, t0, cfg):
+    # The encoder clamps to fractions of the channel's range, 0 when it is
+    # flat, which the decoder cannot know from side_info.
+    span = x.max(axis=1) - x.min(axis=1)
+    bounds = (cfg.tae_tmin_rel * span, cfg.tae_tmax_rel * span)
+    with mock.patch.object(codec, "_tae_bounds", lambda *args: bounds):
+        return _real_tae_encode_rows(x, t0, cfg)
+
+
+def window_sum_plain_reduce(rows, out):
+    # Summed in turn at every window length, not as numpy's pairwise sum.
+    return np.add.reduce(rows, axis=0, out=out)
+
+
+def lif_reset_to_zero(membrane, current, beta, theta, smooth=False, slope=25.0):
+    s, u, _ = _real_lif_update(membrane, current, beta, theta, smooth, slope)
+    return s, u, u * (1.0 - s)
+
+
+def score_per_class_input_order(scores):
+    groups = {}
+    for label, e in scores:
+        groups.setdefault(label, []).append(e)
+    return {label: float(np.sum(vals) / len(vals)) for label, vals in sorted(groups.items())}
+
+
+# name: (kernel module, kernel name, mutant, check module, check, check kwargs)
+MUTANTS = {
+    "sf_fires_on_equal": (
+        codec, "_sf_encode_rows", sf_fires_on_equal, test_codec_oracle,
+        "test_exhaustive_short_signals_fine_grid", {"codec": "sf"}),
+    "mw_decode_window_off_by_one": (
+        codec, "_mw_decode_rows", mw_decode_window_off_by_one, test_codec,
+        "TestMovingWindow.test_decode_trace_lossier_than_sf", {}),
+    "step_sum_adds_x0": (
+        codec, "_step_sum", step_sum_adds_x0, test_codec,
+        "TestMatrixEncoding.test_decode_ignores_frame_zero_spike", {"n": 129}),
+    "tae_replay_shifted": (
+        codec, "_tae_decode_rows", tae_replay_shifted, test_codec,
+        "TestThresholdAdaptive.test_hand_trace_adaptive_recurrence", {}),
+    "tae_clamps_from_span": (
+        codec, "_tae_encode_rows", tae_clamps_from_span, test_codec,
+        "TestThresholdAdaptive.test_constant_signal_threshold_decays_to_floor", {}),
+    "window_sum_plain_reduce": (
+        codec, "_window_sum", window_sum_plain_reduce, test_codec,
+        "TestMovingWindow.test_slab_edges_match_oracle", {"n": 129, "window": 12}),
+    "lif_reset_to_zero": (
+        snn, "_lif_update", lif_reset_to_zero, test_snn,
+        "TestLifStep.test_integrate_and_fire_arithmetic", {}),
+    "score_per_class_input_order": (
+        metrics, "score_per_class", score_per_class_input_order, test_metrics,
+        "TestScorePerClass.test_order_invariance", {}),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_is_killed(monkeypatch, name):
+    module, kernel, mutant, check_module, check_name, kwargs = MUTANTS[name]
+    *cls, attr = check_name.split(".")
+    owner = getattr(check_module, cls[0])() if cls else check_module
+    check = partial(getattr(owner, attr), **kwargs)
+    check()  # passes on the real kernel
+    real = getattr(module, kernel)
+    for m in (module, check_module):  # wherever the check looks the kernel up
+        if vars(m).get(kernel) is real:
+            monkeypatch.setattr(m, kernel, mutant)
+    start = time.perf_counter()
+    with pytest.raises(AssertionError):
+        check()
+    assert time.perf_counter() - start < 1.0
