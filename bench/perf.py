@@ -7,7 +7,9 @@ Usage, from the repository root:
 
 On the default corpus (40 synthetic 5 s clips at 44.1 kHz, seed 1234) the
 script times a full `run_bench` with and without the SNN protocol,
-synthesis, synthesis with the WAV write, and one SNN batch.  Every figure
+synthesis, synthesis with the WAV write, one SNN batch, and the cold
+start: the wall time and peak RSS of `import spikesound.cli` in RUNS fresh
+interpreters (`cold_import`).  Every figure
 is the median of RUNS = 5 timed runs after one untimed warm-up; the raw
 runs are kept too.  The pipeline stages (WAV load, STFT, mel, encode and
 decode per codec, scoring) come only from RUNS traced `run_bench` calls
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -49,6 +52,12 @@ import spans  # noqa: E402
 
 RUNS = 5  # timed runs per stage, after one warm-up
 SNN_EPOCHS = 5  # the default 100 takes minutes per run_bench
+
+COLD_IMPORT = ("import resource, time\n"
+               "t0 = time.perf_counter()\n"
+               "import spikesound.cli\n"
+               "print(time.perf_counter() - t0, "
+               "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
 
 
 def _parse(argv):
@@ -93,6 +102,21 @@ class Stages:
         return {k: statistics.median(v) for k, v in self.raw.items()}
 
 
+def cold_import(src: Path) -> dict:
+    """Wall time and peak RSS of `import spikesound.cli`, each run in a fresh
+    interpreter with src first on its path: medians and raw runs."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src.resolve()), os.environ.get("PYTHONPATH")])))
+    runs = [subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+            for _ in range(RUNS)]
+    wall, rss = ([float(r[i]) for r in runs] for i in (0, 1))
+    print(f"cold_import: {statistics.median(wall):.4f} s, "
+          f"{statistics.median(rss):.1f} MB", file=sys.stderr)
+    return {"wall_s": statistics.median(wall), "peak_rss_mb": statistics.median(rss),
+            "raw_wall_s": wall, "raw_peak_rss_mb": rss}
+
+
 def main(argv=None) -> int:
     args = _parse(argv)
     sys.path.insert(0, str(args.src.resolve()))
@@ -104,6 +128,8 @@ def main(argv=None) -> int:
 
     clock = hostspeed.Clock()
     stages = Stages(RUNS, clock)
+    cold = cold_import(args.src)
+    clock.mark()
     cfg = RunConfig()
     spec = cfg.synthetic
     with tempfile.TemporaryDirectory(prefix="spikesound-perf-") as tmp:
@@ -157,7 +183,9 @@ def main(argv=None) -> int:
                        "(run_bench_layers, perfbench/spans.py), where mel includes "
                        "stft; mel_log_normalize is mel minus stft within each traced "
                        "run; host_scaled times are scaled by the host-speed probe "
-                       "(perfbench/hostspeed.py)",
+                       "(perfbench/hostspeed.py); cold_import is the median wall "
+                       "time and peak RSS of `import spikesound.cli` in a fresh "
+                       "interpreter",
         "src": {"commit": _git(args.src, "rev-parse", "HEAD"),
                 "uncommitted_changes": bool(_git(args.src, "status", "--porcelain", ".")),
                 "spikesound": spikesound.__version__},
@@ -172,6 +200,7 @@ def main(argv=None) -> int:
                    "channels": x.shape[1], "frames": x.shape[2],
                    "snn_epochs": SNN_EPOCHS, "snn_batch": list(x.shape)},
         "runs": RUNS,
+        "cold_import": cold,
         "median_s": medians,
         "median_host_scaled_s": {k: v * scale for k, v in medians.items()},
         "run_bench_layers": trace,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import get_window
 
 from .container import read_container, read_json, write_container, write_json
 from .errors import ConfigError, DataError
@@ -184,8 +183,18 @@ def _mel_basis(cfg: FrontendConfig) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _analysis_window(window: str, n_fft: int) -> np.ndarray:
-    """The STFT window built once per (name, length), read-only."""
-    win = get_window(window, n_fft, fftbins=True)
+    """The periodic STFT window built once per (name, length), read-only.
+
+    Hann is scipy's general-cosine sum done in numpy, so its bytes equal
+    get_window("hann", n_fft); any other name loads scipy.signal.
+    """
+    if window != "hann":
+        from scipy.signal import get_window
+        win = get_window(window, n_fft, fftbins=True)
+    elif n_fft <= 1:
+        win = np.ones(n_fft)
+    else:
+        win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n_fft + 1)))[:-1]
     win.flags.writeable = False
     return win
 

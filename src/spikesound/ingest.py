@@ -10,6 +10,7 @@ location.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import re
 import struct
@@ -19,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import firwin, resample_poly
 
 from .container import write_csv
 from .errors import ConfigError, DataError
@@ -118,10 +118,15 @@ def _pcm_to_float(data: np.ndarray) -> np.ndarray:
     raise DataError(f"unsupported WAV sample format: {data.dtype}")
 
 
+@functools.lru_cache(maxsize=8)
 def _anti_alias_filter(up: int, down: int) -> np.ndarray:
+    """The polyphase filter designed once per (up, down), read-only."""
+    from scipy.signal import firwin
     max_rate = max(up, down)
     half_len = (_TAPS_PER_PHASE // 2) * max_rate
-    return firwin(2 * half_len + 1, 1.0 / max_rate, window=("kaiser", _KAISER_BETA))
+    h = firwin(2 * half_len + 1, 1.0 / max_rate, window=("kaiser", _KAISER_BETA))
+    h.flags.writeable = False
+    return h
 
 
 def resample(samples: np.ndarray, orig_rate: int, target_rate: int) -> np.ndarray:
@@ -131,6 +136,7 @@ def resample(samples: np.ndarray, orig_rate: int, target_rate: int) -> np.ndarra
     """
     if orig_rate == target_rate:
         return np.asarray(samples, dtype=np.float64)
+    from scipy.signal import resample_poly
     g = gcd(int(target_rate), int(orig_rate))
     up, down = int(target_rate) // g, int(orig_rate) // g
     h = _anti_alias_filter(up, down)

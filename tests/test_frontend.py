@@ -1,11 +1,13 @@
 """Front-end: STFT framing, mel filterbank geometry, normalization, bands."""
 
+import hashlib
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from spikesound import frontend
 from spikesound.errors import DataError
@@ -75,12 +77,39 @@ class TestStftPower:
         rng = np.random.default_rng(frames)
         x = rng.uniform(-1.0, 1.0, n_fft + (frames - 1) * hop + 37)
         oracle_frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop]
-        spec = np.fft.rfft(oracle_frames * frontend._analysis_window("hann", n_fft), axis=1)
+        window = scipy.signal.get_window("hann", n_fft, fftbins=True)
+        spec = np.fft.rfft(oracle_frames * window, axis=1)
         oracle = (spec.real**2 + spec.imag**2).T
         power = stft_power(Waveform(samples=x, sample_rate=44100), n_fft, hop)
         assert power.shape == oracle.shape == (n_fft // 2 + 1, frames)
         assert power.strides == oracle.strides
         assert power.tobytes() == oracle.tobytes()
+
+
+class TestAnalysisWindow:
+    @pytest.mark.parametrize("n", [2**e for e in range(17)])
+    def test_hann_equals_scipy_bit_for_bit(self, n):
+        win = frontend._analysis_window("hann", n)
+        oracle = scipy.signal.get_window("hann", n, fftbins=True)
+        assert win.dtype == oracle.dtype and win.shape == oracle.shape == (n,)
+        assert win.tobytes() == oracle.tobytes()
+        assert not win.flags.writeable
+
+    def test_hamming_goes_through_scipy_with_unchanged_features(self, monkeypatch):
+        calls = []
+        get_window = scipy.signal.get_window
+        monkeypatch.setattr(scipy.signal, "get_window",
+                            lambda *a, **k: calls.append(a) or get_window(*a, **k))
+        assert frontend._analysis_window.__wrapped__("hamming", 1024).tobytes() == \
+            get_window("hamming", 1024, fftbins=True).tobytes()
+        assert calls == [("hamming", 1024)]
+        # The digest of these features before the Hann window moved to numpy.
+        w = Waveform(samples=np.random.default_rng(11).uniform(-0.5, 0.5, 22050),
+                     sample_rate=44100)
+        f = mel_spectrogram(w, FrontendConfig(window="hamming"))
+        assert f.values.shape == (128, 83)
+        assert hashlib.sha256(f.values.tobytes() + f.norm_state.tobytes()).hexdigest() == \
+            "af573470533f2bcda5489946156493e4c5d73f5dc9e1077cd6aa643df743b95d"
 
 
 class TestMelFilterbank:

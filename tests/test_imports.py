@@ -1,17 +1,21 @@
 """Every name a spikesound module, bench/perf.py, a test or a demo imports
-is used there.
+is used there, and the package loads scipy.signal only when it resamples.
 
-The package's __init__.py is skipped: its imports are the public re-exports.
+The package's __init__.py is skipped by the unused-import check: its imports
+are the public re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).parents[1]
-MODULES = [*sorted(p for p in (ROOT / "src" / "spikesound").glob("*.py")
-                   if p.name != "__init__.py"), ROOT / "bench" / "perf.py",
+PACKAGE = sorted((ROOT / "src" / "spikesound").glob("*.py"))
+MODULES = [*(p for p in PACKAGE if p.name != "__init__.py"), ROOT / "bench" / "perf.py",
            *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))]
 
 
@@ -51,3 +55,79 @@ def test_check_finds_unused_imports():
               "    x: np.ndarray\n"
               "print(os.sep)\n")
     assert unused_imports(source) == ["line 2: json", "line 4: field"]
+
+
+def import_time_modules(source: str) -> list[str]:
+    """Each module or name a file imports outside a function body, in full
+    dotted form ('scipy.signal.firwin' for `from scipy.signal import firwin`)."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.extend(f"{child.module}.{alias.name}" for alias in child.names)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def loads_scipy_signal(source: str) -> list[str]:
+    return [name for name in import_time_modules(source)
+            if name == "scipy.signal" or name.startswith("scipy.signal.")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_level_scipy_signal(path):
+    assert loads_scipy_signal(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_module_level_scipy_signal():
+    source = ("import scipy.io\n"
+              "from scipy import signal\n"
+              "try:\n"
+              "    from scipy.signal.windows import hann\n"
+              "except ImportError:\n"
+              "    pass\n"
+              "class A:\n"
+              "    import scipy.signal as sig\n"
+              "    def f(self):\n"
+              "        from scipy.signal import firwin\n"
+              "def g():\n"
+              "    import scipy.signal\n")
+    assert loads_scipy_signal(source) == [
+        "scipy.signal", "scipy.signal.windows.hann", "scipy.signal"]
+
+
+_FRESH = """
+import json, sys
+from pathlib import Path
+
+import spikesound
+from spikesound.cli import main
+
+tmp = Path(sys.argv[1])
+for rate in (44100, 22050):
+    config = tmp / f"config_{rate}.json"
+    config.write_text(json.dumps({"codecs": ["sf"], "synthetic": {
+        "n_clips": 5, "duration_s": 0.3, "sample_rate": rate}}))
+    command = "bench" if rate == 44100 else "encode"
+    assert main([command, "--config", str(config), "--out", str(tmp / command)]) == 0
+    print("scipy.signal after", command, "scipy.signal" in sys.modules)
+"""
+
+
+def test_scipy_signal_loads_only_to_resample(tmp_path):
+    # A fresh interpreter: a bench at the frontend's own rate never loads
+    # scipy.signal; an encode of 22.05 kHz clips resamples, which loads it.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FRESH, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = [line for line in proc.stdout.splitlines() if line.startswith("scipy.signal")]
+    assert loaded == ["scipy.signal after bench False", "scipy.signal after encode True"]

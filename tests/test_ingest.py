@@ -1,11 +1,14 @@
 """Audio loading, duration filtering, cropping, and manifest rules."""
 
+import hashlib
+import math
 import struct
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from spikesound import ingest
 from spikesound.errors import DataError
 from spikesound.ingest import (
     DatasetRules,
@@ -17,6 +20,7 @@ from spikesound.ingest import (
     fold_class_counts,
     load_audio,
     read_manifest,
+    resample,
     wav_duration,
     write_manifest,
 )
@@ -124,6 +128,26 @@ class TestLoadAudio:
         write_wav(tmp_path / "d.wav", np.zeros(12345), 44100)
         w = load_audio(tmp_path / "d.wav", target_rate=44100)
         assert abs(w.duration_s - len(w.samples) / w.sample_rate) < 1 / 44100
+
+
+class TestResample:
+    @pytest.mark.parametrize("rate,n_out,digest", [
+        (22050, 9602, "6412b9d14dac40b5920a9be63f3417cf7526fa8ea1ecf399300cf33e6f57d287"),
+        (48000, 4411, "2f8c5f2fe6bcf14a705d853bbca11e8efbdeaceffa656f52cf1a06de5d423528"),
+    ])
+    def test_cached_filter_keeps_output_bytes(self, rate, n_out, digest):
+        # The digests were taken when every call designed its own filter; the
+        # second call reuses the cached, read-only one.
+        x = np.random.default_rng(12).uniform(-0.9, 0.9, 4801)
+        before = ingest._anti_alias_filter.cache_info()
+        for _ in range(2):
+            y = resample(x, rate, 44100)
+            assert len(y) == n_out
+            assert hashlib.sha256(y.tobytes()).hexdigest() == digest
+        after = ingest._anti_alias_filter.cache_info()
+        assert after.misses - before.misses <= 1 <= after.hits - before.hits
+        g = math.gcd(rate, 44100)
+        assert not ingest._anti_alias_filter(44100 // g, rate // g).flags.writeable
 
 
 class TestCenterCrop:
