@@ -175,17 +175,16 @@ def main(argv=None) -> int:
     medians["mel_log_normalize"] = statistics.median(
         r["frontend.mel_s"] - r["frontend.stft_s"] for r in layers)
     trace = {k: statistics.median(r[k] for r in layers) for k in layers[0]}
-    scale = clock.scale()
     record = {
         "description": "median seconds over the default corpus; median_s times whole "
                        "run_bench runs, synthesis and one SNN batch; every pipeline "
                        "stage is taken from the traced run_bench runs "
                        "(run_bench_layers, perfbench/spans.py), where mel includes "
                        "stft; mel_log_normalize is mel minus stft within each traced "
-                       "run; host_scaled times are scaled by the host-speed probe "
-                       "(perfbench/hostspeed.py); cold_import is the median wall "
-                       "time and peak RSS of `import spikesound.cli` in a fresh "
-                       "interpreter",
+                       "run; host_probe holds the host-speed reference "
+                       "(perfbench/hostspeed.py) probed between stages; cold_import "
+                       "is the median wall time and peak RSS of `import "
+                       "spikesound.cli` in a fresh interpreter",
         "src": {"commit": _git(args.src, "rev-parse", "HEAD"),
                 "uncommitted_changes": bool(_git(args.src, "status", "--porcelain", ".")),
                 "spikesound": spikesound.__version__},
@@ -202,10 +201,7 @@ def main(argv=None) -> int:
         "runs": RUNS,
         "cold_import": cold,
         "median_s": medians,
-        "median_host_scaled_s": {k: v * scale for k, v in medians.items()},
         "run_bench_layers": trace,
-        "run_bench_layers_host_scaled_s": {k: v * scale for k, v in trace.items()
-                                           if k.split(".")[1].endswith("_s")},
         "raw_s": stages.raw,
     }
     out = args.out or _next_bench_path()

@@ -119,45 +119,38 @@ def _step_sum(steps: np.ndarray, x0: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Frames per slab of the MW encoder, the MW decoder and the TAE threshold
-# replay: bounds their buffers to slabs of frames x rows (MW windows of 8 and
-# more sum through up to 14 such slabs).
+# replay: bounds their buffers to slabs of this many frames of every row
+# (MW windows of 8 and more sum through up to 14 such slabs).
 _SLAB_FRAMES = 128
 
 
 def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
-    # Frame-major, one slab of frames at a time, straight into the spikes.
-    # The baseline, mean(x[i-k:i]) with k = min(i, window), depends on x
-    # alone: frames below `window` are summed one by one, the others of a slab
-    # at once from the shifted frame rows rows[j : j + m], j < window.
+    # One slab of frames at a time, straight into the spikes.  The baseline,
+    # mean(x[:, i-k:i]) with k = min(i, window), depends on x alone: frames
+    # below `window` are summed one by one, the others of a slab at once from
+    # the sliding windows of x.
     c, n = x.shape
     window = min(window, n)  # a longer window sums the same frames
-    spikes = np.empty((n, c), dtype=np.int8)
-    xin = np.empty((_SLAB_FRAMES + window, c))
-    base, edge = np.empty((2, _SLAB_FRAMES, c))
-    up, dn = np.empty((2, _SLAB_FRAMES, c), dtype=bool)
+    spikes = np.empty((c, n), dtype=np.int8)
+    base, edge = np.empty((2, c, _SLAB_FRAMES))
+    up, dn = np.empty((2, c, _SLAB_FRAMES), dtype=bool)
     for lo in range(0, n, _SLAB_FRAMES):
         hi = min(lo + _SLAB_FRAMES, n)
-        first = max(0, lo - window)  # the slab's frames and the window before
-        rows = xin[: hi - first]
-        np.copyto(rows, x[:, first:hi].T)
-        b = base[: hi - lo]
-        for i in range(lo, min(hi, window)):
-            if i == 0:
-                b[0] = rows[0]
-            else:
-                np.divide(_window_sum(rows[:i], b[i - lo]), i, out=b[i - lo])
-        if hi > window:
-            bulk = max(lo, window)
-            slabs = np.moveaxis(
-                np.lib.stride_tricks.sliding_window_view(rows[:-1], window, axis=0), -1, 0)
-            _window_sum(slabs[:, bulk - window - first :], b[bulk - lo :])
-            b[bulk - lo :] /= window
         m = hi - lo
-        seg = rows[lo - first :]
-        np.less(seg, np.subtract(b, t, out=edge[:m]), out=dn[:m])
-        np.greater(seg, np.add(b, t, out=edge[:m]), out=up[:m])
-        np.subtract(up[:m].view(np.int8), dn[:m].view(np.int8), out=spikes[lo:hi])
-    return np.ascontiguousarray(spikes.T)
+        b = base[:, :m]
+        for i in range(lo, min(hi, window)):
+            b[:, i - lo] = x[:, :i].sum(axis=1) / i if i else x[:, 0]
+        bulk = max(lo, window)
+        if hi > bulk:
+            views = np.lib.stride_tricks.sliding_window_view(
+                x[:, bulk - window : hi - 1], window, axis=1)
+            _window_sum(np.moveaxis(views, -1, 0), b[:, bulk - lo :])
+            b[:, bulk - lo :] /= window
+        seg = x[:, lo:hi]
+        np.less(seg, np.subtract(b, t[:, None], out=edge[:, :m]), out=dn[:, :m])
+        np.greater(seg, np.add(b, t[:, None], out=edge[:, :m]), out=up[:, :m])
+        np.subtract(up[:, :m].view(np.int8), dn[:, :m].view(np.int8), out=spikes[:, lo:hi])
+    return spikes
 
 
 def _mw_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray,
@@ -187,8 +180,9 @@ def _mw_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray,
 def _window_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """rows.sum(axis=0) into out, each entry added in the order numpy's
     pairwise summation adds a contiguous run of k = len(rows) values.  So a
-    window summed across frame-major rows equals x[:, i-k:i].sum(axis=1) on
-    the channel-major signal bit for bit: in turn below 8 terms, up to 128
+    window of k frames summed along axis 0, over frame-major rows or over the
+    window axis of sliding-window views of the channel-major signal, equals
+    x[:, i-k:i].sum(axis=1) bit for bit: in turn below 8 terms, up to 128
     as eight interleaved lanes joined by a fixed tree plus the rest in turn,
     and above that as two halves."""
     k = len(rows)

@@ -249,66 +249,41 @@ def _clip_features(root: Path, e: ManifestEntry, cfg: RunConfig) -> FeatureMatri
 # Most feature entries (rows x frames) one encode call takes: 8 clips of
 # 128 x 858.  Memory sets the size, as a block's float64 estimate and its
 # encoder's frame-major copy grow with it: perfbench's bench_synth (the
-# default 40-clip corpus; 2 vCPUs, numpy 2.4) peaks at 152 MB RSS with
-# 4-clip blocks and 164 MB with 8-clip blocks.
+# default 40-clip corpus; 2 vCPUs, numpy 2.4) peaks at 100 MB RSS with
+# 4-clip blocks and 109 MB with 8-clip blocks.
 BLOCK_ENTRIES = 1 << 20
 
-_Block = tuple[FeatureMatrix, list[tuple[ManifestEntry, FeatureMatrix, slice]]]
 
+def _stack_blocks(clips: Iterator[tuple[ManifestEntry, FeatureMatrix]]
+                  ) -> Iterator[tuple[list[ManifestEntry], FeatureMatrix]]:
+    """Stack runs of consecutive equal-length clips, in corpus order, as the
+    stream delivers them; yield (entries, block features) per run.
 
-def _stack_blocks(clips: list[tuple[ManifestEntry, FeatureMatrix]]) -> list[_Block]:
-    """Stack runs of consecutive equal-length clips, in corpus order.
-
-    A block holds at most BLOCK_ENTRIES feature entries (a larger clip is a
-    block by itself).  Each block's features become one FeatureMatrix and
-    every clip's values a view of its rows, so the clips keep no copy.
+    A run closes as soon as one more clip of its size would pass
+    BLOCK_ENTRIES (a larger clip is a block by itself), or when the next
+    clip's frame count differs.  Clip j of a block owns its j-th run of
+    n_mels rows.
     """
-    groups: list[list[tuple[ManifestEntry, FeatureMatrix]]] = []
-    entries = 0
-    for entry, feats in clips:
-        size = feats.values.size
-        if (groups and groups[-1][0][1].n_frames == feats.n_frames
-                and entries + size <= BLOCK_ENTRIES):
-            groups[-1].append((entry, feats))
-            entries += size
-        else:
-            groups.append([(entry, feats)])
-            entries = size
-    blocks = []
-    for group in groups:
-        feats = [f for _, f in group]
-        stacked = FeatureMatrix(
+    run: list[tuple[ManifestEntry, FeatureMatrix]] = []
+
+    def stacked():
+        entries, feats = zip(*run)
+        run.clear()
+        return list(entries), FeatureMatrix(
             values=np.concatenate([f.values for f in feats]),
             channel_center_hz=np.concatenate([f.channel_center_hz for f in feats]),
             norm_state=np.concatenate([f.norm_state for f in feats]),
             frame_rate=feats[0].frame_rate,
         )
-        members, start = [], 0
-        for entry, f in group:
-            rows = slice(start, start + f.n_channels)
-            f.values = stacked.values[rows]
-            members.append((entry, f, rows))
-            start = rows.stop
-        blocks.append((stacked, members))
-    return blocks
 
-
-def _decoded_clips(blocks: list[_Block], ccfg: CodecConfig, codec: str):
-    """Encode and decode each block once; yield per clip, in corpus order,
-    (entry, features, spike train, estimate, encode ms).  The spike train
-    and estimate are row views of the block's, and the encode time is the
-    clip's share of its block's."""
-    for stacked, members in blocks:
-        t0 = time.perf_counter()
-        block_st = encode_matrix(stacked, ccfg, codec)
-        share_ms = 1000.0 * (time.perf_counter() - t0) / len(members)
-        block_est = decode_matrix(block_st)
-        for entry, feats, rows in members:
-            st = SpikeTrain(spikes=block_st.spikes[rows],
-                            side_info=block_st.side_info[rows],
-                            codec_id=codec, params=ccfg)
-            yield entry, feats, st, block_est[rows], share_ms
-        del block_st, block_est, st  # freed before the next block is encoded
+    for entry, feats in clips:
+        if run and run[0][1].n_frames != feats.n_frames:
+            yield stacked()
+        run.append((entry, feats))
+        if (len(run) + 1) * feats.values.size > BLOCK_ENTRIES:
+            yield stacked()
+    if run:
+        yield stacked()
 
 
 # Each report table: its file name ({codec} makes one file per codec), its
@@ -347,14 +322,14 @@ def run_bench(cfg: RunConfig) -> dict[str, list[tuple]]:
     """
     out_dir = make_dir(cfg.output_dir)
     dataset_name, clips = load_corpus(cfg, out_dir)
-    clips = list(clips)
-    frames = sorted({f.n_frames for _, f in clips})
+    blocks = list(_stack_blocks(clips))
+    frames = sorted({block.n_frames for _, block in blocks})
     if cfg.run_snn and len(frames) > 1:
         raise DataError(f"the SNN protocol needs equal-length clips, got {frames[0]} "
                         f"to {frames[-1]} frames; set crop_seconds")
-    entries = [e for e, _ in clips]
-    bands = partition_bands(clips[0][1].channel_center_hz)
-    blocks = _stack_blocks(clips)
+    entries = [e for members, _ in blocks for e in members]
+    n_mels = cfg.frontend.n_mels
+    bands = partition_bands(blocks[0][1].channel_center_hz[:n_mels])
 
     per_band_rows = []
     per_class_rows = []
@@ -367,16 +342,25 @@ def run_bench(cfg: RunConfig) -> dict[str, list[tuple]]:
         class_scores = []
         rates, times_ms, aux = [], [], []
         spikes = []
-        for entry, feats, st, est, ms in _decoded_clips(blocks, ccfg, codec):
-            times_ms.append(ms)
-            class_scores.append((entry.class_label, errdb(feats.values, est)))
-            for b, e in score_per_band(feats.values, est, bands).items():
-                band_errs.setdefault(b, []).append(e)
-            rates.append(firing_rate(st))
-            aux.append(serialized_size(st) + encoder_state_bytes(st))
-            if cfg.run_snn:
-                spikes.append(st.spikes)
-            del st, est  # views that would keep this block alive through the next
+        for members, block in blocks:
+            k = len(members)
+            t0 = time.perf_counter()
+            st = encode_matrix(block, ccfg, codec)
+            times_ms += [1000.0 * (time.perf_counter() - t0) / k] * k
+            est = decode_matrix(st)
+            shape = (k, n_mels, block.n_frames)
+            for entry, values, clip_spikes, side_info, clip_est in zip(
+                    members, block.values.reshape(shape), st.spikes.reshape(shape),
+                    st.side_info.reshape(k, n_mels, 2), est.reshape(shape)):
+                clip = SpikeTrain(clip_spikes, side_info, codec, ccfg)
+                class_scores.append((entry.class_label, errdb(values, clip_est)))
+                for b, e in score_per_band(values, clip_est, bands).items():
+                    band_errs.setdefault(b, []).append(e)
+                rates.append(firing_rate(clip))
+                aux.append(serialized_size(clip) + encoder_state_bytes(clip))
+                if cfg.run_snn:
+                    spikes.append(clip_spikes)
+            del st, est, clip, clip_spikes, clip_est  # freed before the next encode
         for b, errs in band_errs.items():
             mean_err = sum(errs) / len(errs)
             per_band_rows.append((codec, b, mean_err, -mean_err))
@@ -397,7 +381,7 @@ def run_bench(cfg: RunConfig) -> dict[str, list[tuple]]:
                                         float(np.mean([acc for _, acc, _ in results]))))
             training_logs.append(("training_log", sum(histories, []), codec))
         log.info("bench: codec=%s clips=%d mean_rate=%.2f%%",
-                 codec, len(clips), float(np.mean(rates)))
+                 codec, len(entries), float(np.mean(rates)))
 
     reports = [("per_band", per_band_rows), ("per_class", per_class_rows),
                ("efficiency", efficiency_rows)]
@@ -407,7 +391,8 @@ def run_bench(cfg: RunConfig) -> dict[str, list[tuple]]:
     try:
         for table, rows, *codec in reports:
             written[write_report(out_dir, table, rows, *codec)] = rows
-        _write_run_summary(out_dir / "run_summary.json", cfg, dataset_name, clips)
+        _write_run_summary(out_dir / "run_summary.json", cfg, dataset_name, entries,
+                           blocks[0][1].n_frames)
     except Exception:
         for p in written:
             p.unlink(missing_ok=True)
@@ -416,16 +401,16 @@ def run_bench(cfg: RunConfig) -> dict[str, list[tuple]]:
 
 
 def _write_run_summary(path: Path, cfg: RunConfig, dataset_name: str,
-                       clips: list[tuple[ManifestEntry, FeatureMatrix]]) -> None:
-    classes = sorted({e.class_label for e, _ in clips})
+                       entries: list[ManifestEntry], n_frames: int) -> None:
+    classes = sorted({e.class_label for e in entries})
     summary = {
         "config": asdict(cfg),
         "seed": cfg.seed,
         "dataset": {
             "name": dataset_name,
-            "n_clips": len(clips),
+            "n_clips": len(entries),
             "classes": classes,
-            "n_frames": clips[0][1].n_frames,
+            "n_frames": n_frames,
         },
         "versions": {
             "python": platform.python_version(),

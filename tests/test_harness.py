@@ -284,6 +284,9 @@ class TestBlockStacking:
         for name in ("per_band.csv", "per_class.csv"):
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
         assert _strip_timing(out / "efficiency.csv") == _strip_timing(ref / "efficiency.csv")
+        # n_frames is the first clip's (83), not the shortest clip's (48)
+        dataset = json.loads((out / "run_summary.json").read_text())["dataset"]
+        assert (dataset["n_clips"], dataset["n_frames"]) == (10, 83)
 
     def test_block_freed_before_next_block_is_encoded(self, tmp_path, monkeypatch):
         # Blocks of two 0.3 s clips (48 frames), three per codec: when a block

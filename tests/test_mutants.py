@@ -21,6 +21,7 @@ import test_metrics
 import test_snn
 
 _real_tae_encode_rows = codec._tae_encode_rows
+_real_mw_encode_rows = codec._mw_encode_rows
 _real_mw_decode_rows = codec._mw_decode_rows
 _real_lif_update = snn._lif_update
 
@@ -34,6 +35,10 @@ def sf_fires_on_equal(x, t):
         spikes[i] = (xt[i] >= base + t).astype(np.int8) - (xt[i] <= base - t)
         base += spikes[i] * t
     return np.ascontiguousarray(spikes.T)
+
+
+def mw_encode_window_off_by_one(x, t, window):
+    return _real_mw_encode_rows(x, t, window + 1)
 
 
 def mw_decode_window_off_by_one(spikes, x0, t, window):
@@ -89,6 +94,9 @@ MUTANTS = {
     "sf_fires_on_equal": (
         codec, "_sf_encode_rows", sf_fires_on_equal, test_codec_oracle,
         "test_exhaustive_short_signals_fine_grid", {"codec": "sf"}),
+    "mw_encode_window_off_by_one": (
+        codec, "_mw_encode_rows", mw_encode_window_off_by_one, test_codec,
+        "TestMovingWindow.test_slab_edges_match_oracle", {"n": 129, "window": 3}),
     "mw_decode_window_off_by_one": (
         codec, "_mw_decode_rows", mw_decode_window_off_by_one, test_codec,
         "TestMovingWindow.test_decode_trace_lossier_than_sf", {}),
