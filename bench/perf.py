@@ -7,12 +7,13 @@ Usage, from the repository root:
 
 On the default corpus (40 synthetic 5 s clips at 44.1 kHz, seed 1234) the
 script times a full `run_bench` with and without the SNN protocol,
-synthesis, synthesis with the WAV write, one SNN batch, and the cold
-start: the wall time and peak RSS of `import spikesound.cli` in RUNS fresh
-interpreters (`cold_import`).  Every figure
-is the median of RUNS = 5 timed runs after one untimed warm-up; the raw
-runs are kept too.  The pipeline stages (WAV load, STFT, mel, encode and
-decode per codec, scoring) come only from RUNS traced `run_bench` calls
+synthesis, synthesis with the WAV write, one SNN batch, and, each in RUNS
+fresh interpreters, the wall time and peak RSS of the cold start (`import
+spikesound.cli`, `cold_import`) and of one `run_bench` without the SNN
+(`run_bench_peak_rss`).  Every figure is the median of RUNS = 5 timed runs
+(after one untimed warm-up in this interpreter); the raw runs are kept
+too.  The pipeline stages (WAV load, STFT, mel, encode and decode per
+codec, scoring) come only from RUNS traced `run_bench` calls
 (perfbench/spans.py), so each has one figure, timed inside the run it
 belongs to.  The host-speed reference (perfbench/hostspeed.py) is probed
 between stages, so two files taken on a busy host can be told apart from a
@@ -53,11 +54,18 @@ import spans  # noqa: E402
 RUNS = 5  # timed runs per stage, after one warm-up
 SNN_EPOCHS = 5  # the default 100 takes minutes per run_bench
 
+# Code run in fresh interpreters; each prints its wall time and peak RSS (MB).
 COLD_IMPORT = ("import resource, time\n"
                "t0 = time.perf_counter()\n"
                "import spikesound.cli\n"
                "print(time.perf_counter() - t0, "
                "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
+RUN_BENCH = ("import resource, sys, time\n"
+             "from spikesound.harness import RunConfig, run_bench\n"
+             "t0 = time.perf_counter()\n"
+             "run_bench(RunConfig(output_dir=sys.argv[1]))\n"
+             "print(time.perf_counter() - t0, "
+             "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
 
 
 def _parse(argv):
@@ -102,16 +110,16 @@ class Stages:
         return {k: statistics.median(v) for k, v in self.raw.items()}
 
 
-def cold_import(src: Path) -> dict:
-    """Wall time and peak RSS of `import spikesound.cli`, each run in a fresh
+def fresh_runs(name: str, code: str, src: Path, *args: str) -> dict:
+    """Wall time and peak RSS that code reports, each run in a fresh
     interpreter with src first on its path: medians and raw runs."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src.resolve()), os.environ.get("PYTHONPATH")])))
-    runs = [subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, check=True,
+    runs = [subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
                            capture_output=True, text=True).stdout.split()
             for _ in range(RUNS)]
     wall, rss = ([float(r[i]) for r in runs] for i in (0, 1))
-    print(f"cold_import: {statistics.median(wall):.4f} s, "
+    print(f"{name}: {statistics.median(wall):.4f} s, "
           f"{statistics.median(rss):.1f} MB", file=sys.stderr)
     return {"wall_s": statistics.median(wall), "peak_rss_mb": statistics.median(rss),
             "raw_wall_s": wall, "raw_peak_rss_mb": rss}
@@ -128,12 +136,14 @@ def main(argv=None) -> int:
 
     clock = hostspeed.Clock()
     stages = Stages(RUNS, clock)
-    cold = cold_import(args.src)
+    cold = fresh_runs("cold_import", COLD_IMPORT, args.src)
     clock.mark()
     cfg = RunConfig()
     spec = cfg.synthetic
     with tempfile.TemporaryDirectory(prefix="spikesound-perf-") as tmp:
         tmp = Path(tmp)
+        bench_rss = fresh_runs("run_bench_peak_rss", RUN_BENCH, args.src, str(tmp / "fresh"))
+        clock.mark()
 
         # Full runs, untraced, then traced: the spans of the traced runs time
         # every pipeline stage.
@@ -183,8 +193,9 @@ def main(argv=None) -> int:
                        "stft; mel_log_normalize is mel minus stft within each traced "
                        "run; host_probe holds the host-speed reference "
                        "(perfbench/hostspeed.py) probed between stages; cold_import "
-                       "is the median wall time and peak RSS of `import "
-                       "spikesound.cli` in a fresh interpreter",
+                       "and run_bench_peak_rss are the median wall time and peak RSS "
+                       "of `import spikesound.cli` and of one run_bench without the "
+                       "SNN, each in a fresh interpreter",
         "src": {"commit": _git(args.src, "rev-parse", "HEAD"),
                 "uncommitted_changes": bool(_git(args.src, "status", "--porcelain", ".")),
                 "spikesound": spikesound.__version__},
@@ -200,6 +211,7 @@ def main(argv=None) -> int:
                    "snn_epochs": SNN_EPOCHS, "snn_batch": list(x.shape)},
         "runs": RUNS,
         "cold_import": cold,
+        "run_bench_peak_rss": bench_rss,
         "median_s": medians,
         "run_bench_layers": trace,
         "raw_s": stages.raw,

@@ -166,16 +166,15 @@ _GENERATORS = {
 _NOISE_FLOOR = 0.01
 
 
-def generate_synthetic(spec: SyntheticSpec,
-                       seed: int) -> tuple[list[Waveform], list[ManifestEntry]]:
-    """Deterministic in-memory corpus; clip i depends only on (seed, i).
+def _synthetic_clips(spec: SyntheticSpec,
+                     seed: int) -> Iterator[tuple[Waveform, ManifestEntry]]:
+    """The corpus, one (waveform, entry) per clip; clip i depends only on (seed, i).
 
     Clips are dealt to classes round-robin so the manifest stays balanced;
     every clip gets a small broadband noise floor so all mel channels carry
     signal.  Every fourth clip of a class goes to the test split.
     """
     n = int(round(spec.duration_s * spec.sample_rate))
-    waveforms, entries = [], []
     per_class_counter = {c: 0 for c in spec.classes}
     for i in range(spec.n_clips):
         kind = spec.classes[i % len(spec.classes)]
@@ -186,25 +185,31 @@ def generate_synthetic(spec: SyntheticSpec,
         j = per_class_counter[kind]
         per_class_counter[kind] += 1
         name = f"{kind}/{kind}_{j:03d}.wav"
-        waveforms.append(Waveform(samples=x, sample_rate=spec.sample_rate,
-                                  source_path=name))
-        entries.append(ManifestEntry(path=name, class_label=kind, fold=None,
-                                     split="test" if j % 4 == 3 else "train"))
-    return waveforms, entries
+        yield (Waveform(samples=x, sample_rate=spec.sample_rate, source_path=name),
+               ManifestEntry(path=name, class_label=kind, fold=None,
+                             split="test" if j % 4 == 3 else "train"))
+
+
+def generate_synthetic(spec: SyntheticSpec,
+                       seed: int) -> tuple[list[Waveform], list[ManifestEntry]]:
+    """The whole synthetic corpus in memory: its waveforms and its entries."""
+    waveforms, entries = zip(*_synthetic_clips(spec, seed))
+    return list(waveforms), list(entries)
 
 
 def write_synthetic_corpus(spec: SyntheticSpec, seed: int,
                            out_dir: str | Path) -> Path:
-    """Materialize the corpus as 16-bit WAVs plus manifest.csv; returns the
-    manifest path.  Byte-identical for identical (spec, seed)."""
+    """Write each clip as a 16-bit WAV as it is generated, then manifest.csv;
+    returns the manifest path.  Byte-identical for identical (spec, seed)."""
     out_dir = make_dir(out_dir)
-    waveforms, entries = generate_synthetic(spec, seed)
-    for w, e in zip(waveforms, entries):
+    entries = []
+    for w, e in _synthetic_clips(spec, seed):
         path = out_dir / e.path
         make_dir(path.parent)
         wav = io.BytesIO()
         wavfile.write(wav, w.sample_rate, np.round(w.samples * 32767.0).astype(np.int16))
         write_file(path, wav.getvalue())
+        entries.append(e)
     manifest_path = out_dir / "manifest.csv"
     write_manifest(entries, manifest_path)
     return manifest_path
@@ -247,10 +252,10 @@ def _clip_features(root: Path, e: ManifestEntry, cfg: RunConfig) -> FeatureMatri
 
 
 # Most feature entries (rows x frames) one encode call takes: 8 clips of
-# 128 x 858.  Memory sets the size, as a block's float64 estimate and its
-# encoder's frame-major copy grow with it: perfbench's bench_synth (the
-# default 40-clip corpus; 2 vCPUs, numpy 2.4) peaks at 100 MB RSS with
-# 4-clip blocks and 109 MB with 8-clip blocks.
+# 128 x 858.  A larger block spreads each codec's per-frame steps over more
+# rows, but run_bench holds one block at a time: one default run_bench in a
+# fresh interpreter (2 vCPUs, numpy 2.4) peaks at 68 / 86 / 111 MB RSS with
+# 4 / 8 / 16-clip blocks.
 BLOCK_ENTRIES = 1 << 20
 
 
@@ -314,6 +319,10 @@ def run_bench(cfg: RunConfig) -> dict[str, list[tuple]]:
     """Full pipeline for every selected codec; writes the report files and
     returns the rows of each CSV by file name.
 
+    Each block of clips (_stack_blocks) is encoded, decoded and scored by
+    every codec as the corpus streams in, so one block's features are held
+    at a time; an SNN run lists its blocks first, to reject unequal lengths.
+
     Outputs land in cfg.output_dir: per_band.csv, per_class.csv,
     efficiency.csv, run_summary.json, and, when the SNN protocol is enabled,
     classification.csv plus one training_log_<codec>.csv per codec.  All
@@ -322,57 +331,58 @@ def run_bench(cfg: RunConfig) -> dict[str, list[tuple]]:
     """
     out_dir = make_dir(cfg.output_dir)
     dataset_name, clips = load_corpus(cfg, out_dir)
-    blocks = list(_stack_blocks(clips))
-    frames = sorted({block.n_frames for _, block in blocks})
-    if cfg.run_snn and len(frames) > 1:
-        raise DataError(f"the SNN protocol needs equal-length clips, got {frames[0]} "
-                        f"to {frames[-1]} frames; set crop_seconds")
-    entries = [e for members, _ in blocks for e in members]
-    n_mels = cfg.frontend.n_mels
-    bands = partition_bands(blocks[0][1].channel_center_hz[:n_mels])
-
-    per_band_rows = []
-    per_class_rows = []
-    efficiency_rows = []
-    classification_rows = []
-    training_logs = []
-    for codec in sorted(cfg.codecs):
-        ccfg = cfg.codec_params[codec]
-        band_errs: dict[int, list[float]] = {}
-        class_scores = []
-        rates, times_ms, aux = [], [], []
-        spikes = []
-        for members, block in blocks:
-            k = len(members)
+    blocks = _stack_blocks(clips)
+    if cfg.run_snn:  # the protocol holds every clip's spikes anyway
+        blocks = list(blocks)
+        frames = [block.n_frames for _, block in blocks]
+        if min(frames) != max(frames):
+            raise DataError(f"the SNN protocol needs equal-length clips, got {min(frames)} "
+                            f"to {max(frames)} frames; set crop_seconds")
+    n_mels, codecs = cfg.frontend.n_mels, sorted(cfg.codecs)
+    band_errs: dict[str, dict[int, list[float]]] = {c: {} for c in codecs}
+    class_scores, rates, times_ms, aux, spikes = ({c: [] for c in codecs} for _ in range(5))
+    entries, n_frames = [], 0
+    for members, block in blocks:
+        k = len(members)
+        entries += members
+        n_frames = n_frames or block.n_frames
+        bands = partition_bands(block.channel_center_hz[:n_mels])
+        shape = (k, n_mels, block.n_frames)
+        for codec in codecs:
+            ccfg = cfg.codec_params[codec]
             t0 = time.perf_counter()
             st = encode_matrix(block, ccfg, codec)
-            times_ms += [1000.0 * (time.perf_counter() - t0) / k] * k
+            times_ms[codec] += [1000.0 * (time.perf_counter() - t0) / k] * k
             est = decode_matrix(st)
-            shape = (k, n_mels, block.n_frames)
             for entry, values, clip_spikes, side_info, clip_est in zip(
                     members, block.values.reshape(shape), st.spikes.reshape(shape),
                     st.side_info.reshape(k, n_mels, 2), est.reshape(shape)):
                 clip = SpikeTrain(clip_spikes, side_info, codec, ccfg)
-                class_scores.append((entry.class_label, errdb(values, clip_est)))
+                class_scores[codec].append((entry.class_label, errdb(values, clip_est)))
                 for b, e in score_per_band(values, clip_est, bands).items():
-                    band_errs.setdefault(b, []).append(e)
-                rates.append(firing_rate(clip))
-                aux.append(serialized_size(clip) + encoder_state_bytes(clip))
+                    band_errs[codec].setdefault(b, []).append(e)
+                rates[codec].append(firing_rate(clip))
+                aux[codec].append(serialized_size(clip) + encoder_state_bytes(clip))
                 if cfg.run_snn:
-                    spikes.append(clip_spikes)
-            del st, est, clip, clip_spikes, clip_est  # freed before the next encode
-        for b, errs in band_errs.items():
+                    spikes[codec].append(clip_spikes)
+            del st, est, clip, values, clip_spikes, side_info, clip_est  # before the next encode
+        del block  # freed before the next block is stacked
+    del blocks  # an SNN run's features, freed before training
+
+    per_band_rows, per_class_rows, efficiency_rows, classification_rows = [], [], [], []
+    training_logs = []
+    for codec in codecs:
+        for b, errs in band_errs[codec].items():
             mean_err = sum(errs) / len(errs)
             per_band_rows.append((codec, b, mean_err, -mean_err))
-        for label, mean_err in score_per_class(class_scores).items():
+        for label, mean_err in score_per_class(class_scores[codec]).items():
             per_class_rows.append((codec, label, mean_err))
-        efficiency_rows.append((
-            codec, dataset_name, float(np.mean(rates)),
-            float(np.median(times_ms)), float(np.mean(aux)),
-        ))
+        efficiency_rows.append((codec, dataset_name, float(np.mean(rates[codec])),
+                                float(np.median(times_ms[codec])), float(np.mean(aux[codec]))))
         if cfg.run_snn:
             results, histories = run_protocol(
-                np.stack(spikes, dtype=np.float64), [e.class_label for e in entries],
+                np.stack(spikes.pop(codec), dtype=np.float64),
+                [e.class_label for e in entries],
                 [e.fold for e in entries], [e.split for e in entries], cfg.snn)
             for fold, acc, _ in results:
                 classification_rows.append((codec, dataset_name,
@@ -381,7 +391,7 @@ def run_bench(cfg: RunConfig) -> dict[str, list[tuple]]:
                                         float(np.mean([acc for _, acc, _ in results]))))
             training_logs.append(("training_log", sum(histories, []), codec))
         log.info("bench: codec=%s clips=%d mean_rate=%.2f%%",
-                 codec, len(entries), float(np.mean(rates)))
+                 codec, len(entries), float(np.mean(rates[codec])))
 
     reports = [("per_band", per_band_rows), ("per_class", per_class_rows),
                ("efficiency", efficiency_rows)]
@@ -392,7 +402,7 @@ def run_bench(cfg: RunConfig) -> dict[str, list[tuple]]:
         for table, rows, *codec in reports:
             written[write_report(out_dir, table, rows, *codec)] = rows
         _write_run_summary(out_dir / "run_summary.json", cfg, dataset_name, entries,
-                           blocks[0][1].n_frames)
+                           n_frames)
     except Exception:
         for p in written:
             p.unlink(missing_ok=True)
@@ -402,24 +412,14 @@ def run_bench(cfg: RunConfig) -> dict[str, list[tuple]]:
 
 def _write_run_summary(path: Path, cfg: RunConfig, dataset_name: str,
                        entries: list[ManifestEntry], n_frames: int) -> None:
-    classes = sorted({e.class_label for e in entries})
-    summary = {
+    write_json(path, {
         "config": asdict(cfg),
         "seed": cfg.seed,
-        "dataset": {
-            "name": dataset_name,
-            "n_clips": len(entries),
-            "classes": classes,
-            "n_frames": n_frames,
-        },
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "spikesound": __version__,
-        },
-    }
-    write_json(path, summary)
+        "dataset": {"name": dataset_name, "n_clips": len(entries),
+                    "classes": sorted({e.class_label for e in entries}), "n_frames": n_frames},
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__, "spikesound": __version__},
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 bench/perf.py and perfbench/ import the package inside functions, so a
 renamed or deleted name breaks them only when they run.  This reads their
 source instead and checks every spikesound name they import, and every
-attribute they read off an imported spikesound module.
+attribute they read off an imported spikesound module, in the scripts
+themselves and in the code strings they run in fresh interpreters.
 """
 
 import ast
 import importlib
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -47,9 +49,32 @@ def _missing_names(tree: ast.AST) -> list[str]:
     return missing
 
 
+def _embedded_code(tree: ast.AST) -> list[ast.AST]:
+    """The string constants of tree that parse as Python importing spikesound."""
+    code = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and re.search(r"^(from|import) spikesound\b", node.value, re.MULTILINE)):
+            try:
+                code.append(ast.parse(node.value))
+            except SyntaxError:
+                continue
+    return code
+
+
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: str(p.relative_to(ROOT)))
 def test_script_uses_existing_package_names(script):
-    assert _missing_names(ast.parse(script.read_text(encoding="utf-8"))) == []
+    tree = ast.parse(script.read_text(encoding="utf-8"))
+    assert [name for t in (tree, *_embedded_code(tree)) for name in _missing_names(t)] == []
+
+
+def test_perf_code_strings_are_checked():
+    tree = ast.parse((ROOT / "bench" / "perf.py").read_text(encoding="utf-8"))
+    assert len(_embedded_code(tree)) == 2  # COLD_IMPORT and RUN_BENCH
+    stale = ast.parse('CODE = ("from spikesound.harness import run_bench, run_all\\n"\n'
+                      '        "run_bench()\\n")\n')
+    assert [_missing_names(t) for t in _embedded_code(stale)] == [
+        ["spikesound.harness.run_all"]]
 
 
 def test_stale_name_is_caught():

@@ -1,5 +1,6 @@
 """Synthetic corpus, bench orchestration, report comparison, and the CLI."""
 
+import hashlib
 import json
 import re
 import shutil
@@ -17,6 +18,7 @@ from spikesound.frontend import load_features, mel_spectrogram, partition_bands,
 from spikesound.harness import (
     RunConfig,
     SyntheticSpec,
+    _synthetic_clips,
     compare_report,
     generate_synthetic,
     load_corpus,
@@ -67,6 +69,52 @@ class TestGenerateSynthetic:
         for p1 in sorted((tmp_path / "one").rglob("*.wav")):
             p2 = tmp_path / "two" / p1.relative_to(tmp_path / "one")
             assert p1.read_bytes() == p2.read_bytes()
+
+    # sha256 of every file write_synthetic_corpus(SyntheticSpec(n_clips=10,
+    # duration_s=0.3), 4, ...) writes, taken when the corpus was still built
+    # in memory before the first WAV was written
+    CORPUS_SHA256 = {
+        "am_tone/am_tone_000.wav":
+            "89bc84d57ffa8829a160970af9e2065a5d79dd054d46431469ff344542b21780",
+        "am_tone/am_tone_001.wav":
+            "4cee89e9f2b22349076d73a36e351123c0a3a3531849ae0f2cab3bc8af1bf9c1",
+        "band_noise/band_noise_000.wav":
+            "7e1c0402741e21323cb683987aadd4861a926ea479b7d4ab42d5bc8ffe3a2be5",
+        "band_noise/band_noise_001.wav":
+            "3e9f82863b1a80f01679b633db76cb7a60202f5056f8836df95ff7a45a4f6188",
+        "chirp/chirp_000.wav":
+            "d4ff57e56b4e1d4d7c8353f14ee284efbb1c7b5f9f6a2b1a0530ea6b42b51b6f",
+        "chirp/chirp_001.wav":
+            "203120581ae41fedb997b54d773ff441288e7526abde7ff487afa028b893dfc0",
+        "impulse_train/impulse_train_000.wav":
+            "c01371705c9eefc290df3637ffa4af93f56df4ee8ac77d2d2d13076458f895e5",
+        "impulse_train/impulse_train_001.wav":
+            "69f9e06606e1950ecbd1d23c2297fc29fe0cfc7d62fac55963e9c9e66645bda4",
+        "manifest.csv":
+            "1dbba6b33c841ccd76cfc3044a1b3dc0de8e4ac21111fd89f2a916d03759f387",
+        "tone/tone_000.wav":
+            "b8792f12a298b67f3e50aeb04ab974c8d1714e435e5d20367901e66325f143ee",
+        "tone/tone_001.wav":
+            "77db1ebe2c1483c0b6f7d0a667a05f835760a6352c009febb900ba8205d0f2c4",
+    }
+
+    def test_corpus_files_pinned(self, tmp_path):
+        manifest = write_synthetic_corpus(SyntheticSpec(n_clips=10, duration_s=0.3), 4,
+                                          tmp_path / "corpus")
+        files = {p.relative_to(manifest.parent).as_posix():
+                 hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in manifest.parent.rglob("*") if p.is_file()}
+        assert files == self.CORPUS_SHA256
+
+    def test_lists_equal_clip_stream(self):
+        spec = SyntheticSpec(n_clips=7, duration_s=0.2)
+        waveforms, entries = generate_synthetic(spec, seed=6)
+        assert isinstance(waveforms, list) and isinstance(entries, list)
+        stream = list(_synthetic_clips(spec, 6))
+        assert entries == [e for _, e in stream]
+        for w, (sw, _) in zip(waveforms, stream, strict=True):
+            assert (w.sample_rate, w.source_path) == (sw.sample_rate, sw.source_path)
+            assert w.samples.tobytes() == sw.samples.tobytes()
 
     def test_tone_clips_peak_near_tone_frequency(self):
         spec = SyntheticSpec(n_clips=10, classes=("tone",), duration_s=0.5)
@@ -144,6 +192,41 @@ class TestRunBench:
         # no partial report files
         assert not list((tmp_path / "out").glob("*.csv"))
         assert not list((tmp_path / "out").glob("*.json"))
+
+    def test_corrupt_clip_in_later_block_aborts_naming_it(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # Blocks of two clips: the ruined 6th clip is in the third block, read
+        # after the first two blocks were encoded by every codec.
+        import spikesound.harness as harness
+
+        monkeypatch.setattr(harness, "BLOCK_ENTRIES", 2 * 128 * 48)
+        encoded = []
+
+        def counted_encode(f, *args):
+            encoded.append(f.n_channels // 128)
+            return encode_matrix(f, *args)
+
+        monkeypatch.setattr(harness, "encode_matrix", counted_encode)
+        corpus = tmp_path / "corpus"
+        manifest = write_synthetic_corpus(
+            SyntheticSpec(n_clips=10, duration_s=0.3), 5, corpus)
+        victim = corpus / read_manifest(manifest)[5].path
+        victim.write_bytes(b"ruined")
+        out = tmp_path / "out"
+        with pytest.raises(DataError) as exc:
+            run_bench(RunConfig(dataset=str(manifest), output_dir=str(out), seed=5))
+        assert victim.name in str(exc.value)
+        assert encoded == [2] * 6
+        assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dataset": str(manifest)}))
+        capsys.readouterr()
+        assert main(["bench", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert victim.name in err
+        assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
 
     def test_single_codec_selection(self, tmp_path):
         cfg = small_run_config(tmp_path / "solo", seed=11)
@@ -311,6 +394,32 @@ class TestBlockStacking:
                             output_dir=str(tmp_path / "out")))
         assert len(estimates) == 9
         assert live_at_encode == [0] * 9
+
+    def test_one_block_alive_at_each_encode(self, tmp_path, monkeypatch):
+        # Blocks of two 0.3 s clips (48 frames): five clips make three blocks.
+        # Every codec encodes a block before the next is stacked, so when any
+        # block is encoded, every earlier block's features are already freed.
+        import spikesound.harness as harness
+
+        monkeypatch.setattr(harness, "BLOCK_ENTRIES", 2 * 128 * 48)
+        stack_blocks = harness._stack_blocks
+        blocks, live_at_encode = [], []
+
+        def recorded_blocks(clips):
+            for members, block in stack_blocks(clips):
+                blocks.append(weakref.ref(block.values))
+                yield members, block
+
+        def counted_encode(*args):
+            live_at_encode.append(sum(ref() is not None for ref in blocks))
+            return encode_matrix(*args)
+
+        monkeypatch.setattr(harness, "_stack_blocks", recorded_blocks)
+        monkeypatch.setattr(harness, "encode_matrix", counted_encode)
+        run_bench(RunConfig(synthetic=SyntheticSpec(n_clips=5, duration_s=0.3),
+                            output_dir=str(tmp_path / "out")))
+        assert len(blocks) == 3
+        assert live_at_encode == [1] * 9
 
 
 def _clip_by_clip_reports(cfg: RunConfig, out: Path) -> None:
