@@ -7,10 +7,13 @@ Usage, from the repository root:
 
 On the default corpus (40 synthetic 5 s clips at 44.1 kHz, seed 1234) the
 script times a full `run_bench` with and without the SNN protocol,
-synthesis, synthesis with the WAV write, one SNN batch, and, each in RUNS
-fresh interpreters, the wall time and peak RSS of the cold start (`import
-spikesound.cli`, `cold_import`) and of one `run_bench` without the SNN
-(`run_bench_peak_rss`).  Every figure is the median of RUNS = 5 timed runs
+synthesis, synthesis with the WAV write, one SNN batch, `ingest.resample`
+of a 4 s clip at 22.05 and at 48 kHz, and, each in RUNS fresh
+interpreters, the wall time and peak RSS of the cold start (`import
+spikesound.cli`, `cold_import`), of one `run_bench` without the SNN
+(`run_bench_peak_rss`) and of one `spikesound encode` of a small corpus
+at 22.05, 44.1 and 48 kHz (`encode_peak_rss`, import excluded from its
+wall time).  Every figure is the median of RUNS = 5 timed runs
 (after one untimed warm-up in this interpreter); the raw runs are kept
 too.  The pipeline stages (WAV load, STFT, mel, encode and decode per
 codec, scoring) come only from RUNS traced `run_bench` calls
@@ -66,6 +69,16 @@ RUN_BENCH = ("import resource, sys, time\n"
              "run_bench(RunConfig(output_dir=sys.argv[1]))\n"
              "print(time.perf_counter() - t0, "
              "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
+ENCODE = ("import resource, sys, time\n"
+          "from spikesound.cli import main\n"
+          "t0 = time.perf_counter()\n"
+          "assert main(['encode', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+          "print(time.perf_counter() - t0, "
+          "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
+# The encode_peak_rss corpus: MIXED_CLIPS clips of 1 s at each rate, one
+# per synthetic class.
+MIXED_RATES = (22050, 44100, 48000)
+MIXED_CLIPS = 5
 
 
 def _parse(argv):
@@ -110,13 +123,27 @@ class Stages:
         return {k: statistics.median(v) for k, v in self.raw.items()}
 
 
+def write_mixed_rate_corpus(seed: int, root: Path) -> Path:
+    """MIXED_CLIPS synthetic 1 s clips at each of MIXED_RATES under root,
+    one manifest for all; returns the manifest path."""
+    from spikesound import harness, ingest
+
+    entries = []
+    for rate in MIXED_RATES:
+        spec = harness.SyntheticSpec(n_clips=MIXED_CLIPS, duration_s=1.0, sample_rate=rate)
+        manifest = harness.write_synthetic_corpus(spec, seed, root / str(rate))
+        entries += [replace(e, path=f"{rate}/{e.path}") for e in ingest.read_manifest(manifest)]
+    ingest.write_manifest(entries, root / "manifest.csv")
+    return root / "manifest.csv"
+
+
 def fresh_runs(name: str, code: str, src: Path, *args: str) -> dict:
-    """Wall time and peak RSS that code reports, each run in a fresh
+    """Wall time and peak RSS that code prints last, each run in a fresh
     interpreter with src first on its path: medians and raw runs."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src.resolve()), os.environ.get("PYTHONPATH")])))
     runs = [subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
-                           capture_output=True, text=True).stdout.split()
+                           capture_output=True, text=True).stdout.split()[-2:]
             for _ in range(RUNS)]
     wall, rss = ([float(r[i]) for r in runs] for i in (0, 1))
     print(f"{name}: {statistics.median(wall):.4f} s, "
@@ -129,7 +156,7 @@ def main(argv=None) -> int:
     args = _parse(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import spikesound
-    from spikesound import harness
+    from spikesound import harness, ingest
     from spikesound.codec import encode_matrix
     from spikesound.harness import RunConfig, run_bench
     from spikesound.snn import SnnConfig, _backward_batch, _forward_batch, cross_entropy, init_net
@@ -143,6 +170,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="spikesound-perf-") as tmp:
         tmp = Path(tmp)
         bench_rss = fresh_runs("run_bench_peak_rss", RUN_BENCH, args.src, str(tmp / "fresh"))
+        clock.mark()
+        mixed = tmp / "mixed.json"
+        mixed.write_text(json.dumps({"dataset": str(write_mixed_rate_corpus(
+            cfg.seed, tmp / "mixed"))}), encoding="utf-8")
+        encode_rss = fresh_runs("encode_peak_rss", ENCODE, args.src, str(mixed),
+                                str(tmp / "encode"))
         clock.mark()
 
         # Full runs, untraced, then traced: the spans of the traced runs time
@@ -161,6 +194,11 @@ def main(argv=None) -> int:
                 wall = time.perf_counter() - t0
             layers.append(tracer.summarize(run_id, wall))
 
+        rng = np.random.default_rng(cfg.seed)
+        for rate in (22050, 48000):
+            clip = rng.uniform(-0.9, 0.9, 4 * rate)
+            stages.time(f"resample_{rate}",
+                        lambda clip=clip, rate=rate: ingest.resample(clip, rate, 44100))
         stages.time("synthesis", lambda: harness.generate_synthetic(spec, cfg.seed))
         stages.time("synthesis_wav_write", lambda: harness.write_synthetic_corpus(
             spec, cfg.seed, tmp / "corpus"))
@@ -195,7 +233,11 @@ def main(argv=None) -> int:
                        "(perfbench/hostspeed.py) probed between stages; cold_import "
                        "and run_bench_peak_rss are the median wall time and peak RSS "
                        "of `import spikesound.cli` and of one run_bench without the "
-                       "SNN, each in a fresh interpreter",
+                       "SNN, each in a fresh interpreter; resample_<rate> times "
+                       "ingest.resample of a 4 s clip at that rate to 44.1 kHz; "
+                       "encode_peak_rss is the median wall time (import excluded) and "
+                       "peak RSS of one `spikesound encode` of the mixed-rate corpus "
+                       "in a fresh interpreter",
         "src": {"commit": _git(args.src, "rev-parse", "HEAD"),
                 "uncommitted_changes": bool(_git(args.src, "status", "--porcelain", ".")),
                 "spikesound": spikesound.__version__},
@@ -212,6 +254,9 @@ def main(argv=None) -> int:
         "runs": RUNS,
         "cold_import": cold,
         "run_bench_peak_rss": bench_rss,
+        "encode_peak_rss": encode_rss,
+        "encode_corpus": {"rates": list(MIXED_RATES), "clips_per_rate": MIXED_CLIPS,
+                          "duration_s": 1.0, "seed": cfg.seed},
         "median_s": medians,
         "run_bench_layers": trace,
         "raw_s": stages.raw,

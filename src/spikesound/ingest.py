@@ -19,6 +19,7 @@ from math import gcd
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.io import wavfile
 
 from .container import write_csv
@@ -32,6 +33,12 @@ DEFAULT_SAMPLE_RATE = 44100
 # phase.  Fixed so resampled output is bit-reproducible everywhere.
 _KAISER_BETA = 8.6
 _TAPS_PER_PHASE = 64
+# Largest up or down factor load_audio resamples by; the filter has 64 taps
+# per unit of it, so about 33 MB at most.
+MAX_RESAMPLE_FACTOR = 1 << 16
+# Input samples per block of output periods in resample: 1 MB, so they
+# stay in a core's L2 cache while every phase passes over them.
+_BLOCK_INPUTS = 1 << 17
 
 
 @dataclass
@@ -118,29 +125,84 @@ def _pcm_to_float(data: np.ndarray) -> np.ndarray:
     raise DataError(f"unsupported WAV sample format: {data.dtype}")
 
 
-@functools.lru_cache(maxsize=8)
 def _anti_alias_filter(up: int, down: int) -> np.ndarray:
-    """The polyphase filter designed once per (up, down), read-only."""
-    from scipy.signal import firwin
+    """The polyphase filter for (up, down), read-only: scipy.signal.firwin(
+    64 * m + 1, 1 / m, window=("kaiser", 8.6)), m = max(up, down), step by
+    step.  scipy.special.i0 keeps the bits; np.i0 differs in the last ones.
+    """
+    from scipy.special import i0
     max_rate = max(up, down)
-    half_len = (_TAPS_PER_PHASE // 2) * max_rate
-    h = firwin(2 * half_len + 1, 1.0 / max_rate, window=("kaiser", _KAISER_BETA))
+    numtaps = _TAPS_PER_PHASE * max_rate + 1
+    cutoff = 1.0 / max_rate
+    n = np.arange(numtaps, dtype=np.float64)
+    alpha = (numtaps - 1) / 2.0
+    window = i0(_KAISER_BETA * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / i0(_KAISER_BETA)
+    h = cutoff * np.sinc(cutoff * (n - alpha)) * window
+    h /= np.sum(h)
     h.flags.writeable = False
     return h
+
+
+@functools.lru_cache(maxsize=8)
+def _polyphase(up: int, down: int) -> tuple[np.ndarray, np.ndarray]:
+    """The filter of one (up, down), designed once and split into phases:
+    (taps, first).  Output p * up + r (period p, phase r) sums taps[j, r]
+    times input first[r] + p * down + j - (hpp - 1), hpp = len(taps).  A
+    phase with fewer taps leads with zero weights: their +-0 products leave
+    the sum's bits alone.
+    """
+    h = _anti_alias_filter(up, down)
+    hpp = -(-len(h) // up)
+    padded = np.zeros(hpp * up)
+    padded[:len(h)] = h * up
+    e = np.arange(up) * down + len(h) // 2
+    taps = padded.reshape(hpp, up)[::-1, e % up]
+    taps.flags.writeable = False
+    return taps, e // up
+
+
+def _resample_factors(orig_rate: int, target_rate: int) -> tuple[int, int]:
+    """(up, down): target_rate / orig_rate in lowest terms."""
+    g = gcd(int(target_rate), int(orig_rate))
+    return int(target_rate) // g, int(orig_rate) // g
 
 
 def resample(samples: np.ndarray, orig_rate: int, target_rate: int) -> np.ndarray:
     """Polyphase windowed-sinc resampling from orig_rate to target_rate.
 
-    Output length is ceil(n * target / orig).  Identity when the rates match.
+    Output length is ceil(n * target / orig), and its bytes equal
+    scipy.signal.resample_poly(samples, up, down, window=h) for the
+    package's filter h: each output is 0.0 plus its products added in
+    ascending input order, as scipy's upfirdn adds them.  samples must be
+    finite.  Identity when the rates match.
+
+    Each phase is one np.matmul of its taps with a view of the input that
+    walks the periods backwards: numpy hands a vector-matrix product with a
+    negative stride to its own loop, which adds one product at a time from
+    0.0, where BLAS would add them in blocks.
     """
     if orig_rate == target_rate:
         return np.asarray(samples, dtype=np.float64)
-    from scipy.signal import resample_poly
-    g = gcd(int(target_rate), int(orig_rate))
-    up, down = int(target_rate) // g, int(orig_rate) // g
-    h = _anti_alias_filter(up, down)
-    return resample_poly(np.asarray(samples, dtype=np.float64), up, down, window=h)
+    up, down = _resample_factors(orig_rate, target_rate)
+    x = np.asarray(samples, dtype=np.float64)
+    taps, first = _polyphase(up, down)
+    hpp = len(taps)
+    n_out = -(-len(x) * up // down)
+    n_per = max(2, -(-n_out // up))  # one period would be a dot product, which BLAS does
+    back = (n_per - 1) * down
+    # hpp - 1 zeros before the input: phase r of period p reads from
+    # xp[first[r] + p * down] on, and windows[s][j, p] = xp[s + back + j - p * down].
+    xp = np.zeros(max(hpp - 1 + len(x), int(first.max()) + back + hpp))
+    xp[hpp - 1:hpp - 1 + len(x)] = x
+    windows = as_strided(xp[back:], (int(first.max()) + 1, hpp, n_per), (8, 8, -8 * down))
+    y = np.empty(n_per * up)
+    blocks = max(1, min(-(-n_per * down // _BLOCK_INPUTS), n_per // 2))  # >= 2 periods each
+    for k in range(blocks):
+        a, b = n_per * k // blocks, n_per * (k + 1) // blocks
+        for r in range(up):
+            np.matmul(taps[:, r], windows[first[r], :, n_per - b:n_per - a],
+                      out=y[a * up + r:b * up:up][::-1])
+    return y[:n_out]
 
 
 def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:
@@ -155,7 +217,9 @@ def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Wave
     ------
     DataError
         If the file is unreadable, not PCM/float WAV, has a sample rate of
-        0 Hz or zero length, or holds non-finite float samples.
+        0 Hz or one whose ratio to target_rate needs an up or down factor
+        over MAX_RESAMPLE_FACTOR, has zero length, or holds non-finite
+        float samples.
     """
     path = Path(path)
     try:
@@ -168,6 +232,10 @@ def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Wave
         raise DataError(f"cannot read audio file {path}: {exc}") from exc
     if rate == 0:
         raise DataError(f"sample rate of 0 Hz in {path}")
+    factor = max(_resample_factors(rate, target_rate))
+    if factor > MAX_RESAMPLE_FACTOR:
+        raise DataError(f"cannot resample {path} from {rate} Hz to {target_rate} Hz: "
+                        f"factor {factor} is over {MAX_RESAMPLE_FACTOR}")
     if data.size == 0:
         raise DataError(f"zero-length audio: {path}")
     x = _pcm_to_float(data)

@@ -70,7 +70,7 @@ def test_script_uses_existing_package_names(script):
 
 def test_perf_code_strings_are_checked():
     tree = ast.parse((ROOT / "bench" / "perf.py").read_text(encoding="utf-8"))
-    assert len(_embedded_code(tree)) == 2  # COLD_IMPORT and RUN_BENCH
+    assert len(_embedded_code(tree)) == 3  # COLD_IMPORT, RUN_BENCH and ENCODE
     stale = ast.parse('CODE = ("from spikesound.harness import run_bench, run_all\\n"\n'
                       '        "run_bench()\\n")\n')
     assert [_missing_names(t) for t in _embedded_code(stale)] == [

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shutil
+import struct
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -860,11 +861,14 @@ class TestCli:
         save_features(replace(feats, values=feats.values[:, :-1]), path)
         self._assert_reconstruct_data_error(enc, tmp_path, capsys)
 
-    # Bad input: a manifest row or encoding (exit 3, run through every
-    # subcommand that reads a manifest) or a config value of the wrong JSON
-    # type or out of range (exit 2, through every subcommand that reads a
-    # config).  Each is (manifest bytes edit, config edit).
+    # Bad input: a manifest row or encoding or a clip's WAV header (exit 3,
+    # run through every subcommand that reads a manifest) or a config value
+    # of the wrong JSON type or out of range (exit 2, through every
+    # subcommand that reads a config).  Each is (manifest bytes edit, config
+    # edit); a ("wav", offset, bytes) edit rewrites the first clip's header.
     MUTATIONS = {
+        # 2 GHz: the 44.1 kHz filter would need 1.28e9 taps (9.5 GiB).
+        "wav_rate_2ghz": (("wav", 24, struct.pack("<II", 2_000_000_000, 4_000_000_000)), {}),
         "fold_not_int": ((b",,train", b",x,train"), {}),
         "fold_negative": ((b",,train", b",-1,train"), {}),
         "split_dev": ((b",,train", b",,dev"), {}),
@@ -922,7 +926,13 @@ class TestCli:
         edit, config = self.MUTATIONS[mutation]
         manifest = write_synthetic_corpus(
             SyntheticSpec(n_clips=5, duration_s=0.3), 5, tmp_path / "corpus")
-        if edit:
+        named = manifest
+        if edit and edit[0] == "wav":
+            _, offset, header = edit
+            named = manifest.parent / read_manifest(manifest)[0].path
+            wav = named.read_bytes()
+            named.write_bytes(wav[:offset] + header + wav[offset + len(header):])
+        elif edit:
             lines = manifest.read_bytes().split(b"\n")
             lines[2] = lines[2].replace(*edit)  # the second clip's row
             manifest.write_bytes(b"\n".join(lines))
@@ -935,7 +945,7 @@ class TestCli:
         assert err.count("\n") == 1 and "Traceback" not in err, err
         assert err.startswith("data error:" if edit else "config error:"), err
         if edit:
-            assert str(manifest) in err
+            assert str(named) in err
         assert not out.exists() or not [p for p in out.rglob("*") if p.is_file()]
 
     @pytest.mark.parametrize("command", ["synth", "encode", "bench", "train"])

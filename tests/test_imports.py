@@ -1,5 +1,6 @@
 """Every name a spikesound module, bench/perf.py, a test or a demo imports
-is used there, and the package loads scipy.signal only when it resamples.
+is used there, and the package never loads scipy.signal on its default
+path, resampling included.
 
 The package's __init__.py is skipped by the unused-import check: its imports
 are the public re-exports.
@@ -111,23 +112,24 @@ import spikesound
 from spikesound.cli import main
 
 tmp = Path(sys.argv[1])
-for rate in (44100, 22050):
+for rate in (44100, 22050, 48000):
     config = tmp / f"config_{rate}.json"
     config.write_text(json.dumps({"codecs": ["sf"], "synthetic": {
         "n_clips": 5, "duration_s": 0.3, "sample_rate": rate}}))
     command = "bench" if rate == 44100 else "encode"
-    assert main([command, "--config", str(config), "--out", str(tmp / command)]) == 0
+    assert main([command, "--config", str(config), "--out", str(tmp / str(rate))]) == 0
     print("scipy.signal after", command, "scipy.signal" in sys.modules)
 """
 
 
-def test_scipy_signal_loads_only_to_resample(tmp_path):
-    # A fresh interpreter: a bench at the frontend's own rate never loads
-    # scipy.signal; an encode of 22.05 kHz clips resamples, which loads it.
+def test_scipy_signal_never_loads(tmp_path):
+    # A fresh interpreter: neither a bench at the frontend's own rate nor an
+    # encode of 22.05 or 48 kHz clips, which resamples, loads scipy.signal.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _FRESH, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     loaded = [line for line in proc.stdout.splitlines() if line.startswith("scipy.signal")]
-    assert loaded == ["scipy.signal after bench False", "scipy.signal after encode True"]
+    assert loaded == ["scipy.signal after bench False", "scipy.signal after encode False",
+                      "scipy.signal after encode False"]

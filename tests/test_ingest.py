@@ -1,7 +1,6 @@
 """Audio loading, duration filtering, cropping, and manifest rules."""
 
 import hashlib
-import math
 import struct
 
 import numpy as np
@@ -136,18 +135,47 @@ class TestResample:
         (48000, 4411, "2f8c5f2fe6bcf14a705d853bbca11e8efbdeaceffa656f52cf1a06de5d423528"),
     ])
     def test_cached_filter_keeps_output_bytes(self, rate, n_out, digest):
-        # The digests were taken when every call designed its own filter; the
-        # second call reuses the cached, read-only one.
+        # The digests were taken when every call designed its own filter with
+        # scipy.signal; the second call reuses the cached, read-only plan.
         x = np.random.default_rng(12).uniform(-0.9, 0.9, 4801)
-        before = ingest._anti_alias_filter.cache_info()
+        before = ingest._polyphase.cache_info()
         for _ in range(2):
             y = resample(x, rate, 44100)
             assert len(y) == n_out
             assert hashlib.sha256(y.tobytes()).hexdigest() == digest
-        after = ingest._anti_alias_filter.cache_info()
+        after = ingest._polyphase.cache_info()
         assert after.misses - before.misses <= 1 <= after.hits - before.hits
-        g = math.gcd(rate, 44100)
-        assert not ingest._anti_alias_filter(44100 // g, rate // g).flags.writeable
+        up, down = ingest._resample_factors(rate, 44100)
+        assert not ingest._anti_alias_filter(up, down).flags.writeable
+        assert not ingest._polyphase(up, down)[0].flags.writeable
+
+    # 44101 Hz is coprime to 44100 Hz: 44100 phases of 65 taps.
+    ORACLE_RATES = (8000, 11025, 16000, 22050, 24000, 32000, 48000, 88200, 96000, 44101)
+
+    @pytest.mark.parametrize("rate", ORACLE_RATES)
+    def test_matches_resample_poly(self, rate):
+        # Bit for bit against scipy.signal's resample_poly and firwin, at
+        # short lengths and one period either side of the lengths where
+        # resample starts a new block of periods; zeros keep their sign.
+        from scipy.signal import firwin, resample_poly
+
+        up, down = ingest._resample_factors(rate, 44100)
+        m = max(up, down)
+        h = firwin(64 * m + 1, 1.0 / m, window=("kaiser", 8.6))
+        assert ingest._anti_alias_filter(up, down).tobytes() == h.tobytes()
+        block = ingest._BLOCK_INPUTS
+        blocks = (1, 2) if m < 1000 else (1,)  # the coprime rate's 44100 phases are slow
+        lengths = [1, 2, 5, 300] + [k * block + d for k in blocks for d in (-down, 0, down)]
+        rng = np.random.default_rng(rate)
+        try:
+            for n in lengths:
+                for x in (rng.uniform(-1, 1, n), np.zeros(n)):
+                    y, want = resample(x, rate, 44100), resample_poly(x, up, down, window=h)
+                    assert y.tobytes() == want.tobytes(), n
+                    assert (np.signbit(y) == np.signbit(want)).all(), n
+        finally:
+            if m > 1000:  # drop the coprime rate's 22 MB of taps
+                ingest._polyphase.cache_clear()
 
 
 class TestCenterCrop:

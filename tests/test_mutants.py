@@ -13,10 +13,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from spikesound import codec, metrics, snn
+from spikesound import codec, ingest, metrics, snn
 
 import test_codec
 import test_codec_oracle
+import test_ingest
 import test_metrics
 import test_snn
 
@@ -77,6 +78,20 @@ def window_sum_plain_reduce(rows, out):
     return np.add.reduce(rows, axis=0, out=out)
 
 
+def resample_summed_backwards(samples, orig_rate, target_rate):
+    # Each output's products added from its last input back to its first.
+    up, down = ingest._resample_factors(orig_rate, target_rate)
+    h = ingest._anti_alias_filter(up, down) * up
+    x = np.asarray(samples, dtype=np.float64)
+    e = np.arange(-(-len(x) * up // down)) * down + len(h) // 2
+    y = np.zeros(len(e))
+    for a in range(-(-len(h) // up)):  # input e // up - a, tap e % up + a * up
+        k, u = e // up - a, e % up + a * up
+        ok = (k >= 0) & (k < len(x)) & (u < len(h))
+        y[ok] += x[k[ok]] * h[u[ok]]
+    return y
+
+
 def lif_reset_to_zero(membrane, current, beta, theta, smooth=False, slope=25.0):
     s, u, _ = _real_lif_update(membrane, current, beta, theta, smooth, slope)
     return s, u, u * (1.0 - s)
@@ -112,6 +127,9 @@ MUTANTS = {
     "window_sum_plain_reduce": (
         codec, "_window_sum", window_sum_plain_reduce, test_codec,
         "TestMovingWindow.test_slab_edges_match_oracle", {"n": 129, "window": 12}),
+    "resample_summed_backwards": (
+        ingest, "resample", resample_summed_backwards, test_ingest,
+        "TestResample.test_matches_resample_poly", {"rate": 48000}),
     "lif_reset_to_zero": (
         snn, "_lif_update", lif_reset_to_zero, test_snn,
         "TestLifStep.test_integrate_and_fire_arithmetic", {}),
