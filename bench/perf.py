@@ -11,7 +11,9 @@ synthesis, synthesis with the WAV write, one SNN batch, `ingest.resample`
 of a 4 s clip at 22.05 and at 48 kHz, and, each in RUNS fresh
 interpreters, the wall time and peak RSS of the cold start (`import
 spikesound.cli`, `cold_import`), of one `run_bench` without the SNN
-(`run_bench_peak_rss`) and of one `spikesound encode` of a small corpus
+(`run_bench_peak_rss`), of the same run with one codec only
+(`run_bench_peak_rss_<codec>`, which tells which codec sets the peak) and
+of one `spikesound encode` of a small corpus
 at 22.05, 44.1 and 48 kHz (`encode_peak_rss`, import excluded from its
 wall time).  Every figure is the median of RUNS = 5 timed runs
 (after one untimed warm-up in this interpreter); the raw runs are kept
@@ -66,7 +68,7 @@ COLD_IMPORT = ("import resource, time\n"
 RUN_BENCH = ("import resource, sys, time\n"
              "from spikesound.harness import RunConfig, run_bench\n"
              "t0 = time.perf_counter()\n"
-             "run_bench(RunConfig(output_dir=sys.argv[1]))\n"
+             "run_bench(RunConfig(output_dir=sys.argv[1], codecs=tuple(sys.argv[2:])))\n"
              "print(time.perf_counter() - t0, "
              "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
 ENCODE = ("import resource, sys, time\n"
@@ -157,7 +159,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     import spikesound
     from spikesound import harness, ingest
-    from spikesound.codec import encode_matrix
+    from spikesound.codec import CODEC_IDS, encode_matrix
     from spikesound.harness import RunConfig, run_bench
     from spikesound.snn import SnnConfig, _backward_batch, _forward_batch, cross_entropy, init_net
 
@@ -169,7 +171,11 @@ def main(argv=None) -> int:
     spec = cfg.synthetic
     with tempfile.TemporaryDirectory(prefix="spikesound-perf-") as tmp:
         tmp = Path(tmp)
-        bench_rss = fresh_runs("run_bench_peak_rss", RUN_BENCH, args.src, str(tmp / "fresh"))
+        bench_rss = fresh_runs("run_bench_peak_rss", RUN_BENCH, args.src, str(tmp / "fresh"),
+                               *CODEC_IDS)
+        codec_rss = {f"run_bench_peak_rss_{c}": fresh_runs(
+            f"run_bench_peak_rss_{c}", RUN_BENCH, args.src, str(tmp / "fresh"), c)
+            for c in CODEC_IDS}
         clock.mark()
         mixed = tmp / "mixed.json"
         mixed.write_text(json.dumps({"dataset": str(write_mixed_rate_corpus(
@@ -233,7 +239,8 @@ def main(argv=None) -> int:
                        "(perfbench/hostspeed.py) probed between stages; cold_import "
                        "and run_bench_peak_rss are the median wall time and peak RSS "
                        "of `import spikesound.cli` and of one run_bench without the "
-                       "SNN, each in a fresh interpreter; resample_<rate> times "
+                       "SNN, each in a fresh interpreter; run_bench_peak_rss_<codec> "
+                       "is the same run with that codec only; resample_<rate> times "
                        "ingest.resample of a 4 s clip at that rate to 44.1 kHz; "
                        "encode_peak_rss is the median wall time (import excluded) and "
                        "peak RSS of one `spikesound encode` of the mixed-rate corpus "
@@ -254,6 +261,7 @@ def main(argv=None) -> int:
         "runs": RUNS,
         "cold_import": cold,
         "run_bench_peak_rss": bench_rss,
+        **codec_rss,
         "encode_peak_rss": encode_rss,
         "encode_corpus": {"rates": list(MIXED_RATES), "clips_per_rate": MIXED_CLIPS,
                           "duration_s": 1.0, "seed": cfg.seed},

@@ -118,9 +118,8 @@ def _step_sum(steps: np.ndarray, x0: np.ndarray) -> np.ndarray:
 # Moving Window
 # ---------------------------------------------------------------------------
 
-# Frames per slab of the MW encoder, the MW decoder and the TAE threshold
-# replay: bounds their buffers to slabs of this many frames of every row
-# (MW windows of 8 and more sum through up to 14 such slabs).
+# Frames per slab of the MW encoder and decoder, which bounds their buffers
+# (windows of 8 and more sum through up to 14 such slabs).
 _SLAB_FRAMES = 128
 
 
@@ -252,25 +251,19 @@ def _tae_encode_rows(x: np.ndarray, t0: np.ndarray, cfg: CodecConfig) -> np.ndar
 
 def _tae_decode_rows(spikes: np.ndarray, x0: np.ndarray, t0: np.ndarray,
                      cfg: CodecConfig) -> np.ndarray:
-    # The SF step sum with T replayed from the spikes: T0 for frames 0 and 1,
-    # then _tae_next of the frame before.  The replay runs frame-major a slab
-    # at a time, each slab copied into the channel-major steps; a slab's
-    # first row steps from slab[-1], the last row of the full slab before.
-    fired = np.ascontiguousarray(spikes.T) != 0
-    n, c = fired.shape
+    # The SF step sum with T replayed from the spikes, the way the encoder
+    # steps it: one threshold row t, written into column i of the steps and
+    # then stepped in place by frame i's spikes.  Column 0 is T0 too; the
+    # step sum replaces frame 0 with x0.
+    c, n = spikes.shape
     tmin, tmax = _tae_bounds(t0, cfg)
     steps = np.empty((c, n))
-    slab = np.empty((_SLAB_FRAMES, c))
-    grown = np.empty(c)
-    for lo in range(0, n, _SLAB_FRAMES):
-        rows = slab[: min(_SLAB_FRAMES, n - lo)]
-        for j in range(len(rows)):
-            if lo + j < 2:
-                rows[j] = t0
-            else:
-                _tae_next(slab[j - 1], fired[lo + j - 1], tmin, tmax,
-                          cfg.tae_gamma, rows[j], grown)
-        steps[:, lo : lo + len(rows)] = rows.T
+    steps[:, 0] = t = t0.copy()
+    grown, fired = np.empty(c), np.empty(c, dtype=bool)
+    for i in range(1, n):
+        steps[:, i] = t
+        _tae_next(t, np.not_equal(spikes[:, i], 0, out=fired), tmin, tmax,
+                  cfg.tae_gamma, t, grown)
     return _step_sum(np.multiply(steps, spikes, out=steps), x0)
 
 

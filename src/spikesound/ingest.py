@@ -36,6 +36,9 @@ _TAPS_PER_PHASE = 64
 # Largest up or down factor load_audio resamples by; the filter has 64 taps
 # per unit of it, so about 33 MB at most.
 MAX_RESAMPLE_FACTOR = 1 << 16
+# Most samples load_audio returns (1 GiB of float64, 50 min at 44.1 kHz):
+# a low rate passes the factor check yet can upsample past any memory.
+MAX_SAMPLES = 1 << 27
 # Input samples per block of output periods in resample: 1 MB, so they
 # stay in a core's L2 cache while every phase passes over them.
 _BLOCK_INPUTS = 1 << 17
@@ -218,8 +221,8 @@ def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Wave
     DataError
         If the file is unreadable, not PCM/float WAV, has a sample rate of
         0 Hz or one whose ratio to target_rate needs an up or down factor
-        over MAX_RESAMPLE_FACTOR, has zero length, or holds non-finite
-        float samples.
+        over MAX_RESAMPLE_FACTOR, would give over MAX_SAMPLES samples at
+        target_rate, has zero length, or holds non-finite float samples.
     """
     path = Path(path)
     try:
@@ -232,10 +235,12 @@ def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Wave
         raise DataError(f"cannot read audio file {path}: {exc}") from exc
     if rate == 0:
         raise DataError(f"sample rate of 0 Hz in {path}")
-    factor = max(_resample_factors(rate, target_rate))
-    if factor > MAX_RESAMPLE_FACTOR:
-        raise DataError(f"cannot resample {path} from {rate} Hz to {target_rate} Hz: "
-                        f"factor {factor} is over {MAX_RESAMPLE_FACTOR}")
+    up, down = _resample_factors(rate, target_rate)
+    n_out = -(-len(data) * up // down)
+    if max(up, down) > MAX_RESAMPLE_FACTOR or n_out > MAX_SAMPLES:
+        raise DataError(f"cannot resample {path} from {rate} Hz to {target_rate} Hz: factor "
+                        f"{max(up, down)} (at most {MAX_RESAMPLE_FACTOR}), "
+                        f"{n_out} samples (at most {MAX_SAMPLES})")
     if data.size == 0:
         raise DataError(f"zero-length audio: {path}")
     x = _pcm_to_float(data)

@@ -354,10 +354,10 @@ class TestMatrixEncoding:
         assert peaks["mw"] <= 512 * 858 + 4 * codec_module._SLAB_FRAMES * 512 * 8, peaks
 
     def test_decode_peak_memory_near_sf(self):
-        # MW decodes, and TAE replays its thresholds, frame-major through one
-        # slab buffer into the estimate: beside it they keep a frame-major
-        # int8 copy of the spikes, but no float64 threshold trace or
-        # transposed estimate.
+        # TAE steps one threshold row in place into the channel-major steps
+        # that SF's decoder builds too: no slab, no copy of the spikes.  MW
+        # decodes frame-major through one slab buffer into the estimate,
+        # with no float64 trace or transposed estimate.
         f = make_features(np.random.default_rng(8).uniform(0, 1, (512, 858)))
         cfg = CodecConfig()
         peaks = {}
@@ -368,8 +368,8 @@ class TestMatrixEncoding:
             peaks[codec] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         slab = (cfg.window + codec_module._SLAB_FRAMES) * 512 * 8
-        for codec in ("mw", "tae"):
-            assert peaks[codec] <= peaks["sf"] + 512 * 858 + slab, peaks
+        assert peaks["mw"] <= peaks["sf"] + 512 * 858 + slab, peaks
+        assert peaks["tae"] <= peaks["sf"] + 64 * 1024, peaks
 
 
 class TestBitExactOutput:
@@ -431,8 +431,9 @@ class TestBitExactOutput:
     @pytest.mark.parametrize("codec", CODEC_IDS)
     @pytest.mark.parametrize("cfg", [CodecConfig(), CodecConfig(window=12)])
     def test_outputs_c_contiguous(self, cfg, codec):
-        # The kernels run frame-major; reductions downstream sum in layout
-        # order, so a transposed view here would change report bytes.
+        # The SF and TAE encoders and the MW decoder run frame-major, and
+        # reductions downstream sum in layout order, so a transposed view
+        # here would change report bytes.
         values = np.cumsum(np.random.default_rng(3).normal(0.0, 0.05, size=(9, 40)), axis=1)
         st = encode_matrix(make_features(values), cfg, codec)
         assert st.spikes.flags.c_contiguous

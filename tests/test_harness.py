@@ -869,6 +869,9 @@ class TestCli:
     MUTATIONS = {
         # 2 GHz: the 44.1 kHz filter would need 1.28e9 taps (9.5 GiB).
         "wav_rate_2ghz": (("wav", 24, struct.pack("<II", 2_000_000_000, 4_000_000_000)), {}),
+        # 1 Hz: factor 44100 passes, but the 0.3 s clip would upsample to
+        # 583e6 samples (4.7 GB of float64).
+        "wav_rate_1hz": (("wav", 24, struct.pack("<II", 1, 2)), {}),
         "fold_not_int": ((b",,train", b",x,train"), {}),
         "fold_negative": ((b",,train", b",-1,train"), {}),
         "split_dev": ((b",,train", b",,dev"), {}),

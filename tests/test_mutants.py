@@ -64,6 +64,18 @@ def tae_replay_shifted(spikes, x0, t0, cfg):
     return codec._step_sum(steps * spikes, x0)
 
 
+def tae_replay_positive_only(spikes, x0, t0, cfg):
+    # T grows only after a +1 spike; after a -1 spike it shrinks as in silence.
+    tmin, tmax = codec._tae_bounds(t0, cfg)
+    t, grown = t0.copy(), np.empty_like(t0)
+    steps = np.empty(spikes.shape)
+    steps[:, 0] = t0
+    for i in range(1, spikes.shape[1]):
+        steps[:, i] = t
+        codec._tae_next(t, spikes[:, i] > 0, tmin, tmax, cfg.tae_gamma, t, grown)
+    return codec._step_sum(steps * spikes, x0)
+
+
 def tae_clamps_from_span(x, t0, cfg):
     # The encoder clamps to fractions of the channel's range, 0 when it is
     # flat, which the decoder cannot know from side_info.
@@ -121,6 +133,11 @@ MUTANTS = {
     "tae_replay_shifted": (
         codec, "_tae_decode_rows", tae_replay_shifted, test_codec,
         "TestThresholdAdaptive.test_hand_trace_adaptive_recurrence", {}),
+    # The hand trace has +1 spikes only, so it passes this mutant; the grid
+    # sweep decodes falling signals too.
+    "tae_replay_positive_only": (
+        codec, "_tae_decode_rows", tae_replay_positive_only, test_codec_oracle,
+        "test_exhaustive_short_signals_fine_grid", {"codec": "tae"}),
     "tae_clamps_from_span": (
         codec, "_tae_encode_rows", tae_clamps_from_span, test_codec,
         "TestThresholdAdaptive.test_constant_signal_threshold_decays_to_floor", {}),
