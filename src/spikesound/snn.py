@@ -101,25 +101,23 @@ class _ForwardCache:
 
 
 def _forward_batch(net: SpikingNet, x: np.ndarray, smooth: bool = False,
-                   keep_cache: bool = True) -> _ForwardCache:
+                   buffers: list[np.ndarray] | None = None) -> _ForwardCache:
     cfg = net.config
     batch, channels, frames = x.shape
     if channels != cfg.input_size:
         raise ValueError(f"expected {cfg.input_size} input channels, got {channels}")
     mems = [np.zeros((batch, w.shape[1])) for w in net.weights]
-    pre = [np.empty((frames, batch, w.shape[1])) for w in net.weights] if keep_cache else None
-    spk = [np.empty((frames, batch, w.shape[1])) for w in net.weights] if keep_cache else None
+    buffers = buffers or [np.empty((frames, batch, w.shape[1])) for w in net.weights * 2]
+    pre = [b[:, :batch] for b in buffers[: len(mems)]]
+    spk = [b[:, :batch] for b in buffers[len(mems) :]]
     counts = np.zeros((batch, net.weights[-1].shape[1]))
     for t in range(frames):
         cur = x[:, :, t]
         for l, w in enumerate(net.weights):
-            s, u, mems[l] = _lif_update(
+            cur, pre[l][t], mems[l] = _lif_update(
                 mems[l], cur @ w, cfg.beta, cfg.theta, smooth, cfg.surrogate_slope
             )
-            if keep_cache:
-                pre[l][t] = u
-                spk[l][t] = s
-            cur = s
+            spk[l][t] = cur
         counts += cur
     return _ForwardCache(inputs=x, pre_reset=pre, spikes=spk, counts=counts)
 
@@ -155,10 +153,7 @@ def _backward_batch(net: SpikingNet, cache: _ForwardCache,
     d_pre = [None] * n_layers
     for t in range(frames - 1, -1, -1):
         for l in range(n_layers - 1, -1, -1):
-            if l == n_layers - 1:
-                d_spike = d_counts
-            else:
-                d_spike = d_pre[l + 1] @ net.weights[l + 1].T
+            d_spike = d_counts if l == n_layers - 1 else d_pre[l + 1] @ net.weights[l + 1].T
             g = surrogate_grad(cache.pre_reset[l][t] - cfg.theta, cfg.surrogate_slope)
             d_pre[l] = d_spike * g + carry[l] * (1.0 - cfg.theta * g)
             prev = cache.spikes[l - 1][t] if l > 0 else cache.inputs[:, :, t]
@@ -228,9 +223,11 @@ class ClipDataset:
         return len(self.labels)
 
 
-def train(net: SpikingNet, train_set: ClipDataset) -> tuple[SpikingNet, list[tuple]]:
+def train(net: SpikingNet, train_set: ClipDataset, *,
+          buffers=None) -> tuple[SpikingNet, list[tuple]]:
     """Adam + BPTT training on cross-entropy over output spike counts;
     returns the net and one (epoch, "train", loss, macro_acc) row per epoch.
+    buffers, as run_protocol makes them, hold each batch's forward cache.
 
     Deterministic given net.config, which holds every setting (shuffling
     and init both derive from its seed).  Raises NumericError if the loss
@@ -258,7 +255,7 @@ def train(net: SpikingNet, train_set: ClipDataset) -> tuple[SpikingNet, list[tup
             idx = order[start : start + cfg.batch_size]
             x = train_set.inputs[idx]
             y = labels[idx]
-            cache = _forward_batch(net, x)
+            cache = _forward_batch(net, x, buffers=buffers)
             loss, d_counts = cross_entropy(cache.counts, y)
             if not np.isfinite(loss):
                 raise NumericError(
@@ -285,8 +282,8 @@ def _recalls(labels: np.ndarray, preds: np.ndarray,
             for c, name in enumerate(class_names) if np.any(labels == c)}
 
 
-def evaluate_macro(net: SpikingNet,
-                   test_set: ClipDataset) -> tuple[float, dict[str, float]]:
+def evaluate_macro(net: SpikingNet, test_set: ClipDataset, *,
+                   buffers=None) -> tuple[float, dict[str, float]]:
     """Macro accuracy (mean per-class recall) and the per-class recalls.
 
     Prediction is the argmax of output spike counts; ties resolve to the
@@ -298,8 +295,7 @@ def evaluate_macro(net: SpikingNet,
     preds = np.empty(len(labels), dtype=np.int64)
     bs = net.config.batch_size
     for start in range(0, len(labels), bs):
-        cache = _forward_batch(net, test_set.inputs[start : start + bs],
-                               keep_cache=False)
+        cache = _forward_batch(net, test_set.inputs[start : start + bs], buffers=buffers)
         preds[start : start + len(cache.counts)] = np.argmax(cache.counts, axis=1)
     recalls = _recalls(labels, preds, test_set.class_names)
     for name in test_set.class_names:
@@ -349,11 +345,16 @@ def run_protocol(inputs: np.ndarray, labels, folds, splits,
                 model = "holdout" if fold is None else f"fold {fold}"
                 raise DataError(f"{model}: {part} part has no clips of class "
                                 f"{class_names[counts.argmin()]!r}")
+    # Each model's forward passes reuse these, not tens of MB faulted in per batch.
+    shape = (inputs.shape[2], min(cfg.batch_size, len(inputs)))
+    buffers = [np.empty((*shape, n)) for n in cfg.layer_sizes[1:] * 2]
     results, histories = [], []
     for i, (fold, test) in enumerate(parts):
         net = init_net(cfg, np.random.default_rng([cfg.seed, i]))
-        net, hist = train(net, ClipDataset(inputs[~test], y[~test], class_names))
-        acc, recalls = evaluate_macro(net, ClipDataset(inputs[test], y[test], class_names))
+        train_set = ClipDataset(inputs[~test], y[~test], class_names)
+        net, hist = train(net, train_set, buffers=buffers)
+        test_set = ClipDataset(inputs[test], y[test], class_names)
+        acc, recalls = evaluate_macro(net, test_set, buffers=buffers)
         results.append((fold, acc, recalls))
         histories.append(hist)
     return results, histories
