@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import read_container, read_json, write_container, write_json
+from .container import read_container, write_container
 from .errors import ConfigError, DataError
 from .ingest import Waveform
 
@@ -25,7 +25,12 @@ LOG_EPS = 1e-10
 # the last band closed at 20 kHz.
 BAND_EDGES_HZ = (20.0, 125.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0, 20000.0)
 
-FEATURE_MAGIC = b"SPKF1"
+FEATURE_MAGIC = b"SPKF2"
+
+# Config bounds past which the window or the mel filterbank (n_mels x
+# (n_fft//2 + 1) float64 entries, 128 MiB at the bound) would not fit.
+MAX_N_FFT = 1 << 16
+MAX_FILTERBANK_ENTRIES = 1 << 24
 
 # Frames per chunk of the STFT: bounds its windowed-frame and spectrum
 # buffers to 32 rows while the power matrix is filled in place.
@@ -43,12 +48,16 @@ class FrontendConfig:
     window: str = "hann"
 
     def __post_init__(self):
-        if self.n_fft < 1 or self.n_fft & (self.n_fft - 1):
-            raise ConfigError(f"n_fft must be a power of two, got {self.n_fft}")
+        if not 1 <= self.n_fft <= MAX_N_FFT or self.n_fft & (self.n_fft - 1):
+            raise ConfigError(f"n_fft must be a power of two up to {MAX_N_FFT}, "
+                              f"got {self.n_fft}")
         if self.hop < 1:
             raise ConfigError(f"hop must be >= 1, got {self.hop}")
         if self.n_mels < 2:
             raise ConfigError(f"n_mels must be >= 2, got {self.n_mels}")
+        if self.n_mels * (self.n_fft // 2 + 1) > MAX_FILTERBANK_ENTRIES:
+            raise ConfigError(f"n_mels x (n_fft // 2 + 1) must be at most {MAX_FILTERBANK_ENTRIES}"
+                              f", got {self.n_mels} x {self.n_fft // 2 + 1}")
         if not self.f_min < self.f_max <= self.sample_rate / 2:
             raise ConfigError("need f_min < f_max <= sample_rate / 2, got "
                               f"{self.f_min} / {self.f_max} / {self.sample_rate}")
@@ -249,50 +258,38 @@ def partition_bands(channel_center_hz: np.ndarray) -> np.ndarray:
     return bands.astype(np.int64)
 
 
-_HEADER = struct.Struct("<IIf")  # channels, frames, frame_rate
+_HEADER = struct.Struct("<IId")  # channels, frames, frame_rate
 
 
 def save_features(f: FeatureMatrix, path: str | Path) -> None:
-    """Write the SPKF1 binary container plus a JSON sidecar.
-
-    Binary layout: magic, channels (u32), frames (u32), frame_rate (f32),
-    then row-major little-endian float32 values.  The sidecar (same path +
-    '.json') carries norm_state and channel centers at full precision.
-    """
+    """Write f as one SPKF2 container: magic, channels (u32), frames (u32),
+    frame_rate (f64), then little-endian row-major float32 values, float64
+    channel centers and float64 (offset, scale) norm_state rows."""
     write_container(path, FEATURE_MAGIC, _HEADER,
                     (f.n_channels, f.n_frames, f.frame_rate),
-                    [f.values.astype("<f4").tobytes(order="C")])
-    write_json(f"{path}.json", {
-        "channel_center_hz": f.channel_center_hz.tolist(),
-        "norm_state": f.norm_state.tolist(),
-        "frame_rate": f.frame_rate,
-    })
+                    [f.values.astype("<f4").tobytes(),
+                     f.channel_center_hz.astype("<f8").tobytes(),
+                     f.norm_state.astype("<f8").tobytes()])
 
 
 def load_features(path: str | Path) -> FeatureMatrix:
-    """Read a save_features file and its sidecar; DataError if either is
-    unreadable or malformed, or if any value is non-finite."""
+    """Read a save_features file; DataError if it is unreadable or
+    malformed, or if any value, center, norm_state entry or the frame
+    rate is non-finite."""
 
     def layout(fields, take):
-        channels, frames, _ = fields
+        channels, frames, frame_rate = fields
         values = np.frombuffer(take(channels * frames * 4), dtype="<f4")
-        if not np.all(np.isfinite(values)):
-            raise DataError("non-finite feature values")
-        return values.reshape(channels, frames).astype(np.float64)
-
-    values = read_container(path, FEATURE_MAGIC, _HEADER, "feature file", layout)
-    sidecar_path = f"{path}.json"
-    sidecar = read_json(sidecar_path, "feature sidecar")
-    try:
-        f = FeatureMatrix(
-            values=values,
-            channel_center_hz=np.array(sidecar["channel_center_hz"], dtype=np.float64),
-            norm_state=np.array(sidecar["norm_state"], dtype=np.float64),
-            frame_rate=float(sidecar["frame_rate"]),
+        centers = np.frombuffer(take(channels * 8), dtype="<f8")
+        norm_state = np.frombuffer(take(channels * 16), dtype="<f8")
+        for piece in (values, centers, norm_state, frame_rate):
+            if not np.all(np.isfinite(piece)):
+                raise DataError("non-finite values, centers, norm_state or frame rate")
+        return FeatureMatrix(
+            values=values.reshape(channels, frames).astype(np.float64),
+            channel_center_hz=centers.astype(np.float64),
+            norm_state=norm_state.reshape(channels, 2).astype(np.float64),
+            frame_rate=frame_rate,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad feature sidecar {sidecar_path}: {exc!r}") from exc
-    if not all(np.all(np.isfinite(a)) for a in (f.channel_center_hz, f.norm_state,
-                                                f.frame_rate)):
-        raise DataError(f"non-finite values in feature sidecar {sidecar_path}")
-    return f
+
+    return read_container(path, FEATURE_MAGIC, _HEADER, "feature file", layout)

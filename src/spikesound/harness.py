@@ -35,7 +35,8 @@ from .codec import (
 from .container import make_dir, read_json, write_csv, write_file, write_json
 from .errors import ConfigError, DataError
 from .frontend import FrontendConfig, FeatureMatrix, mel_spectrogram, partition_bands
-from .ingest import ManifestEntry, Waveform, center_crop, load_audio, read_manifest, write_manifest
+from .ingest import (MAX_SAMPLES, ManifestEntry, Waveform, center_crop, load_audio,
+                     read_manifest, write_manifest)
 from .metrics import (
     encoder_state_bytes,
     errdb,
@@ -70,8 +71,8 @@ class SyntheticSpec:
         if not (self.sample_rate > 0 and 0 < self.duration_s < np.inf):
             raise ConfigError("need sample_rate > 0 and finite duration_s > 0, got "
                               f"{self.sample_rate} / {self.duration_s}")
-        if round(self.duration_s * self.sample_rate) < 2:
-            raise ConfigError("need at least 2 samples per clip, got duration_s "
+        if not 2 <= round(self.duration_s * self.sample_rate) <= MAX_SAMPLES:
+            raise ConfigError(f"need 2 to {MAX_SAMPLES} samples per clip, got duration_s "
                               f"{self.duration_s} at {self.sample_rate} Hz")
 
 

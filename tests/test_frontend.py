@@ -1,9 +1,9 @@
 """Front-end: STFT framing, mel filterbank geometry, normalization, bands."""
 
 import hashlib
-import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from spikesound import frontend
 from spikesound.errors import DataError
 from spikesound.frontend import (
     BAND_EDGES_HZ,
-    FeatureMatrix,
     FrontendConfig,
     load_features,
     mel_center_frequencies,
@@ -272,20 +271,32 @@ class TestBandPartition:
 
 class TestFeatureSerialization:
     def test_round_trip(self, tmp_path):
-        f = mel_spectrogram(sine_wave(750.0, duration_s=0.5))
+        # 16000 / 384 Hz is a frame rate float32 cannot hold; channel 3 is flat
+        cfg = FrontendConfig(sample_rate=16000, hop=384, f_max=8000.0)
+        f = mel_spectrogram(sine_wave(750.0, duration_s=0.5, rate=16000), cfg)
+        f.norm_state[3, 1] = 0.0
+        f.values[3] = 0.0
+        assert float(np.float32(f.frame_rate)) != f.frame_rate == 16000 / 384
         dest = tmp_path / "clip.spkf"
         save_features(f, dest)
+        assert [p.name for p in tmp_path.iterdir()] == ["clip.spkf"]
         loaded = load_features(dest)
-        assert loaded.values.shape == f.values.shape
-        np.testing.assert_allclose(loaded.values, f.values, atol=1e-6)
-        np.testing.assert_allclose(loaded.norm_state, f.norm_state)
-        np.testing.assert_allclose(loaded.channel_center_hz, f.channel_center_hz)
-        assert loaded.frame_rate == pytest.approx(f.frame_rate)
+        np.testing.assert_array_equal(loaded.values, f.values.astype("<f4"))
+        np.testing.assert_array_equal(loaded.channel_center_hz, f.channel_center_hz)
+        np.testing.assert_array_equal(loaded.norm_state, f.norm_state)
+        assert loaded.frame_rate == f.frame_rate
+        for a in (loaded.values, loaded.channel_center_hz, loaded.norm_state):
+            assert a.dtype == np.float64 and a.flags.writeable
 
     def test_bad_magic_rejected(self, tmp_path):
         dest = tmp_path / "bad.spkf"
         dest.write_bytes(b"NOPE!" + b"\x00" * 32)
         with pytest.raises(DataError):
+            load_features(dest)
+        # the previous format, SPKF1, is not read
+        save_features(mel_spectrogram(sine_wave(750.0, duration_s=0.1)), dest)
+        dest.write_bytes(b"SPKF1" + dest.read_bytes()[5:])
+        with pytest.raises(DataError, match="bad magic b'SPKF1'"):
             load_features(dest)
 
     def test_bytes_past_declared_payload_rejected(self, tmp_path):
@@ -303,16 +314,14 @@ class TestFeatureSerialization:
         f = mel_spectrogram(sine_wave(750.0, duration_s=0.1))
         dest = tmp_path / "clip.spkf"
         for bad in (np.nan, np.inf):
-            values = f.values.copy()
-            values[3, 2] = bad
-            save_features(FeatureMatrix(values, f.channel_center_hz, f.norm_state,
-                                        f.frame_rate), dest)
-            with pytest.raises(DataError, match="non-finite"):
-                load_features(dest)
-        save_features(f, dest)
-        sidecar = tmp_path / "clip.spkf.json"
-        meta = json.loads(sidecar.read_text())
-        meta["norm_state"][5][1] = float("nan")
-        sidecar.write_text(json.dumps(meta))  # json writes NaN as a bare token
-        with pytest.raises(DataError, match="non-finite"):
-            load_features(dest)
+            broken = [replace(f, frame_rate=bad)]
+            for name, index in (("values", (3, 2)), ("channel_center_hz", 7),
+                                ("norm_state", (5, 1))):
+                piece = getattr(f, name).copy()
+                piece[index] = bad
+                broken.append(replace(f, **{name: piece}))
+            for g in broken:
+                save_features(g, dest)
+                with pytest.raises(DataError, match="non-finite"):
+                    load_features(dest)
+

@@ -618,6 +618,12 @@ class TestCli:
         index = json.loads((enc_dir / "encode_index.json").read_text())
         assert len(index) == 5
         assert all((enc_dir / item["spikes"]).exists() for item in index)
+        assert all((enc_dir / (item["spikes"] + ".json")).is_file() for item in index)
+        # one self-contained .spkf per clip and nothing else under features/
+        written = sorted(p.relative_to(enc_dir).as_posix()
+                         for p in (enc_dir / "features").rglob("*") if p.is_file())
+        assert written == sorted({item["features"] for item in index})
+        assert len(written) == 5 and all(w.endswith(".spkf") for w in written)
         assert main(["reconstruct", str(enc_dir)]) == 0
         scores = (enc_dir / "reconstruct_scores.csv").read_text().splitlines()
         assert scores[0] == "codec,clip,class,errdb,snr"
@@ -729,8 +735,8 @@ class TestCli:
             path = enc / rel
             whole = path.read_bytes()
             # empty, inside the magic, inside or at the end of either
-            # header (.spkf 17 bytes, .spk 34), inside the payload
-            for cut in (0, 3, 5, 9, 17, 34, len(whole) // 2, len(whole) - 1):
+            # header (.spkf 21 bytes, .spk 34), inside the payload
+            for cut in (0, 3, 5, 9, 21, 34, len(whole) // 2, len(whole) - 1):
                 path.write_bytes(whole[:cut])
                 rc = main(["reconstruct", str(enc), "--out", str(tmp_path / "rec")])
                 assert rc == 3, (rel, cut)
@@ -800,21 +806,10 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("which", ["spikes", "features", "sidecar"])
+    @pytest.mark.parametrize("which", ["spikes", "features"])
     def test_reconstruct_missing_file(self, tmp_path, capsys, which):
         enc, index = self._encode_small(tmp_path)
-        rel = index[1]["spikes" if which == "spikes" else "features"]
-        victim = enc / (rel + ".json" if which == "sidecar" else rel)
-        victim.unlink()
-        self._assert_reconstruct_data_error(enc, tmp_path, capsys)
-
-    @pytest.mark.parametrize("sidecar", ["{", "[]", '{"frame_rate": 1.0}',
-                                         '{"channel_center_hz": [], '
-                                         '"norm_state": [], "frame_rate": "x"}'],
-                             ids=["json", "list", "missing_keys", "bad_frame_rate"])
-    def test_reconstruct_bad_feature_sidecar(self, tmp_path, capsys, sidecar):
-        enc, index = self._encode_small(tmp_path)
-        (enc / (index[0]["features"] + ".json")).write_text(sidecar)
+        (enc / index[1][which]).unlink()
         self._assert_reconstruct_data_error(enc, tmp_path, capsys)
 
     @pytest.mark.parametrize("mutate", [
@@ -847,7 +842,7 @@ class TestCli:
             offset = len(path.read_bytes()) - 4  # threshold of the last channel
         else:
             path = enc / index[2]["features"]
-            offset = 5 + 12 + 4 * 40  # one value in the first channel
+            offset = 5 + 16 + 4 * 40  # one value in the first channel
         whole = path.read_bytes()
         path.write_bytes(whole[:offset] + np.array([np.nan], "<f4").tobytes()
                          + whole[offset + 4:])
@@ -919,6 +914,11 @@ class TestCli:
         "synth_classes_empty": (None, {"synthetic": {"classes": []}}),
         "synth_no_samples": (None, {"synthetic": {"duration_s": 0.00001}}),
         "synth_one_sample": (None, {"synthetic": {"duration_s": 0.00003}}),
+        # Each would ask for gigabytes before any input is read: a 16 GiB
+        # window, a 7.6 GiB filterbank, 33 GiB of synthetic samples.
+        "n_fft_huge": (None, {"frontend": {"n_fft": 2**31}}),
+        "n_mels_huge": (None, {"frontend": {"n_mels": 2_000_000}}),
+        "synth_duration_huge": (None, {"synthetic": {"duration_s": 1e5}}),
     }
 
     @pytest.mark.parametrize("command, mutation", [
