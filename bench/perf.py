@@ -20,9 +20,12 @@ wall time).  Every figure is the median of RUNS = 5 timed runs
 too.  The pipeline stages (WAV load, STFT, mel, encode and decode per
 codec, scoring) come only from RUNS traced `run_bench` calls
 (perfbench/spans.py), so each has one figure, timed inside the run it
-belongs to.  The host-speed reference (perfbench/hostspeed.py) is probed
-between stages, so two files taken on a busy host can be told apart from a
-change in the code.
+belongs to.  The disk path's stages (WAV load with resampling, feature and
+spike saves, bytes written) come likewise from RUNS traced in-process
+`spikesound encode` calls on the mixed-rate corpus (`encode_layers`).
+The host-speed reference (perfbench/hostspeed.py) is probed between
+stages, so two files taken on a busy host can be told apart from a change
+in the code.
 
 The SNN is timed per batch (one forward and one backward pass of the whole
 network); a per-layer split would need spans inside snn.py.  BLAS threads
@@ -154,6 +157,25 @@ def fresh_runs(name: str, code: str, src: Path, *args: str) -> dict:
             "raw_wall_s": wall, "raw_peak_rss_mb": rss}
 
 
+def traced_runs(fn) -> list[dict[str, float]]:
+    """perfbench/spans.py's per-layer summary of RUNS traced calls of fn,
+    after one untraced warm-up call."""
+    fn()
+    tracer = spans.Tracer()
+    layers = []
+    for run_id in range(RUNS):
+        with tracer.iteration(run_id):
+            t0 = time.perf_counter()
+            fn()
+            wall = time.perf_counter() - t0
+        layers.append(tracer.summarize(run_id, wall))
+    return layers
+
+
+def layer_medians(layers: list[dict[str, float]]) -> dict[str, float]:
+    return {k: statistics.median(r[k] for r in layers) for k in layers[0]}
+
+
 def main(argv=None) -> int:
     args = _parse(argv)
     sys.path.insert(0, str(args.src.resolve()))
@@ -191,14 +213,7 @@ def main(argv=None) -> int:
                         snn=SnnConfig(epochs=SNN_EPOCHS))
         stages.time("run_bench", lambda: run_bench(plain))
         stages.time("run_bench_snn", lambda: run_bench(snn))
-        tracer = spans.Tracer()
-        layers = []
-        for run_id in range(RUNS):
-            with tracer.iteration(run_id):
-                t0 = time.perf_counter()
-                run_bench(plain)
-                wall = time.perf_counter() - t0
-            layers.append(tracer.summarize(run_id, wall))
+        layers = traced_runs(lambda: run_bench(plain))
 
         rng = np.random.default_rng(cfg.seed)
         for rate in (22050, 48000):
@@ -224,11 +239,16 @@ def main(argv=None) -> int:
         d_counts = cross_entropy(cache.counts, labels)[1]
         stages.time("snn.backward_batch", lambda: _backward_batch(net, cache, d_counts))
 
+        # Traced in-process encodes of the mixed-rate corpus time the disk
+        # path: WAV load and resampling, and the feature and spike saves.
+        import spikesound.cli as cli  # main looked up per call, so the tracer wraps it
+        argv = ["encode", "--config", str(mixed), "--out", str(tmp / "encode_traced")]
+        encode_layers = traced_runs(lambda: cli.main(argv))
+
     medians = stages.medians()
     # Paired within each traced run_bench: mel (STFT included) minus STFT.
     medians["mel_log_normalize"] = statistics.median(
         r["frontend.mel_s"] - r["frontend.stft_s"] for r in layers)
-    trace = {k: statistics.median(r[k] for r in layers) for k in layers[0]}
     record = {
         "description": "median seconds over the default corpus; median_s times whole "
                        "run_bench runs, synthesis and one SNN batch; every pipeline "
@@ -244,7 +264,8 @@ def main(argv=None) -> int:
                        "ingest.resample of a 4 s clip at that rate to 44.1 kHz; "
                        "encode_peak_rss is the median wall time (import excluded) and "
                        "peak RSS of one `spikesound encode` of the mixed-rate corpus "
-                       "in a fresh interpreter",
+                       "in a fresh interpreter; encode_layers holds the spans of "
+                       "RUNS traced in-process encodes of that corpus",
         "src": {"commit": _git(args.src, "rev-parse", "HEAD"),
                 "uncommitted_changes": bool(_git(args.src, "status", "--porcelain", ".")),
                 "spikesound": spikesound.__version__},
@@ -266,7 +287,8 @@ def main(argv=None) -> int:
         "encode_corpus": {"rates": list(MIXED_RATES), "clips_per_rate": MIXED_CLIPS,
                           "duration_s": 1.0, "seed": cfg.seed},
         "median_s": medians,
-        "run_bench_layers": trace,
+        "run_bench_layers": layer_medians(layers),
+        "encode_layers": layer_medians(encode_layers),
         "raw_s": stages.raw,
     }
     out = args.out or _next_bench_path()

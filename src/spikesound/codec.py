@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, asdict, astuple
+from dataclasses import dataclass, astuple
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,15 @@ from .frontend import FeatureMatrix
 
 CODEC_IDS = ("sf", "mw", "tae")
 SPIKE_MAGIC = b"SPKS1"
+MAX_WINDOW = (1 << 32) - 1  # the largest u32
+
+
+def _float32(x: float) -> float:
+    """x rounded to float32, as the .spk header stores it; inf past its range."""
+    try:
+        return struct.unpack("<f", struct.pack("<f", x))[0]
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -50,15 +59,21 @@ class CodecConfig:
     tae_tmax_rel: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.threshold_rel <= 1.0:
+        # The .spk header holds window as a u32 and the rest as float32, so
+        # every field is checked as stored there and the file loads back.
+        if not 1 <= self.window <= MAX_WINDOW:
+            raise ConfigError(f"window must be in [1, {MAX_WINDOW}], got {self.window}")
+        for name in ("threshold_rel", "tae_gamma", "tae_tmin_rel", "tae_tmax_rel"):
+            value = getattr(self, name)
+            if not 0.0 < _float32(value) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0 as float32, got {value}")
+        if not self.threshold_rel <= 1.0:
             raise ConfigError(f"threshold_rel must be in (0, 1], got {self.threshold_rel}")
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
-        if not 1.0 < self.tae_gamma < math.inf:
-            raise ConfigError(f"tae_gamma must be finite and > 1, got {self.tae_gamma}")
-        if not 0.0 < self.tae_tmin_rel <= self.threshold_rel <= self.tae_tmax_rel < math.inf:
+        if not 1.0 < _float32(self.tae_gamma):
+            raise ConfigError(f"tae_gamma must be > 1 as float32, got {self.tae_gamma}")
+        if not self.tae_tmin_rel <= self.threshold_rel <= self.tae_tmax_rel:
             raise ConfigError(
-                "need 0 < tae_tmin_rel <= threshold_rel <= tae_tmax_rel < inf, got "
+                "need tae_tmin_rel <= threshold_rel <= tae_tmax_rel, got "
                 f"{self.tae_tmin_rel} / {self.threshold_rel} / {self.tae_tmax_rel}"
             )
 
@@ -351,20 +366,15 @@ def serialized_size(st: SpikeTrain) -> int:
 
 
 def save_spikes(st: SpikeTrain, path: str | Path) -> None:
-    """Write the SPKS1 binary container plus a JSON debugging sidecar.
-
-    The sidecar mirrors the header, params, and side_info, and adds
-    per-channel spike counts; the packed payload stays binary-only.
-    """
+    """Write the SPKS1 binary container plus a JSON sidecar holding only the
+    shape and the per-channel spike counts (perfbench's disk workload reads
+    them)."""
     write_container(path, SPIKE_MAGIC, _HEADER, (
         _CODEC_TAGS[st.codec_id], st.n_channels, st.n_frames, *astuple(st.params),
     ), [pack_spikes(st.spikes), st.side_info.astype("<f4").tobytes(order="C")])
     write_json(f"{path}.json", {
-        "codec_id": st.codec_id,
         "channels": st.n_channels,
         "frames": st.n_frames,
-        "params": asdict(st.params),
-        "side_info": st.side_info.tolist(),
         "spike_counts": np.count_nonzero(st.spikes, axis=1).tolist(),
     })
 

@@ -230,6 +230,9 @@ def mel_spectrogram(w: Waveform, cfg: FrontendConfig = FrontendConfig()) -> Feat
 
     values = minmax(log10(melFB @ stft_power + 1e-10)) per channel.
     """
+    if w.sample_rate != cfg.sample_rate:
+        raise ValueError(f"waveform is at {w.sample_rate} Hz but the front end "
+                         f"expects {cfg.sample_rate} Hz")
     logmel = _mel_basis(cfg) @ stft_power(w, cfg.n_fft, cfg.hop, cfg.window)
     logmel += LOG_EPS
     np.log10(logmel, out=logmel)

@@ -16,7 +16,7 @@ import platform
 import time
 import typing
 from collections.abc import Iterator
-from dataclasses import dataclass, asdict, field, is_dataclass
+from dataclasses import dataclass, asdict, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +103,10 @@ class RunConfig:
             raise ConfigError(f"crop_seconds must be finite and > 0, got {self.crop_seconds}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        try:  # the SNN's input layer takes one input per mel channel
+            replace(self.snn, input_size=self.frontend.n_mels)
+        except ValueError as exc:
+            raise ConfigError(f"snn with {self.frontend.n_mels} mel inputs: {exc}") from exc
         for c in self.codecs:
             if c not in self.codec_params:
                 self.codec_params[c] = CodecConfig()

@@ -17,7 +17,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
+
+MAX_LAYER_WEIGHTS = 1 << 24  # entries of one layer's weight matrix, n_in x n_out
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,10 @@ class SnnConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min((self.input_size, self.output_size, *self.hidden_sizes)) < 1:
             raise ValueError("layer sizes must be positive")
+        sizes = self.layer_sizes
+        if max(a * b for a, b in zip(sizes, sizes[1:])) > MAX_LAYER_WEIGHTS:
+            raise ValueError(f"each layer may have at most {MAX_LAYER_WEIGHTS} weights "
+                             f"(n_in x n_out), got layer sizes {list(sizes)}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0, 1)")
         for name in ("theta", "surrogate_slope", "lr"):
@@ -319,15 +325,20 @@ def run_protocol(inputs: np.ndarray, labels, folds, splits,
     starts from init_net seeded with (cfg.seed, i).  Returns one (fold,
     macro_acc, per-class recalls) per model, fold None for the holdout, and
     train's rows per model.  Raises DataError before any training if a
-    model's train or test part lacks a class.
+    model's train or test part lacks a class, and ConfigError if a layer
+    would pass MAX_LAYER_WEIGHTS at these input and class counts.
     """
     if len(labels) == 0:
         raise DataError("no samples provided")
     class_names = tuple(sorted(set(labels)))
     index = {name: i for i, name in enumerate(class_names)}
     y = np.array([index[label] for label in labels], dtype=np.int64)
-    cfg = SnnConfig(**{**asdict(cfg), "output_size": len(class_names),
-                       "input_size": inputs.shape[1]})
+    try:
+        cfg = SnnConfig(**{**asdict(cfg), "output_size": len(class_names),
+                           "input_size": inputs.shape[1]})
+    except ValueError as exc:
+        raise ConfigError(f"snn with {inputs.shape[1]} inputs and {len(class_names)} "
+                          f"classes: {exc}") from exc
     fold_ids = sorted({f for f in folds if f is not None})
     if fold_ids:
         if None in folds:

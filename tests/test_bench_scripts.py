@@ -132,3 +132,20 @@ def test_trace_times_every_stage_perf_reads(tmp_path, monkeypatch):
               *[f"codec.{op}_s.{c}" for op in ("encode", "decode") for c in CODEC_IDS]]
     for key in stages:
         assert out.get(key, 0.0) > 0, key
+
+
+def test_trace_times_the_disk_path_perf_reads(tmp_path, monkeypatch):
+    """bench/perf.py's encode_layers come from a traced `spikesound encode`:
+    its load, save and byte-count spans must still find what they wrap, and
+    the bytes written are the .spk files and their sidecars."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synthetic": {"n_clips": 5, "duration_s": 0.3,
+                                                "sample_rate": 22050}}))
+    out = _traced_main(["encode", "--config", str(config), "--out", str(tmp_path / "enc")],
+                       monkeypatch)
+    for key in ("ingest.load_audio_s", "frontend.save_s", "codec.save_s"):
+        assert out.get(key, 0.0) > 0, key
+    enc = tmp_path / "enc"
+    written = [*enc.rglob("*.spk"), *enc.rglob("*.spk.json")]
+    assert len(written) == 2 * 5 * 3  # a .spk and its sidecar per clip and codec
+    assert out["codec.bytes_written"] == sum(p.stat().st_size for p in written)

@@ -1,7 +1,9 @@
 """Spike codec behavior: hand traces, round-trip bounds, serialization."""
 
 import hashlib
+import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -464,6 +466,35 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             CodecConfig(window=0)
 
+    def test_fields_must_fit_the_spike_header(self):
+        # window is a u32 there and the rest float32: past their range a save
+        # would fail, and a value that rounds to 0 would not load back.
+        with pytest.raises(ConfigError, match="window"):
+            CodecConfig(window=2**32)
+        with pytest.raises(ConfigError, match="tae_tmax_rel"):
+            CodecConfig(tae_tmax_rel=1e39)
+        with pytest.raises(ConfigError, match="threshold_rel"):
+            CodecConfig(threshold_rel=1e-50, tae_tmin_rel=1e-50)
+        with pytest.raises(ConfigError, match="tae_gamma"):
+            CodecConfig(tae_gamma=1.0 + 1e-9)  # rounds to 1.0
+
+    @pytest.mark.parametrize("fields", [
+        {"window": 2**32 - 1},
+        {"threshold_rel": 1e-45, "tae_tmin_rel": 1e-45},  # float32's least subnormal
+        {"tae_tmax_rel": 3.4028235e38},  # float32's largest finite
+        {"tae_gamma": 1.0 + 2**-23},  # the float32 just above 1
+        {"threshold_rel": 1.0, "tae_tmax_rel": 1.0},
+        {"threshold_rel": 0.1, "tae_tmin_rel": 0.1, "tae_gamma": 1.3},
+    ])
+    def test_every_valid_config_loads_back(self, tmp_path, fields):
+        cfg = CodecConfig(**fields)
+        stored = {k: float(np.float32(v)) for k, v in asdict(cfg).items() if k != "window"}
+        f = make_features(np.random.default_rng(15).uniform(0, 1, size=(3, 20)))
+        for codec in CODEC_IDS:
+            save_spikes(encode_matrix(f, cfg, codec), tmp_path / "clip.spk")
+            loaded = load_spikes(tmp_path / "clip.spk").params
+            assert asdict(loaded) == {**stored, "window": cfg.window}
+
 
 class TestSerialization:
     def test_pack_unpack_round_trip(self):
@@ -485,8 +516,14 @@ class TestSerialization:
             assert loaded.spikes.tolist() == st.spikes.tolist()
             # side info survives the float32 container within rounding
             np.testing.assert_allclose(loaded.side_info, st.side_info, rtol=1e-6)
-            assert dest.with_suffix(".spk.json").exists()
             assert dest.stat().st_size == serialized_size(st)
+            # the sidecar holds only what the container says, nothing to drift
+            sidecar = json.loads(dest.with_suffix(".spk.json").read_text())
+            assert sidecar == {
+                "channels": loaded.n_channels,
+                "frames": loaded.n_frames,
+                "spike_counts": np.count_nonzero(loaded.spikes, axis=1).tolist(),
+            }
 
     def test_load_rejects_zero_frames(self, tmp_path):
         st = encode_matrix(make_features(np.zeros((2, 3))), CodecConfig(), "sf")

@@ -184,6 +184,12 @@ class TestMelSpectrogram:
         assert f.values.shape == (128, 858)
         assert f.frame_rate == pytest.approx(44100 / 256)
 
+    def test_waveform_rate_must_match_config(self):
+        # 22.05 kHz samples read at 44.1 kHz would give frames labelled at
+        # twice their true rate and mel centers up to 19.5 kHz.
+        with pytest.raises(ValueError, match="22050 Hz.*44100 Hz"):
+            mel_spectrogram(sine_wave(440.0, duration_s=1.0, rate=22050))
+
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(3)
         w = Waveform(samples=rng.uniform(-0.5, 0.5, size=44100), sample_rate=44100)

@@ -919,6 +919,17 @@ class TestCli:
         "n_fft_huge": (None, {"frontend": {"n_fft": 2**31}}),
         "n_mels_huge": (None, {"frontend": {"n_mels": 2_000_000}}),
         "synth_duration_huge": (None, {"synthetic": {"duration_s": 1e5}}),
+        # 1.28e12 weights in the first layer: 7.28 TiB.
+        "snn_layer_huge": (None, {"snn": {"hidden_sizes": [10_000_000_000]}}),
+        # 128 x 40,000 weights fit; the 512 x 40,000 that 512 mels feed do not.
+        "snn_layer_huge_for_mels": (None, {"frontend": {"n_fft": 2048, "n_mels": 512},
+                                           "snn": {"hidden_sizes": [40_000]}}),
+        # Past what the .spk header stores (a u32 window, float32 thresholds):
+        # encode would die packing it, or write a file that does not load.
+        "mw_window_past_u32": (None, {"codec_params": {"mw": {"window": 2**32}}}),
+        "tae_tmax_past_float32": (None, {"codec_params": {"tae": {"tae_tmax_rel": 1e39}}}),
+        "tae_threshold_float32_zero": (None, {"codec_params": {"tae": {
+            "threshold_rel": 1e-50, "tae_tmin_rel": 1e-50}}}),
     }
 
     @pytest.mark.parametrize("command, mutation", [

@@ -6,8 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spikesound.errors import DataError, NumericError
+from spikesound.errors import ConfigError, DataError, NumericError
 from spikesound.snn import (
+    MAX_LAYER_WEIGHTS,
     ClipDataset,
     SnnConfig,
     SpikingNet,
@@ -325,6 +326,15 @@ class TestRunProtocol:
         fold, acc, _ = results[0]
         assert fold is None
         assert acc == 1.0
+
+    def test_layer_bound_checked_at_the_real_layer_sizes(self):
+        # 2^24 x 1 weights fit the configured output layer; the two classes
+        # need 2^24 x 2, which is refused before any weight is allocated.
+        cfg = SnnConfig(input_size=8, hidden_sizes=(1, 1, MAX_LAYER_WEIGHTS), output_size=1)
+        with pytest.raises(ConfigError, match="2 classes"):
+            run_protocol(*self._samples(), cfg)
+        with pytest.raises(ValueError, match="at most"):
+            SnnConfig(hidden_sizes=(MAX_LAYER_WEIGHTS // 128 + 1,))
 
     def test_mixed_fold_none_rejected(self):
         inputs, labels, folds, splits = self._samples(folds=[0, 1])
