@@ -133,33 +133,36 @@ def _step_sum(steps: np.ndarray, x0: np.ndarray) -> np.ndarray:
 # Moving Window
 # ---------------------------------------------------------------------------
 
-# Frames per slab of the MW encoder and decoder, which bounds their buffers
-# (windows of 8 and more sum through up to 14 such slabs).
+# Frames per slab of the MW encoder and decoder, which bounds their buffers.
 _SLAB_FRAMES = 128
 
 
 def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
     # One slab of frames at a time, straight into the spikes.  The baseline,
-    # mean(x[:, i-k:i]) with k = min(i, window), depends on x alone: frames
-    # below `window` are summed one by one, the others of a slab at once from
-    # the sliding windows of x.
+    # mean(x[:, i-k:i]) with k = min(i, window), depends on x alone and adds
+    # its k frames in turn from the oldest: frames below `window` from a
+    # running sum, the others of a slab as `window` shifted slices of x.
     c, n = x.shape
     window = min(window, n)  # a longer window sums the same frames
     spikes = np.empty((c, n), dtype=np.int8)
     base, edge = np.empty((2, c, _SLAB_FRAMES))
     up, dn = np.empty((2, c, _SLAB_FRAMES), dtype=bool)
+    run = x[:, 0].copy()  # x[:, 0] + ... + x[:, i-1]
     for lo in range(0, n, _SLAB_FRAMES):
         hi = min(lo + _SLAB_FRAMES, n)
         m = hi - lo
         b = base[:, :m]
         for i in range(lo, min(hi, window)):
-            b[:, i - lo] = x[:, :i].sum(axis=1) / i if i else x[:, 0]
+            if i > 1:
+                run += x[:, i - 1]
+            np.divide(run, max(i, 1), out=b[:, i - lo])  # frame 0 takes x[:, 0]
         bulk = max(lo, window)
         if hi > bulk:
-            views = np.lib.stride_tricks.sliding_window_view(
-                x[:, bulk - window : hi - 1], window, axis=1)
-            _window_sum(np.moveaxis(views, -1, 0), b[:, bulk - lo :])
-            b[:, bulk - lo :] /= window
+            s = b[:, bulk - lo :]
+            np.copyto(s, x[:, bulk - window : hi - window])
+            for j in range(1, window):
+                s += x[:, bulk - window + j : hi - window + j]
+            s /= window
         seg = x[:, lo:hi]
         np.less(seg, np.subtract(b, t[:, None], out=edge[:, :m]), out=dn[:, :m])
         np.greater(seg, np.add(b, t[:, None], out=edge[:, :m]), out=up[:, :m])
@@ -169,13 +172,15 @@ def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
 
 def _mw_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray,
                     window: int) -> np.ndarray:
-    # Frame-major: est[i] = spike[i] * T + mean(est[i-k:i]), k = min(i, window).
-    # Frame i sits in row window + i - lo of buf, after the `window` frames
-    # before its slab; each filled slab is copied into the channel-major est.
+    # Frame-major: est[i] = spike[i] * T + mean(est[i-k:i]), k = min(i, window),
+    # the k frames added in turn from the oldest.  Frame i sits in row
+    # window + i - lo of buf, after the `window` frames before its slab; each
+    # filled slab is copied into the channel-major est.
     c, n = spikes.shape
     window = min(window, n)  # a longer window sums the same frames
     est = np.empty((c, n))
     buf = np.empty((window + _SLAB_FRAMES, c))
+    row = list(buf)  # one view per row of buf, made once
     mean = np.empty(c)
     for lo in range(0, n, _SLAB_FRAMES):
         rows = buf[window : window + min(_SLAB_FRAMES, n - lo)]
@@ -185,38 +190,13 @@ def _mw_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray,
         for i in range(max(lo, 1), lo + len(rows)):
             r = window + i - lo
             k = min(i, window)
-            buf[r] += np.divide(_window_sum(buf[r - k : r], mean), k, out=mean)
+            np.copyto(mean, row[r - k])
+            for j in range(r - k + 1, r):
+                mean += row[j]
+            row[r] += np.divide(mean, k, out=mean)
         est[:, lo : lo + len(rows)] = rows.T
         buf[:window] = buf[len(rows) : len(rows) + window]
     return est
-
-
-def _window_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """rows.sum(axis=0) into out, each entry added in the order numpy's
-    pairwise summation adds a contiguous run of k = len(rows) values.  So a
-    window of k frames summed along axis 0, over frame-major rows or over the
-    window axis of sliding-window views of the channel-major signal, equals
-    x[:, i-k:i].sum(axis=1) bit for bit: in turn below 8 terms, up to 128
-    as eight interleaved lanes joined by a fixed tree plus the rest in turn,
-    and above that as two halves."""
-    k = len(rows)
-    if k < 8:
-        return np.add.reduce(rows, axis=0, out=out)
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        rest = _window_sum(rows[half:], np.empty_like(out))
-        return np.add(_window_sum(rows[:half], out), rest, out=out)
-    full = k - k % 8
-    lanes = rows[:8]
-    if full > 8:
-        lanes = lanes.copy()
-        for b in range(8, full, 8):
-            lanes += rows[b : b + 8]
-    pairs = lanes[0::2] + lanes[1::2]
-    np.add(pairs[0] + pairs[1], pairs[2] + pairs[3], out=out)
-    for r in rows[full:]:
-        out += r
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,7 @@ def wav_duration(path: str | Path) -> float:
                     break
                 tag, size = hdr[:4], struct.unpack("<I", hdr[4:])[0]
                 if tag == b"fmt ":
-                    fmt = fh.read(size)
+                    fmt = fh.read(size + (size & 1))  # an odd-sized chunk has a pad byte
                     if len(fmt) < 16:
                         raise DataError(f"WAV fmt chunk under 16 bytes: {path}")
                     _, _, sample_rate, _, block_align, _ = struct.unpack(
@@ -278,7 +278,8 @@ def wav_duration(path: str | Path) -> float:
                 elif tag == b"data":
                     if block_align in (None, 0) or sample_rate in (None, 0):
                         raise DataError(f"WAV data chunk before fmt chunk: {path}")
-                    return size / (block_align * sample_rate)
+                    held = path.stat().st_size - fh.tell()  # less if the file is cut short
+                    return min(size, held) // block_align / sample_rate  # whole frames
                 else:
                     fh.seek(size + (size & 1), 1)
     except OSError as exc:

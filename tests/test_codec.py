@@ -119,30 +119,36 @@ class TestMovingWindow:
         assert out[100_000] == out[50]
         assert peaks[100_000] <= peaks[50] + 4096, peaks
 
-    @pytest.mark.parametrize("window", [1, 3, 8, 12, 129, 200])
+    @pytest.mark.parametrize("window", [1, 3, 7, 8, 12, 129, 200])
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 300])
     def test_slab_edges_match_oracle(self, n, window):
         # Encoder and decoder fill their frames a slab of 128 at a time:
         # these lengths put frames on both sides of each slab edge, and the
-        # windows reach past a slab and past the signal.  Values on a 1/64
-        # grid sum exactly in any order, so the oracle's in-turn window sums
-        # are numpy's pairwise ones.  The estimate's window sums are not
-        # exact, so from 8 frames on it is checked against the channel-major
-        # recurrence, whose numpy sums the frame-major decoder reproduces.
+        # windows reach past a slab and past the signal.  Both add each
+        # window's frames in turn, as the oracle does, so the spikes,
+        # side_info and estimate of random floats match it bit for bit.
         cfg = CodecConfig(window=window)
         rng = np.random.default_rng(1000 * n + window)
-        signals = [rng.integers(0, 65, n) / 64.0 for _ in range(3)]
+        signals = [rng.uniform(-1.0, 1.0, n) for _ in range(3)]
         for x, (spikes, (x0, t), est) in zip(signals, code_rows(signals, cfg, "mw")):
             ref_code = oracles.mw_encode(x.tolist(), cfg.threshold_rel, window)
             assert (spikes.tolist(), x0, t) == ref_code
-            if window < 8:
-                assert est.tolist() == oracles.mw_decode(spikes.tolist(), x0, t, window)
-            ref = spikes * t
-            ref[0] = x0
-            for i in range(1, n):
-                k = min(i, window)
-                ref[i] += ref[i - k : i].sum() / k
-            assert est.tobytes() == ref.tobytes()
+            assert est.tolist() == oracles.mw_decode(spikes.tolist(), x0, t, window)
+
+    @pytest.mark.parametrize("window", [12, 20])
+    def test_summation_order_decides_a_spike(self, window):
+        # Frame 12 sits exactly T above the larger of two roundings of the
+        # mean of frames 0-11, added in turn and by numpy's pairwise sum, so
+        # it fires under one and not the other; frames 13 and 14 fix the
+        # range and so T.  Window 12 reaches frame 12 through the encoder's
+        # slab sum, window 20 through its running sum.
+        rng = np.random.default_rng(4)
+        heads = (100.0 + rng.uniform(-1.0, 1.0, 12) for _ in range(100))
+        head = next(h for h in heads if sum(h.tolist()) / 12 != h.sum() / 12)
+        top = max(sum(head.tolist()) / 12, head.sum() / 12)
+        x = [*head.tolist(), top + oracles.abs_threshold([90.0, 110.0], 0.05), 90.0, 110.0]
+        spikes, _, _ = code_row(x, CodecConfig(window=window), "mw")
+        assert spikes.tolist() == oracles.mw_encode(x, 0.05, window)[0]
 
 
 class TestThresholdAdaptive:
@@ -388,9 +394,9 @@ class TestBitExactOutput:
         (CodecConfig(threshold_rel=0.1, window=5, tae_gamma=1.5,
                      tae_tmin_rel=0.02, tae_tmax_rel=0.3),
          "301ac37513b848dc43631715dfc5b2869595dce13b465b82476698a9aaca2714"),
-        # window >= 8: numpy sums such windows pairwise, not in turn
+        # window >= 8, where numpy's pairwise sum rounds unlike MW's in-turn one
         (CodecConfig(window=12, tae_gamma=1.3),
-         "aecdd4c29ff9dc4c369600e700546dcb0b769f08b396c47acf714029de0a4d2d"),
+         "760d7b32ad07ad2b0155ea1ae127b089a82e1b18a7c7d01115f4693019387d87"),
     ])
     def test_output_sha256(self, cfg, expected):
         rng = np.random.default_rng(2024)

@@ -6,9 +6,9 @@ round-trip estimates.  Enumeration is exhaustive where tractable (all
 signals up to length 4 on the 11-point value grid, all signals of length
 5..8 on a 4-point grid) and randomized on the full grid for the rest.
 check_oracle stacks equal-length signals as the rows of one matrix, so a
-sweep costs one encode_matrix/decode_matrix call per length.  Windows stay
-below 8 samples so window sums reduce in the same order in numpy and pure
-Python.
+sweep costs one encode_matrix/decode_matrix call per length.  MW adds each
+window's frames in turn from the oldest, as the oracle's sum() does, so
+windows of any length compare exactly.
 """
 
 import itertools
@@ -93,6 +93,19 @@ def test_parameter_sweep_random_signals(codec, threshold_rel, window):
         length = int(rng.integers(1, 11))
         signals.append(tuple(rng.uniform(0.0, 1.0, size=length).tolist()))
     assert check_oracle(signals, cfg, codec) == 500
+
+
+@pytest.mark.parametrize("window", [8, 12, 129])
+def test_long_window_sweep_random_signals(window):
+    """MW on random floats agrees with the oracle at windows of 8 and more,
+    on signals from shorter than the window to past two slabs of frames."""
+    cfg = CodecConfig(threshold_rel=0.1, window=window)
+    rng = np.random.default_rng(window)
+    signals = []
+    for _ in range(60):
+        length = int(rng.integers(1, window + 300))
+        signals.append(tuple(rng.uniform(-1.0, 1.0, size=length).tolist()))
+    assert check_oracle(signals, cfg, "mw") == 60
 
 
 @pytest.mark.parametrize("codec", CODEC_IDS)

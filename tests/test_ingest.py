@@ -266,6 +266,26 @@ class TestFilterExactDuration:
         with pytest.raises(DataError, match=message):
             build_manifest(tmp_path, DatasetRules(labels=("a",), duration_s=1.0))
 
+    SAMPLES = np.arange(100, dtype="<i2").tobytes()  # 0.0125 s at 8 kHz
+
+    @pytest.mark.parametrize("chunks", [
+        # a 17-byte fmt chunk, then its pad byte
+        b"fmt " + struct.pack("<IHHIIHH", 17, 1, 1, 8000, 16000, 2, 16) + bytes(2)
+        + b"data" + struct.pack("<I", len(SAMPLES)) + SAMPLES,
+        # a data chunk that declares 400 bytes but holds 200
+        FMT + b"data" + struct.pack("<I", 400) + SAMPLES,
+        # a data chunk that ends one byte into a frame
+        FMT + b"data" + struct.pack("<I", 201) + SAMPLES + bytes(1),
+    ], ids=["odd_fmt", "truncated_data", "partial_frame"])
+    def test_wav_duration_agrees_with_load_audio(self, tmp_path, chunks):
+        path = tmp_path / "a" / "clip.wav"
+        path.parent.mkdir()
+        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+        assert load_audio(path, target_rate=8000).duration_s == 0.0125
+        assert wav_duration(path) == 0.0125
+        rules = DatasetRules(labels=("a",), duration_s=0.0125)
+        assert [e.path for e in build_manifest(tmp_path, rules)] == ["a/clip.wav"]
+
 
 class TestBuildManifest:
     def populate(self, root, layout):

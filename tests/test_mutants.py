@@ -85,9 +85,25 @@ def tae_clamps_from_span(x, t0, cfg):
         return _real_tae_encode_rows(x, t0, cfg)
 
 
-def window_sum_plain_reduce(rows, out):
-    # Summed in turn at every window length, not as numpy's pairwise sum.
-    return np.add.reduce(rows, axis=0, out=out)
+def mw_encode_pairwise(x, t, window):
+    # Each baseline summed as numpy's pairwise sum over the channel-major
+    # signal, which rounds unlike the in-turn sum from 8 frames on.
+    base = x.copy()
+    for i in range(1, x.shape[1]):
+        k = min(i, window)
+        base[:, i] = x[:, i - k : i].sum(axis=1) / k
+    return (x > base + t[:, None]).astype(np.int8) - (x < base - t[:, None])
+
+
+def mw_decode_pairwise(spikes, x0, t, window):
+    # Each window summed as numpy's pairwise sum over the channel-major
+    # estimate, which differs from the in-turn sum from 8 frames on.
+    est = spikes * t[:, None]
+    est[:, 0] = x0
+    for i in range(1, spikes.shape[1]):
+        k = min(i, window)
+        est[:, i] += est[:, i - k : i].sum(axis=1) / k
+    return est
 
 
 def resample_summed_backwards(samples, orig_rate, target_rate):
@@ -141,8 +157,11 @@ MUTANTS = {
     "tae_clamps_from_span": (
         codec, "_tae_encode_rows", tae_clamps_from_span, test_codec,
         "TestThresholdAdaptive.test_constant_signal_threshold_decays_to_floor", {}),
-    "window_sum_plain_reduce": (
-        codec, "_window_sum", window_sum_plain_reduce, test_codec,
+    "mw_encode_pairwise": (
+        codec, "_mw_encode_rows", mw_encode_pairwise, test_codec,
+        "TestMovingWindow.test_summation_order_decides_a_spike", {"window": 12}),
+    "mw_decode_pairwise": (
+        codec, "_mw_decode_rows", mw_decode_pairwise, test_codec,
         "TestMovingWindow.test_slab_edges_match_oracle", {"n": 129, "window": 12}),
     "resample_summed_backwards": (
         ingest, "resample", resample_summed_backwards, test_ingest,
