@@ -4,7 +4,8 @@ A container is a magic string, a little-endian struct header, then payload
 pieces whose lengths follow exactly from the header.  The spike (.spk)
 and feature (.spkf) modules keep only their layouts.
 JSON files are written with sorted keys, two-space indent and a newline,
-CSV files by csv.writer with "\n" line endings.  Every file is written
+CSV files by csv.writer with "\n" line endings and read back by read_csv
+against the header they were written with.  Every file is written
 through write_file and every output directory made by make_dir, so one
 that cannot be written or made is a DataError.
 """
@@ -95,6 +96,36 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None
     w.writerow(header)
     w.writerows(rows)
     write_file(path, text.getvalue().encode("utf-8"))
+
+
+def read_csv(path: str | Path, what: str, header: list[str], parse: Callable,
+             error: type[Exception] = DataError) -> list:
+    """[parse(*fields) for each row] of a CSV that write_csv wrote with header.
+
+    The file must be UTF-8, its first row must equal header, and every other
+    row, blank ones skipped, must have one field per column.  Any of those
+    faults, and a DataError or ValueError from parse, is a DataError naming
+    the file (and the line); a file that cannot be opened raises error.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} {path} is not UTF-8: {exc}") from exc
+    parsed = []
+    try:
+        if next(rows, None) != header:
+            raise DataError(f"header must be {','.join(header)}")
+        for fields in filter(None, rows):  # blank rows skipped, as csv.DictReader does
+            if len(fields) != len(header):
+                raise DataError(f"need the {len(header)} fields {','.join(header)}")
+            parsed.append(parse(*fields))
+    except (DataError, ValueError, csv.Error) as exc:
+        raise DataError(f"{what} {path} line {rows.line_num}: {exc}") from exc
+    return parsed
 
 
 def read_json(path: str | Path, what: str, error: type[Exception] = DataError):

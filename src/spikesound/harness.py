@@ -9,7 +9,6 @@ config and seed, every non-timing output byte is reproducible.
 
 from __future__ import annotations
 
-import csv
 import io
 import logging
 import platform
@@ -32,7 +31,7 @@ from .codec import (
     encode_matrix,
     serialized_size,
 )
-from .container import make_dir, read_json, write_csv, write_file, write_json
+from .container import make_dir, read_csv, read_json, write_csv, write_file, write_json
 from .errors import ConfigError, DataError
 from .frontend import FrontendConfig, FeatureMatrix, mel_spectrogram, partition_bands
 from .ingest import (MAX_SAMPLES, ManifestEntry, Waveform, center_crop, load_audio,
@@ -180,15 +179,13 @@ def _synthetic_clips(spec: SyntheticSpec,
     signal.  Every fourth clip of a class goes to the test split.
     """
     n = int(round(spec.duration_s * spec.sample_rate))
-    per_class_counter = {c: 0 for c in spec.classes}
     for i in range(spec.n_clips):
         kind = spec.classes[i % len(spec.classes)]
         rng = np.random.default_rng([seed, i])
         x = _GENERATORS[kind](rng, n, spec.sample_rate)
         x = x + _NOISE_FLOOR * rng.standard_normal(n)
         np.clip(x, -1.0, 1.0, out=x)
-        j = per_class_counter[kind]
-        per_class_counter[kind] += 1
+        j = i // len(spec.classes)  # the clip's index within its class
         name = f"{kind}/{kind}_{j:03d}.wav"
         yield (Waveform(samples=x, sample_rate=spec.sample_rate, source_path=name),
                ManifestEntry(path=name, class_label=kind, fold=None,
@@ -439,37 +436,26 @@ _COMPARED_TABLES = {
 }
 
 
-def _read_table(path: Path, key_field: str,
+def _read_table(report_dir: Path, table_name: str, key_field: str,
                 value_field: str) -> dict[str, dict[str, float]]:
-    """{key: {codec: value}} of a report CSV; DataError naming the file and
-    line if it is unreadable, lacks a column, has a row shorter or longer
-    than its header, holds a non-number or a non-finite one, or repeats a
-    (codec, key) cell."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = {"codec", key_field, value_field} - set(reader.fieldnames or ())
-            if missing:
-                raise DataError(f"report file {path} lacks column(s) {sorted(missing)}")
-            table: dict[str, dict[str, float]] = {}
-            for row in reader:
-                codec, key, value = row["codec"], row[key_field], row[value_field]
-                where = f"report file {path} line {reader.line_num}"
-                if codec is None or key is None or None in row:
-                    raise DataError(f"short or long row in {where}")
-                try:
-                    number = float(value)
-                except (TypeError, ValueError) as exc:
-                    raise DataError(f"bad {value_field} {value!r} in {where}") from exc
-                if not np.isfinite(number):
-                    raise DataError(f"non-finite {value_field} {value!r} in {where}")
-                cells = table.setdefault(key, {})
-                if codec in cells:
-                    raise DataError(f"repeated {codec}/{key} cell in {where}")
-                cells[codec] = number
-            return table
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read report file {path}: {exc}") from exc
+    """{key: {codec: value}} of one REPORT_TABLES file in report_dir;
+    DataError naming the file and line if read_csv rejects it against the
+    table's header, or a value is not a finite number, or a (codec, key)
+    cell repeats."""
+    name, header, _ = REPORT_TABLES[table_name]
+    table: dict[str, dict[str, float]] = {}
+
+    def add(*fields):
+        codec, key = fields[0], fields[header.index(key_field)]
+        number = float(fields[header.index(value_field)])
+        if not np.isfinite(number):
+            raise DataError(f"non-finite {value_field} {number}")
+        if codec in table.setdefault(key, {}):
+            raise DataError(f"repeated {codec}/{key} cell")
+        table[key][codec] = number
+
+    read_csv(report_dir / name, "report file", header, add)
+    return table
 
 
 def _codec_ranking(table):
@@ -512,8 +498,8 @@ def compare_report(report_a: str | Path, report_b: str | Path) -> dict:
     out: dict = {"reports": {t: str(d) for t, d in dirs.items()}}
     tables = {}
     for tag, d in dirs.items():
-        t = tables[tag] = {name: _read_table(d / REPORT_TABLES[table][0], key, value)
-                           for name, (table, key, value) in _COMPARED_TABLES.items()}
+        t = tables[tag] = {name: _read_table(d, *columns)
+                           for name, columns in _COMPARED_TABLES.items()}
         out[f"report_{tag}"] = {
             "errdb_ranking_per_band": _codec_ranking(t["band"]),
             "errdb_ranking_per_class": _codec_ranking(t["class"]),

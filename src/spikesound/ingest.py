@@ -3,17 +3,17 @@
 Reads PCM WAV files (8/16/24-bit integer or 32/64-bit float), mixes down to
 mono, and resamples everything to one canonical rate so frame counts are
 reproducible across heterogeneous corpora.  Manifests are plain CSV files
-(``path,class_label,fold,split``) with paths relative to the manifest
+with the columns of MANIFEST_HEADER and paths relative to the manifest
 location.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import logging
 import re
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.io import wavfile
 
-from .container import write_csv
+from .container import read_csv, write_csv
 from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
@@ -42,6 +42,8 @@ MAX_SAMPLES = 1 << 27
 # Input samples per block of output periods in resample: 1 MB, so they
 # stay in a core's L2 cache while every phase passes over them.
 _BLOCK_INPUTS = 1 << 17
+# The columns of a manifest CSV, in order.
+MANIFEST_HEADER = ["path", "class_label", "fold", "split"]
 
 
 @dataclass
@@ -261,8 +263,7 @@ def wav_duration(path: str | Path) -> float:
             riff = fh.read(12)
             if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
                 raise DataError(f"not a RIFF/WAVE file: {path}")
-            block_align = None
-            sample_rate = None
+            channels = block_align = sample_rate = 0
             while True:
                 hdr = fh.read(8)
                 if len(hdr) < 8:
@@ -272,14 +273,18 @@ def wav_duration(path: str | Path) -> float:
                     fmt = fh.read(size + (size & 1))  # an odd-sized chunk has a pad byte
                     if len(fmt) < 16:
                         raise DataError(f"WAV fmt chunk under 16 bytes: {path}")
-                    _, _, sample_rate, _, block_align, _ = struct.unpack(
+                    _, channels, sample_rate, _, block_align, _ = struct.unpack(
                         "<HHIIHH", fmt[:16]
                     )
                 elif tag == b"data":
-                    if block_align in (None, 0) or sample_rate in (None, 0):
-                        raise DataError(f"WAV data chunk before fmt chunk: {path}")
+                    if not (sample_rate and channels and block_align >= channels):
+                        raise DataError(f"WAV data chunk before fmt chunk, or a zero "
+                                        f"channel count, rate or sample width: {path}")
                     held = path.stat().st_size - fh.tell()  # less if the file is cut short
-                    return min(size, held) // block_align / sample_rate  # whole frames
+                    samples = min(size, held) // (block_align // channels)  # as scipy counts
+                    if samples % channels:
+                        raise DataError(f"WAV data ends inside a frame: {path}")
+                    return samples // channels / sample_rate
                 else:
                     fh.seek(size + (size & 1), 1)
     except OSError as exc:
@@ -378,18 +383,21 @@ def build_manifest(root: str | Path, rules: DatasetRules) -> list[ManifestEntry]
 
 def fold_class_counts(entries: list[ManifestEntry]) -> dict[tuple[int | None, str], int]:
     """Clip count per (fold, class_label)."""
-    counts: dict[tuple[int | None, str], int] = {}
-    for e in entries:
-        key = (e.fold, e.class_label)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return dict(Counter((e.fold, e.class_label) for e in entries))
 
 
 def write_manifest(entries: list[ManifestEntry], path: str | Path) -> None:
     """Write the manifest CSV (UTF-8, LF endings, relative paths)."""
-    write_csv(path, ["path", "class_label", "fold", "split"],
+    write_csv(path, MANIFEST_HEADER,
               ([e.path, e.class_label, "" if e.fold is None else e.fold, e.split]
                for e in entries))
+
+
+def _manifest_entry(path: str, class_label: str, fold: str, split: str) -> ManifestEntry:
+    if Path(path).is_absolute() or ".." in Path(path).parts:
+        raise ValueError(f"clip path {path!r} must be relative to the manifest, "
+                         "without '..' parts")
+    return ManifestEntry(path, class_label, int(fold) if fold != "" else None, split)
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
@@ -397,31 +405,4 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     unreadable file is a ConfigError; a bad header, encoding or row, or a
     clip path that is absolute or has a '..' part, a DataError naming the
     file and line."""
-    path = Path(path)
-    entries = []
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != ["path", "class_label", "fold", "split"]:
-                raise DataError(f"bad manifest header in {path}: {reader.fieldnames}")
-            for row in reader:
-                try:
-                    if None in row or None in row.values():
-                        raise ValueError("need the 4 fields path,class_label,fold,split")
-                    clip = Path(row["path"])
-                    if clip.is_absolute() or ".." in clip.parts:
-                        raise ValueError(f"clip path {row['path']!r} must be relative "
-                                         "to the manifest, without '..' parts")
-                    entries.append(ManifestEntry(
-                        path=row["path"],
-                        class_label=row["class_label"],
-                        fold=int(row["fold"]) if row["fold"] != "" else None,
-                        split=row["split"],
-                    ))
-                except ValueError as exc:
-                    raise DataError(f"manifest {path} line {reader.line_num}: {exc}") from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    return entries
+    return read_csv(path, "manifest", MANIFEST_HEADER, _manifest_entry, ConfigError)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError
 
 MAX_LAYER_WEIGHTS = 1 << 24  # entries of one layer's weight matrix, n_in x n_out
+_ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and epsilon
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,7 @@ def _forward_batch(net: SpikingNet, x: np.ndarray, smooth: bool = False,
     return _ForwardCache(inputs=x, pre_reset=pre, spikes=spk, counts=counts)
 
 
-def forward(net: SpikingNet, spike_input: np.ndarray,
-            smooth: bool = False) -> tuple[np.ndarray, list[np.ndarray]]:
+def forward(net: SpikingNet, spike_input: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run one clip through the network.
 
     spike_input is (channels, frames) with signed values fed directly as
@@ -139,7 +139,7 @@ def forward(net: SpikingNet, spike_input: np.ndarray,
     spike_input = np.asarray(spike_input, dtype=np.float64)
     if not np.all(np.isfinite(spike_input)):
         raise ValueError("non-finite spike input")
-    cache = _forward_batch(net, spike_input[None], smooth=smooth)
+    cache = _forward_batch(net, spike_input[None])
     return cache.counts[0], [s[:, 0, :] for s in cache.spikes]
 
 
@@ -204,17 +204,16 @@ class _AdamState:
 
 
 def _adam_update(net: SpikingNet, grads: list[np.ndarray], state: _AdamState,
-                 lr: float, b1: float = 0.9, b2: float = 0.999,
-                 eps: float = 1e-8) -> None:
+                 lr: float) -> None:
     state.step += 1
     for w, g, m, v in zip(net.weights, grads, state.m, state.v):
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1**state.step)
-        v_hat = v / (1 - b2**state.step)
-        w -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= _ADAM_B1
+        m += (1 - _ADAM_B1) * g
+        v *= _ADAM_B2
+        v += (1 - _ADAM_B2) * g * g
+        m_hat = m / (1 - _ADAM_B1**state.step)
+        v_hat = v / (1 - _ADAM_B2**state.step)
+        w -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 @dataclass

@@ -1,13 +1,16 @@
-"""The shared container rules, and corruption of .spk and .spkf files.
+"""The shared container rules, and corruption of .spk, .spkf and CSV files.
 
 Every prefix of a container and one byte past its end must raise DataError;
 flipping any byte must either load or raise DataError, never another
 exception; and `spikesound reconstruct` on a damaged spike or feature file
-must exit 0 or 3.
+must exit 0 or 3.  A manifest or report CSV cut at any length or with any
+bit flipped must load or raise DataError or ConfigError.
 """
 
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +19,16 @@ from spikesound.cli import main
 from spikesound.codec import CODEC_IDS, CodecConfig, encode_matrix, load_spikes, save_spikes
 from spikesound.container import (
     read_container,
+    read_csv,
     read_json,
     write_container,
     write_csv,
     write_json,
 )
-from spikesound.errors import DataError
+from spikesound.errors import ConfigError, DataError
 from spikesound.frontend import FeatureMatrix, load_features, save_features
+from spikesound.harness import _read_table, write_report
+from spikesound.ingest import ManifestEntry, read_manifest, write_manifest
 
 HEADER = struct.Struct("<HI")
 
@@ -81,6 +87,55 @@ class TestContainer:
         path = tmp_path / "x.csv"
         write_csv(path, ["a", "b"], [["x,y", 1], ["", 2.5]])
         assert path.read_bytes() == b'a,b\n"x,y",1\n,2.5\n'
+
+    def test_csv_round_trip(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_csv(path, ["a", "b"], [["x,y", 1], ["", 2.5]])
+        assert read_csv(path, "test file", ["a", "b"], lambda a, b: (a, float(b))) == [
+            ("x,y", 1.0), ("", 2.5)]
+        path.write_bytes(b"a,b\n\nx,1\n\n\ny,2\n\n")  # blank rows are skipped
+        assert read_csv(path, "test file", ["a", "b"], lambda *f: f) == [("x", "1"), ("y", "2")]
+
+    @pytest.mark.parametrize("data, message", [
+        (b"", "line 0: header must be a,b"),
+        (b"b,a\nx,1\n", "line 1: header must be a,b"),
+        (b"a,b,c\nx,1,2\n", "line 1: header must be a,b"),
+        (b"a,b\nx,1\nx,-1\n", "line 3: negative"),
+        (b"a,b\nx,one\n", "line 2: could not convert"),
+        (b"a,b\n\xffx,1\n", "not UTF-8"),
+    ], ids=["empty", "reordered", "extra_column", "parse_data_error", "parse_value_error",
+            "not_utf8"])
+    def test_csv_rejects_malformed(self, tmp_path, data, message):
+        def parse(a, b):
+            if float(b) < 0:
+                raise DataError("negative")
+            return a
+
+        path = tmp_path / "x.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=message) as info:
+            read_csv(path, "test file", ["a", "b"], parse)
+        assert str(info.value).startswith(f"test file {path}")
+
+    def test_csv_rows_need_one_field_per_column(self):
+        # Fixture-free, so tests/test_mutants.py can run it on a mutant reader.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csv"
+            for body, line in [("x\n", 2), ("x,1\n\nx,1,2\n", 4), ("x,1\n,\n,,\n", 4)]:
+                path.write_text("a,b\n" + body)
+                try:
+                    rows = read_csv(path, "test file", ["a", "b"], lambda *fields: fields)
+                except DataError as exc:
+                    assert f"line {line}: need the 2 fields a,b" in str(exc), exc
+                else:
+                    raise AssertionError(f"{body!r} read as {rows}")
+
+    def test_csv_unopenable_raises_the_given_error(self, tmp_path):
+        for error in (DataError, ConfigError):
+            with pytest.raises(error, match="cannot read test file .*absent"):
+                read_csv(tmp_path / "absent", "test file", ["a"], str, error)
+        with pytest.raises(ConfigError, match="cannot read test file"):
+            read_csv(tmp_path, "test file", ["a"], str, ConfigError)  # a directory
 
     def test_unwritable_path_is_data_error(self, tmp_path):
         (tmp_path / "blocker").mkdir()
@@ -169,3 +224,47 @@ class TestCorruption:
             path.write_bytes(whole)
         assert codes == {0, 3}
         assert main(["reconstruct", str(enc), "--out", str(tmp_path / "rec")]) == 0
+
+
+class TestCsvCorruption:
+    """Every cut and every flipped bit of a manifest and of a per_band.csv."""
+
+    @staticmethod
+    def _csv_files(tmp_path):
+        """(path, reader) of a small manifest and a small per_band.csv."""
+        manifest = tmp_path / "manifest.csv"
+        write_manifest([ManifestEntry("tone/a.wav", "tone", fold=1),
+                        ManifestEntry("chirp/b.wav", "chirp", split="test")], manifest)
+        write_report(tmp_path, "per_band", [("mw", 0, -12.5, 12.5), ("sf", 0, -13.25, 13.25),
+                                            ("tae", 1, -14.0, 14.0)])
+        return [(manifest, read_manifest),
+                (tmp_path / "per_band.csv",
+                 lambda p: _read_table(p.parent, "per_band", "band", "errdb"))]
+
+    @staticmethod
+    def _outcome(reader, path):
+        try:
+            reader(path)
+        except (DataError, ConfigError):
+            return "rejected"
+        return "loaded"
+
+    def test_every_cut_loads_or_is_rejected(self, tmp_path):
+        for path, reader in self._csv_files(tmp_path):
+            whole = path.read_bytes()
+            header_end = whole.index(b"\n")
+            for cut in range(len(whole) + 1):
+                path.write_bytes(whole[:cut])
+                outcome = self._outcome(reader, path)
+                assert outcome == "rejected" or cut >= header_end, (path.name, cut)
+            assert outcome == "loaded", path.name  # the whole file
+
+    def test_every_flipped_bit_loads_or_is_rejected(self, tmp_path):
+        for path, reader in self._csv_files(tmp_path):
+            whole = path.read_bytes()
+            outcomes = set()
+            for i in range(len(whole)):
+                for bit in range(8):
+                    path.write_bytes(whole[:i] + bytes([whole[i] ^ 1 << bit]) + whole[i + 1:])
+                    outcomes.add(self._outcome(reader, path))
+            assert outcomes == {"loaded", "rejected"}, path.name

@@ -1,6 +1,6 @@
 """Every name a spikesound module, bench/perf.py, a test or a demo imports
-is used there, and the package never loads scipy.signal on its default
-path, resampling included.
+is used there, the package never loads scipy.signal on its default
+path, resampling included, and only container.py imports csv or json.
 
 The package's __init__.py is skipped by the unused-import check: its imports
 are the public re-exports.
@@ -102,6 +102,34 @@ def test_check_finds_module_level_scipy_signal():
               "    import scipy.signal\n")
     assert loads_scipy_signal(source) == [
         "scipy.signal", "scipy.signal.windows.hann", "scipy.signal"]
+
+
+def csv_or_json_imports(source: str) -> list[str]:
+    """Each csv or json module or name a file imports, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.extend(f"{node.module}.{alias.name}" for alias in node.names)
+    return [name for name in found if name.split(".")[0] in ("csv", "json")]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "container.py"],
+                         ids=lambda p: p.name)
+def test_only_container_reads_csv_or_json(path):
+    # CSV and JSON files are written and read through spikesound.container.
+    assert csv_or_json_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_csv_and_json_imports():
+    source = ("import csv\n"
+              "from json import loads\n"
+              "import jsonschema\n"
+              "from .container import read_csv\n"
+              "def f():\n"
+              "    import json.decoder as d\n")
+    assert csv_or_json_imports(source) == ["csv", "json.loads", "json.decoder"]
 
 
 _FRESH = """

@@ -249,13 +249,17 @@ class TestFilterExactDuration:
 
     FMT = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 16000, 2, 16)
     DATA = b"data" + struct.pack("<I", 4) + bytes(4)
+    STEREO = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 2, 8000, 32000, 4, 16)
 
     @pytest.mark.parametrize("body, message", [
         (b"WAVX" + FMT + DATA, "not a RIFF/WAVE"),
         (b"WAVE" + b"fmt " + struct.pack("<I", 8) + bytes(8) + DATA, "fmt chunk under 16"),
         (b"WAVE" + DATA + FMT, "data chunk before fmt"),
         (b"WAVE" + FMT, "no data chunk"),
-    ], ids=["not_wave", "short_fmt", "data_first", "no_data"])
+        # a stereo data chunk that declares 400 bytes but holds 101 samples
+        (b"WAVE" + STEREO + b"data" + struct.pack("<I", 400)
+         + np.arange(101, dtype="<i2").tobytes(), "ends inside a frame"),
+    ], ids=["not_wave", "short_fmt", "data_first", "no_data", "stereo_partial_frame"])
     def test_wav_duration_bad_header_is_data_error(self, tmp_path, body, message):
         path = tmp_path / "a" / "bad.wav"
         path.parent.mkdir()
@@ -265,6 +269,8 @@ class TestFilterExactDuration:
         assert str(path) in str(info.value)
         with pytest.raises(DataError, match=message):
             build_manifest(tmp_path, DatasetRules(labels=("a",), duration_s=1.0))
+        with pytest.raises(DataError, match="bad.wav"):
+            load_audio(path, target_rate=8000)
 
     SAMPLES = np.arange(100, dtype="<i2").tobytes()  # 0.0125 s at 8 kHz
 

@@ -6,6 +6,7 @@ a second.  A change that weakens one of these checks fails here instead of
 passing quietly.  A new mutant that no fast check kills is a finding.
 """
 
+import csv
 import time
 from functools import partial
 from unittest import mock
@@ -13,10 +14,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from spikesound import codec, ingest, metrics, snn
+from spikesound import codec, container, ingest, metrics, snn
+from spikesound.errors import DataError
 
 import test_codec
 import test_codec_oracle
+import test_container
 import test_ingest
 import test_metrics
 import test_snn
@@ -132,6 +135,15 @@ def score_per_class_input_order(scores):
     return {label: float(np.sum(vals) / len(vals)) for label, vals in sorted(groups.items())}
 
 
+def read_csv_any_field_count(path, what, header, parse, error=DataError):
+    # Every non-blank row reaches parse, however many fields it has.
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        if next(rows, None) != header:
+            raise DataError(f"{what} {path}: bad header")
+        return [parse(*fields) for fields in rows if fields]
+
+
 # name: (kernel module, kernel name, mutant, check module, check, check kwargs)
 MUTANTS = {
     "sf_fires_on_equal": (
@@ -172,6 +184,9 @@ MUTANTS = {
     "score_per_class_input_order": (
         metrics, "score_per_class", score_per_class_input_order, test_metrics,
         "TestScorePerClass.test_order_invariance", {}),
+    "read_csv_any_field_count": (
+        container, "read_csv", read_csv_any_field_count, test_container,
+        "TestContainer.test_csv_rows_need_one_field_per_column", {}),
 }
 
 
