@@ -133,7 +133,7 @@ def _step_sum(steps: np.ndarray, x0: np.ndarray) -> np.ndarray:
 # Moving Window
 # ---------------------------------------------------------------------------
 
-# Frames per slab of the MW encoder and decoder, which bounds their buffers.
+# Frames per slab of the MW encoder, which bounds its buffers.
 _SLAB_FRAMES = 128
 
 
@@ -143,7 +143,6 @@ def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
     # its k frames in turn from the oldest: frames below `window` from a
     # running sum, the others of a slab as `window` shifted slices of x.
     c, n = x.shape
-    window = min(window, n)  # a longer window sums the same frames
     spikes = np.empty((c, n), dtype=np.int8)
     base, edge = np.empty((2, c, _SLAB_FRAMES))
     up, dn = np.empty((2, c, _SLAB_FRAMES), dtype=bool)
@@ -172,30 +171,20 @@ def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
 
 def _mw_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray,
                     window: int) -> np.ndarray:
-    # Frame-major: est[i] = spike[i] * T + mean(est[i-k:i]), k = min(i, window),
-    # the k frames added in turn from the oldest.  Frame i sits in row
-    # window + i - lo of buf, after the `window` frames before its slab; each
-    # filled slab is copied into the channel-major est.
-    c, n = spikes.shape
-    window = min(window, n)  # a longer window sums the same frames
-    est = np.empty((c, n))
-    buf = np.empty((window + _SLAB_FRAMES, c))
-    row = list(buf)  # one view per row of buf, made once
-    mean = np.empty(c)
-    for lo in range(0, n, _SLAB_FRAMES):
-        rows = buf[window : window + min(_SLAB_FRAMES, n - lo)]
-        np.multiply(spikes[:, lo : lo + len(rows)].T, t, out=rows)
-        if lo == 0:
-            rows[0] = x0
-        for i in range(max(lo, 1), lo + len(rows)):
-            r = window + i - lo
-            k = min(i, window)
-            np.copyto(mean, row[r - k])
-            for j in range(r - k + 1, r):
-                mean += row[j]
-            row[r] += np.divide(mean, k, out=mean)
-        est[:, lo : lo + len(rows)] = rows.T
-        buf[:window] = buf[len(rows) : len(rows) + window]
+    # In place on the channel-major steps spike * T, as the SF and TAE
+    # decoders run: column i gains mean(est[:, i-k:i]), k = min(i, window),
+    # its k columns added in turn from the oldest.  The column views are
+    # made once; slicing them per frame costs more on short clips.
+    est = np.multiply(spikes, t[:, None], dtype=np.float64)
+    est[:, 0] = x0
+    col = list(est.T)
+    mean = np.empty(len(t))
+    for i in range(1, len(col)):
+        k = min(i, window)
+        np.copyto(mean, col[i - k])
+        for j in range(i - k + 1, i):
+            mean += col[j]
+        col[i] += np.divide(mean, k, out=mean)
     return est
 
 

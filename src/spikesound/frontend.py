@@ -215,14 +215,9 @@ def normalize_channels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reproduces the constant.
     """
     lo = values.min(axis=1, keepdims=True)
-    hi = values.max(axis=1, keepdims=True)
-    scale = hi - lo
-    flat = scale[:, 0] == 0.0
-    safe = np.where(scale == 0.0, 1.0, scale)
-    out = (values - lo) / safe
-    out[flat] = 0.0
-    state = np.column_stack([lo[:, 0], np.where(flat, 0.0, scale[:, 0])])
-    return out, state
+    scale = values.max(axis=1, keepdims=True) - lo  # +0.0 on a flat row
+    out = (values - lo) / np.where(scale == 0.0, 1.0, scale)  # a flat row: (x - x) / 1
+    return out, np.column_stack([lo[:, 0], scale[:, 0]])
 
 
 def mel_spectrogram(w: Waveform, cfg: FrontendConfig = FrontendConfig()) -> FeatureMatrix:

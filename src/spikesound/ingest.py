@@ -229,11 +229,7 @@ def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Wave
     path = Path(path)
     try:
         rate, data = wavfile.read(str(path))
-    except FileNotFoundError as exc:
-        raise DataError(f"cannot read audio file: {path}") from exc
-    except ValueError as exc:
-        raise DataError(f"unsupported codec in {path}: {exc}") from exc
-    except Exception as exc:  # malformed RIFF, truncated file, ...
+    except Exception as exc:  # missing, malformed RIFF, cut short, unsupported codec, ...
         raise DataError(f"cannot read audio file {path}: {exc}") from exc
     if rate == 0:
         raise DataError(f"sample rate of 0 Hz in {path}")
@@ -264,6 +260,7 @@ def wav_duration(path: str | Path) -> float:
             if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
                 raise DataError(f"not a RIFF/WAVE file: {path}")
             channels = block_align = sample_rate = 0
+            duration = None  # of the last data chunk, which scipy's reader keeps
             while True:
                 hdr = fh.read(8)
                 if len(hdr) < 8:
@@ -284,12 +281,14 @@ def wav_duration(path: str | Path) -> float:
                     samples = min(size, held) // (block_align // channels)  # as scipy counts
                     if samples % channels:
                         raise DataError(f"WAV data ends inside a frame: {path}")
-                    return samples // channels / sample_rate
-                else:
+                    duration = samples // channels / sample_rate
+                if tag != b"fmt ":  # fmt was read whole, pad byte too
                     fh.seek(size + (size & 1), 1)
     except OSError as exc:
         raise DataError(f"cannot read audio file: {path}") from exc
-    raise DataError(f"no data chunk found in {path}")
+    if duration is None:
+        raise DataError(f"no data chunk found in {path}")
+    return duration
 
 
 def center_crop(w: Waveform, seconds: float) -> Waveform:

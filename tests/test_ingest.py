@@ -2,6 +2,8 @@
 
 import hashlib
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,10 +271,13 @@ class TestFilterExactDuration:
         assert str(path) in str(info.value)
         with pytest.raises(DataError, match=message):
             build_manifest(tmp_path, DatasetRules(labels=("a",), duration_s=1.0))
-        with pytest.raises(DataError, match="bad.wav"):
+        with pytest.raises(DataError, match="cannot read audio file .*bad.wav"):
             load_audio(path, target_rate=8000)
 
     SAMPLES = np.arange(100, dtype="<i2").tobytes()  # 0.0125 s at 8 kHz
+    # two data chunks, 50 then 100 samples: the last one counts, as in scipy
+    TWO_DATA = (FMT + b"data" + struct.pack("<I", 100) + SAMPLES[:100]
+                + b"data" + struct.pack("<I", len(SAMPLES)) + SAMPLES)
 
     @pytest.mark.parametrize("chunks", [
         # a 17-byte fmt chunk, then its pad byte
@@ -282,15 +287,18 @@ class TestFilterExactDuration:
         FMT + b"data" + struct.pack("<I", 400) + SAMPLES,
         # a data chunk that ends one byte into a frame
         FMT + b"data" + struct.pack("<I", 201) + SAMPLES + bytes(1),
-    ], ids=["odd_fmt", "truncated_data", "partial_frame"])
-    def test_wav_duration_agrees_with_load_audio(self, tmp_path, chunks):
-        path = tmp_path / "a" / "clip.wav"
-        path.parent.mkdir()
-        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
-        assert load_audio(path, target_rate=8000).duration_s == 0.0125
-        assert wav_duration(path) == 0.0125
-        rules = DatasetRules(labels=("a",), duration_s=0.0125)
-        assert [e.path for e in build_manifest(tmp_path, rules)] == ["a/clip.wav"]
+        TWO_DATA,
+    ], ids=["odd_fmt", "truncated_data", "partial_frame", "two_data"])
+    def test_wav_duration_agrees_with_load_audio(self, chunks):
+        # Fixture-free, so tests/test_mutants.py can run it on a mutant walker.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a" / "clip.wav"
+            path.parent.mkdir()
+            path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+            assert load_audio(path, target_rate=8000).duration_s == 0.0125
+            assert wav_duration(path) == 0.0125
+            rules = DatasetRules(labels=("a",), duration_s=0.0125)
+            assert [e.path for e in build_manifest(tmp, rules)] == ["a/clip.wav"]
 
 
 class TestBuildManifest:

@@ -7,8 +7,10 @@ passing quietly.  A new mutant that no fast check kills is a finding.
 """
 
 import csv
+import struct
 import time
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -109,6 +111,35 @@ def mw_decode_pairwise(spikes, x0, t, window):
     return est
 
 
+def mw_decode_from_steps(spikes, x0, t, window):
+    # Each mean taken over the steps spike * T, not over the estimates
+    # decoded so far: every column read before any is updated.
+    steps = np.multiply(spikes, t[:, None], dtype=np.float64)
+    steps[:, 0] = x0
+    est = steps.copy()
+    for i in range(1, steps.shape[1]):
+        k = min(i, window)
+        mean = steps[:, i - k].copy()
+        for j in range(i - k + 1, i):
+            mean += steps[:, j]
+        est[:, i] += mean / k
+    return est
+
+
+def wav_duration_first_data_chunk(path):
+    # Returns at the first data chunk, where scipy's reader keeps the last.
+    raw = Path(path).read_bytes()
+    pos = 12
+    while True:
+        tag, size = raw[pos : pos + 4], struct.unpack_from("<I", raw, pos + 4)[0]
+        pos += 8
+        if tag == b"fmt ":
+            _, _, rate, _, align, _ = struct.unpack_from("<HHIIHH", raw, pos)
+        elif tag == b"data":
+            return min(size, len(raw) - pos) // align / rate
+        pos += size + (size & 1)
+
+
 def resample_summed_backwards(samples, orig_rate, target_rate):
     # Each output's products added from its last input back to its first.
     up, down = ingest._resample_factors(orig_rate, target_rate)
@@ -175,6 +206,13 @@ MUTANTS = {
     "mw_decode_pairwise": (
         codec, "_mw_decode_rows", mw_decode_pairwise, test_codec,
         "TestMovingWindow.test_slab_edges_match_oracle", {"n": 129, "window": 12}),
+    "mw_decode_from_steps": (
+        codec, "_mw_decode_rows", mw_decode_from_steps, test_codec,
+        "TestMovingWindow.test_decode_all_zero_spikes_holds_constant", {}),
+    "wav_duration_first_data_chunk": (
+        ingest, "wav_duration", wav_duration_first_data_chunk, test_ingest,
+        "TestFilterExactDuration.test_wav_duration_agrees_with_load_audio",
+        {"chunks": test_ingest.TestFilterExactDuration.TWO_DATA}),
     "resample_summed_backwards": (
         ingest, "resample", resample_summed_backwards, test_ingest,
         "TestResample.test_matches_resample_poly", {"rate": 48000}),
