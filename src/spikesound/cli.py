@@ -129,6 +129,8 @@ def _cmd_reconstruct(args) -> int:
         if args.codec and item["codec"] != args.codec:
             continue
         st = load_spikes(enc_dir / item["spikes"])
+        if st.codec_id != item["codec"]:
+            raise DataError(f"{item['spikes']} holds {st.codec_id}, not {item['codec']}")
         if item["features"] != feats_rel:
             feats_rel, feats = item["features"], load_features(enc_dir / item["features"])
         if st.spikes.shape != feats.values.shape:

@@ -133,35 +133,28 @@ def _step_sum(steps: np.ndarray, x0: np.ndarray) -> np.ndarray:
 # Moving Window
 # ---------------------------------------------------------------------------
 
-# Frames per slab of the MW encoder, which bounds its buffers.
+# Frames per slab of the MW encoder's baseline, which bounds its buffers.
 _SLAB_FRAMES = 128
 
 
 def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
-    # One slab of frames at a time, straight into the spikes.  The baseline,
-    # mean(x[:, i-k:i]) with k = min(i, window), depends on x alone and adds
-    # its k frames in turn from the oldest: frames below `window` from a
-    # running sum, the others of a slab as `window` shifted slices of x.
+    # One slab of frames at a time, straight into the spikes.  Frame i's
+    # baseline, mean(x[:, i-k:i]) with k = min(i, window), starts at 0.0, adds
+    # its k frames in turn from the oldest (term j as one shifted slice of x
+    # over the slab) and is divided by k.  Frame 0 never fires.
     c, n = x.shape
-    spikes = np.empty((c, n), dtype=np.int8)
+    spikes = np.zeros((c, n), dtype=np.int8)
     base, edge = np.empty((2, c, _SLAB_FRAMES))
     up, dn = np.empty((2, c, _SLAB_FRAMES), dtype=bool)
-    run = x[:, 0].copy()  # x[:, 0] + ... + x[:, i-1]
-    for lo in range(0, n, _SLAB_FRAMES):
+    for lo in range(1, n, _SLAB_FRAMES):
         hi = min(lo + _SLAB_FRAMES, n)
         m = hi - lo
         b = base[:, :m]
-        for i in range(lo, min(hi, window)):
-            if i > 1:
-                run += x[:, i - 1]
-            np.divide(run, max(i, 1), out=b[:, i - lo])  # frame 0 takes x[:, 0]
-        bulk = max(lo, window)
-        if hi > bulk:
-            s = b[:, bulk - lo :]
-            np.copyto(s, x[:, bulk - window : hi - window])
-            for j in range(1, window):
-                s += x[:, bulk - window + j : hi - window + j]
-            s /= window
+        b.fill(0.0)
+        for j in range(max(0, window - hi + 1), window):
+            f = max(lo, window - j)  # the first frame term j reaches
+            b[:, f - lo :] += x[:, f - window + j : hi - window + j]
+        b /= np.minimum(np.arange(lo, hi), window)
         seg = x[:, lo:hi]
         np.less(seg, np.subtract(b, t[:, None], out=edge[:, :m]), out=dn[:, :m])
         np.greater(seg, np.add(b, t[:, None], out=edge[:, :m]), out=up[:, :m])

@@ -9,7 +9,6 @@ config and seed, every non-timing output byte is reproducible.
 
 from __future__ import annotations
 
-import io
 import logging
 import platform
 import time
@@ -20,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.io import wavfile
 
 from . import __version__
 from .codec import (
@@ -31,11 +29,11 @@ from .codec import (
     encode_matrix,
     serialized_size,
 )
-from .container import make_dir, read_csv, read_json, write_csv, write_file, write_json
+from .container import make_dir, read_csv, read_json, write_csv, write_json
 from .errors import ConfigError, DataError
 from .frontend import FrontendConfig, FeatureMatrix, mel_spectrogram, partition_bands
 from .ingest import (MAX_SAMPLES, ManifestEntry, Waveform, center_crop, load_audio,
-                     read_manifest, write_manifest)
+                     read_manifest, write_manifest, write_wav)
 from .metrics import (
     encoder_state_bytes,
     errdb,
@@ -208,9 +206,7 @@ def write_synthetic_corpus(spec: SyntheticSpec, seed: int,
     for w, e in _synthetic_clips(spec, seed):
         path = out_dir / e.path
         make_dir(path.parent)
-        wav = io.BytesIO()
-        wavfile.write(wav, w.sample_rate, np.round(w.samples * 32767.0).astype(np.int16))
-        write_file(path, wav.getvalue())
+        write_wav(path, w.samples, w.sample_rate)
         entries.append(e)
     manifest_path = out_dir / "manifest.csv"
     write_manifest(entries, manifest_path)

@@ -2,14 +2,15 @@
 
 Reads PCM WAV files (8/16/24-bit integer or 32/64-bit float), mixes down to
 mono, and resamples everything to one canonical rate so frame counts are
-reproducible across heterogeneous corpora.  Manifests are plain CSV files
-with the columns of MANIFEST_HEADER and paths relative to the manifest
-location.
+reproducible across heterogeneous corpora; writes mono 16-bit PCM WAV files.
+Manifests are plain CSV files with the columns of MANIFEST_HEADER and paths
+relative to the manifest location.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import logging
 import re
 import struct
@@ -22,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.io import wavfile
 
-from .container import read_csv, write_csv
+from .container import read_csv, write_csv, write_file
 from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
@@ -249,6 +250,13 @@ def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Wave
     y = resample(x, rate, target_rate)
     np.clip(y, -1.0, 1.0, out=y)
     return Waveform(samples=y, sample_rate=int(target_rate), source_path=str(path))
+
+
+def write_wav(path: str | Path, samples: np.ndarray, rate: int) -> None:
+    """Write samples in [-1, 1] as mono 16-bit PCM, round(sample * 32767)."""
+    wav = io.BytesIO()
+    wavfile.write(wav, rate, np.round(samples * 32767.0).astype(np.int16))
+    write_file(path, wav.getvalue())
 
 
 def wav_duration(path: str | Path) -> float:

@@ -141,8 +141,8 @@ class TestMovingWindow:
         # Frame 12 sits exactly T above the larger of two roundings of the
         # mean of frames 0-11, added in turn and by numpy's pairwise sum, so
         # it fires under one and not the other; frames 13 and 14 fix the
-        # range and so T.  Window 12 reaches frame 12 through the encoder's
-        # slab sum, window 20 through its running sum.
+        # range and so T.  Frame 12's mean is of k = min(12, window) = 12
+        # frames: its full window at window 12, a partial one at window 20.
         rng = np.random.default_rng(4)
         heads = (100.0 + rng.uniform(-1.0, 1.0, 12) for _ in range(100))
         head = next(h for h in heads if sum(h.tolist()) / 12 != h.sum() / 12)
@@ -439,9 +439,9 @@ class TestBitExactOutput:
     @pytest.mark.parametrize("codec", CODEC_IDS)
     @pytest.mark.parametrize("cfg", [CodecConfig(), CodecConfig(window=12)])
     def test_outputs_c_contiguous(self, cfg, codec):
-        # The SF and TAE encoders and the MW decoder run frame-major, and
-        # reductions downstream sum in layout order, so a transposed view
-        # here would change report bytes.
+        # The SF and TAE encoders run frame-major, and reductions downstream
+        # sum in layout order, so a transposed view here would change report
+        # bytes.
         values = np.cumsum(np.random.default_rng(3).normal(0.0, 0.05, size=(9, 40)), axis=1)
         st = encode_matrix(make_features(values), cfg, codec)
         assert st.spikes.flags.c_contiguous

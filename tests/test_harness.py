@@ -818,7 +818,8 @@ class TestCli:
         lambda index: [dict(item, spikes=7) for item in index],
         lambda index: {"items": index},
         lambda index: index + ["clip.wav"],
-    ], ids=["no_features", "non_string", "not_a_list", "not_an_object"])
+        lambda index: [dict(item, codec="sf") for item in index],
+    ], ids=["no_features", "non_string", "not_a_list", "not_an_object", "codec_mismatch"])
     def test_reconstruct_malformed_index(self, tmp_path, capsys, mutate):
         enc, index = self._encode_small(tmp_path)
         (enc / "encode_index.json").write_text(json.dumps(mutate(index)))

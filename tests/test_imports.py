@@ -1,6 +1,7 @@
 """Every name a spikesound module, bench/perf.py, a test or a demo imports
 is used there, the package never loads scipy.signal on its default
-path, resampling included, and only container.py imports csv or json.
+path, resampling included, only container.py imports csv or json, and only
+ingest.py imports scipy.io.
 
 The package's __init__.py is skipped by the unused-import check: its imports
 are the public re-exports.
@@ -104,15 +105,21 @@ def test_check_finds_module_level_scipy_signal():
         "scipy.signal", "scipy.signal.windows.hann", "scipy.signal"]
 
 
-def csv_or_json_imports(source: str) -> list[str]:
-    """Each csv or json module or name a file imports, at any depth."""
+def absolute_imports(source: str) -> list[str]:
+    """Each module or name a file imports, at any depth, in full dotted form."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found.extend(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.extend(f"{node.module}.{alias.name}" for alias in node.names)
-    return [name for name in found if name.split(".")[0] in ("csv", "json")]
+    return found
+
+
+def csv_or_json_imports(source: str) -> list[str]:
+    """Each csv or json module or name a file imports, at any depth."""
+    return [name for name in absolute_imports(source)
+            if name.split(".")[0] in ("csv", "json")]
 
 
 @pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "container.py"],
@@ -130,6 +137,31 @@ def test_check_finds_csv_and_json_imports():
               "def f():\n"
               "    import json.decoder as d\n")
     assert csv_or_json_imports(source) == ["csv", "json.loads", "json.decoder"]
+
+
+def scipy_io_imports(source: str) -> list[str]:
+    """Each scipy.io module or name a file imports, at any depth."""
+    return [name for name in absolute_imports(source)
+            if name == "scipy.io" or name.startswith("scipy.io.")]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "ingest.py"],
+                         ids=lambda p: p.name)
+def test_only_ingest_imports_scipy_io(path):
+    # WAV files are read and written through spikesound.ingest.
+    assert scipy_io_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_scipy_io_imports():
+    source = ("import scipy\n"
+              "import scipy.io\n"
+              "from scipy import io, signal\n"
+              "from scipy.io import wavfile\n"
+              "import scipy.iolib\n"
+              "def f():\n"
+              "    from scipy.io.wavfile import write as w\n")
+    assert scipy_io_imports(source) == [
+        "scipy.io", "scipy.io", "scipy.io.wavfile", "scipy.io.wavfile.write"]
 
 
 _FRESH = """

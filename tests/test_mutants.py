@@ -47,6 +47,25 @@ def mw_encode_window_off_by_one(x, t, window):
     return _real_mw_encode_rows(x, t, window + 1)
 
 
+def mw_encode_head_divides_by_window(x, t, window):
+    # Every baseline divided by window, also before frame window, where the
+    # mean is of k = i < window frames.
+    base = x.copy()
+    for i in range(1, x.shape[1]):
+        k = min(i, window)
+        total = x[:, i - k].copy()
+        for j in range(i - k + 1, i):
+            total += x[:, j]
+        base[:, i] = total / window
+    return (x > base + t[:, None]).astype(np.int8) - (x < base - t[:, None])
+
+
+def mw_encode_frame0_fires(x, t, window):
+    spikes = _real_mw_encode_rows(x, t, window)
+    spikes[:, 0] = 1
+    return spikes
+
+
 def mw_decode_window_off_by_one(spikes, x0, t, window):
     return _real_mw_decode_rows(spikes, x0, t, window + 1)
 
@@ -182,6 +201,12 @@ MUTANTS = {
         "test_exhaustive_short_signals_fine_grid", {"codec": "sf"}),
     "mw_encode_window_off_by_one": (
         codec, "_mw_encode_rows", mw_encode_window_off_by_one, test_codec,
+        "TestMovingWindow.test_slab_edges_match_oracle", {"n": 129, "window": 3}),
+    "mw_encode_head_divides_by_window": (
+        codec, "_mw_encode_rows", mw_encode_head_divides_by_window, test_codec,
+        "TestMovingWindow.test_slab_edges_match_oracle", {"n": 129, "window": 3}),
+    "mw_encode_frame0_fires": (
+        codec, "_mw_encode_rows", mw_encode_frame0_fires, test_codec,
         "TestMovingWindow.test_slab_edges_match_oracle", {"n": 129, "window": 3}),
     "mw_decode_window_off_by_one": (
         codec, "_mw_decode_rows", mw_decode_window_off_by_one, test_codec,
