@@ -7,14 +7,14 @@ range, so one relative setting is meaningful across normalized channels.
 
 Codec summaries
 ---------------
-SF   baseline steps by a fixed threshold on every spike; a spike fires when
-     the signal leaves the +/- threshold corridor around the baseline.
+SF   baseline steps by a fixed threshold T on every spike; a spike fires
+     when the signal's distance from the baseline, x - base, passes +/-T.
 MW   baseline is the mean of the previous ``window`` samples; spikes mark
      deviation from that local mean but do not move it.
-TAE  like SF, but the threshold grows by a factor (up to a cap) after each
-     spike and decays (down to a floor) during silence, so step size adapts
-     to signal volatility.  The adaptation depends only on the emitted
-     spikes, which lets the decoder replay it exactly.
+TAE  SF with an adaptive T: it grows by a factor (up to a cap) after each
+     spike and decays (down to a floor) during silence.  SF and TAE share
+     one encoder, which skips the adaptation for SF.  The adaptation depends
+     only on the emitted spikes, which lets the decoder replay it exactly.
 """
 
 from __future__ import annotations
@@ -102,22 +102,31 @@ class SpikeTrain:
 
 
 # ---------------------------------------------------------------------------
-# Step Forward
+# Step Forward, and the one step encoder SF and TAE share
 # ---------------------------------------------------------------------------
 
-def _sf_encode_rows(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # Frame-major: one contiguous row per frame, buffers reused through out=.
+def _step_encode_rows(x: np.ndarray, t0: np.ndarray,
+                      cfg: CodecConfig | None = None) -> np.ndarray:
+    # Frame-major on one threshold row t, buffers reused through out=: a
+    # spike fires where d = x - base passes +t or -t and steps the baseline
+    # by t.  TAE (cfg given) then steps t by _tae_next; SF keeps t = T0.
     xt = np.ascontiguousarray(x.T)
     spikes = np.zeros(xt.shape, dtype=np.int8)
-    base = xt[0].copy()
-    hi, lo, step = np.empty((3, len(t)))
-    up, dn = np.empty((2, len(t)), dtype=bool)
+    base, t = xt[0].copy(), t0.copy()
+    d, neg, step, grown = np.empty((4, len(t)))
+    up, dn, fired = np.empty((3, len(t)), dtype=bool)
     up8, dn8 = up.view(np.int8), dn.view(np.int8)
+    if cfg is not None:
+        tmin, tmax = _tae_bounds(t0, cfg)
     for i in range(1, len(xt)):
-        np.greater(xt[i], np.add(base, t, out=hi), out=up)
-        np.less(xt[i], np.subtract(base, t, out=lo), out=dn)
+        np.subtract(xt[i], base, out=d)
+        np.greater(d, t, out=up)
+        np.less(d, np.negative(t, out=neg), out=dn)
         s = np.subtract(up8, dn8, out=spikes[i])
         base += np.multiply(s, t, out=step)
+        if cfg is not None:
+            _tae_next(t, np.logical_or(up, dn, out=fired), tmin, tmax,
+                      cfg.tae_gamma, t, grown)
     return np.ascontiguousarray(spikes.T)
 
 
@@ -203,29 +212,6 @@ def _tae_next(t: np.ndarray, fired: np.ndarray, tmin: np.ndarray, tmax: np.ndarr
     return out
 
 
-def _tae_encode_rows(x: np.ndarray, t0: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    # Frame-major on one threshold row t: it decides the frame, then
-    # _tae_next steps it in place to the next frame's thresholds.
-    xt = np.ascontiguousarray(x.T)
-    n, c = xt.shape
-    tmin, tmax = _tae_bounds(t0, cfg)
-    spikes = np.zeros((n, c), dtype=np.int8)
-    base = xt[0].copy()
-    t = t0.copy()
-    d, neg, step, grown = np.empty((4, c))
-    up, dn, fired = np.empty((3, c), dtype=bool)
-    up8, dn8 = up.view(np.int8), dn.view(np.int8)
-    for i in range(1, n):
-        np.subtract(xt[i], base, out=d)
-        np.greater(d, t, out=up)
-        np.less(d, np.negative(t, out=neg), out=dn)
-        s = np.subtract(up8, dn8, out=spikes[i])
-        base += np.multiply(s, t, out=step)
-        _tae_next(t, np.logical_or(up, dn, out=fired), tmin, tmax,
-                  cfg.tae_gamma, t, grown)
-    return np.ascontiguousarray(spikes.T)
-
-
 def _tae_decode_rows(spikes: np.ndarray, x0: np.ndarray, t0: np.ndarray,
                      cfg: CodecConfig) -> np.ndarray:
     # The SF step sum with T replayed from the spikes, the way the encoder
@@ -264,12 +250,10 @@ def encode_matrix(f: FeatureMatrix, cfg: CodecConfig, codec: str) -> SpikeTrain:
         raise ValueError("signal contains non-finite values")
     span = x.max(axis=1) - x.min(axis=1)
     t = np.where(span > 0.0, cfg.threshold_rel * span, cfg.threshold_rel)
-    if codec == "sf":
-        spikes = _sf_encode_rows(x, t)
-    elif codec == "mw":
+    if codec == "mw":
         spikes = _mw_encode_rows(x, t, cfg.window)
     else:
-        spikes = _tae_encode_rows(x, t, cfg)
+        spikes = _step_encode_rows(x, t, cfg if codec == "tae" else None)
     return SpikeTrain(spikes=spikes, side_info=np.column_stack([x[:, 0], t]),
                       codec_id=codec, params=cfg)
 

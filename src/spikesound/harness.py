@@ -63,6 +63,8 @@ class SyntheticSpec:
         unknown = set(self.classes) - set(SYNTH_CLASSES)
         if unknown:
             raise ConfigError(f"unknown synthetic classes: {sorted(unknown)}")
+        if len(set(self.classes)) != len(self.classes):
+            raise ConfigError(f"duplicate synthetic classes: {list(self.classes)}")
         if self.n_clips < len(self.classes):
             raise ConfigError("need at least one clip per class")
         if not (self.sample_rate > 0 and 0 < self.duration_s < np.inf):

@@ -6,6 +6,11 @@ or shared helpers, so they can catch indexing and update-order mistakes in
 the production implementations.  Thresholds follow the same documented
 contract as the decoders: the TAE clamp bounds derive from the initial
 threshold, tmin = T0 * (tmin_rel / threshold_rel).
+
+Tie rule: SF and TAE compare the distance x - base with +/-T (fire on
+d > T or d < -T); MW compares x with the corridor base +/- T (fire on
+x > base + T or x < base - T).  The two forms round differently when x is
+T off the baseline, so each codec is held to its own.
 """
 
 
@@ -19,10 +24,11 @@ def sf_encode(xs, threshold_rel):
     base = xs[0]
     spikes = [0]
     for i in range(1, len(xs)):
-        if xs[i] > base + t:
+        d = xs[i] - base
+        if d > t:
             spikes.append(1)
             base = base + t
-        elif xs[i] < base - t:
+        elif d < -t:
             spikes.append(-1)
             base = base - t
         else:

@@ -16,10 +16,10 @@ import itertools
 import numpy as np
 import pytest
 
-from spikesound.codec import CODEC_IDS, CodecConfig
+from spikesound.codec import CODEC_IDS, CodecConfig, encode_matrix
 
 import oracles
-from siggen import code_rows
+from siggen import code_rows, make_features
 
 FINE_GRID = [i / 10.0 for i in range(11)]
 COARSE_GRID = [0.0, 0.3, 0.6, 1.0]
@@ -59,6 +59,24 @@ def test_exhaustive_short_signals_fine_grid(codec):
     signals = [xs for length in range(1, 5)
                for xs in itertools.product(FINE_GRID, repeat=length)]
     assert check_oracle(signals, CFG, codec) == 11 + 11**2 + 11**3 + 11**4
+
+
+def test_sf_and_tae_decide_frame_1_alike():
+    """TAE is SF with an adaptive threshold, and frame 1 is decided by T0
+    in both, so its spike is the same under SF and TAE on every length-3
+    signal over {0, 0.05, ..., 1.0}: in the codec and in the oracles.  A
+    tie rule of SF's own, x > base + T, fails (0.85, 1.0, 0.0), which
+    TAE's x - base > T fires on."""
+    signals = list(itertools.product([i / 20.0 for i in range(21)], repeat=3))
+    assert len(signals) == 9261
+    f = make_features(signals)
+    sf, tae = (encode_matrix(f, CFG, c).spikes[:, 1].tolist() for c in ("sf", "tae"))
+    assert sf == tae
+    args = (CFG.threshold_rel, CFG.tae_gamma, CFG.tae_tmin_rel, CFG.tae_tmax_rel)
+    for xs in signals:
+        sf_row, _, _ = oracles.sf_encode(xs, CFG.threshold_rel)
+        tae_row, _, _, _ = oracles.tae_encode(xs, *args)
+        assert sf_row[1] == tae_row[1], xs
 
 
 @pytest.mark.parametrize("codec", CODEC_IDS)

@@ -144,6 +144,12 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             SyntheticSpec(classes=("tone", "kazoo"))
 
+    def test_duplicate_class_rejected(self):
+        # Each class's clips are named after it, so a repeated class would
+        # write its clips over the first's and list each file twice.
+        with pytest.raises(ConfigError, match="duplicate synthetic classes"):
+            SyntheticSpec(n_clips=4, classes=("tone", "tone"))
+
 
 class TestRunBench:
     def test_report_structure(self, small_bench):
@@ -913,6 +919,7 @@ class TestCli:
         "synth_duration_negative": (None, {"synthetic": {"duration_s": -1}}),
         "synth_duration_nan": (None, {"synthetic": {"duration_s": float("nan")}}),
         "synth_classes_empty": (None, {"synthetic": {"classes": []}}),
+        "synth_classes_repeated": (None, {"synthetic": {"classes": ["tone", "tone"]}}),
         "synth_no_samples": (None, {"synthetic": {"duration_s": 0.00001}}),
         "synth_one_sample": (None, {"synthetic": {"duration_s": 0.00003}}),
         # Each would ask for gigabytes before any input is read: a 16 GiB

@@ -26,20 +26,40 @@ import test_ingest
 import test_metrics
 import test_snn
 
-_real_tae_encode_rows = codec._tae_encode_rows
+_real_step_encode_rows = codec._step_encode_rows
 _real_mw_encode_rows = codec._mw_encode_rows
 _real_mw_decode_rows = codec._mw_decode_rows
 _real_lif_update = snn._lif_update
 
 
-def sf_fires_on_equal(x, t):
+def sf_fires_on_equal(x, t0, cfg=None):
     # >= and <= for > and <: a signal exactly T off the baseline fires.
+    # SF only, as the check encodes.
     xt = np.ascontiguousarray(x.T)
     spikes = np.zeros(xt.shape, dtype=np.int8)
     base = xt[0].copy()
     for i in range(1, len(xt)):
-        spikes[i] = (xt[i] >= base + t).astype(np.int8) - (xt[i] <= base - t)
-        base += spikes[i] * t
+        d = xt[i] - base
+        spikes[i] = (d >= t0).astype(np.int8) - (d <= -t0)
+        base += spikes[i] * t0
+    return np.ascontiguousarray(spikes.T)
+
+
+def sf_adapts(x, t0, cfg=None):
+    # The SF path runs TAE's adaptation, with the default config's law.
+    return _real_step_encode_rows(x, t0, cfg or codec.CodecConfig())
+
+
+def step_decides_by_corridor(x, t0, cfg=None):
+    # x > base + T and x < base - T, MW's corridor form, for d = x - base
+    # against +/-T: the two round differently on ties.  SF only, as the
+    # check encodes.
+    xt = np.ascontiguousarray(x.T)
+    spikes = np.zeros(xt.shape, dtype=np.int8)
+    base = xt[0].copy()
+    for i in range(1, len(xt)):
+        spikes[i] = (xt[i] > base + t0).astype(np.int8) - (xt[i] < base - t0)
+        base += spikes[i] * t0
     return np.ascontiguousarray(spikes.T)
 
 
@@ -100,13 +120,13 @@ def tae_replay_positive_only(spikes, x0, t0, cfg):
     return codec._step_sum(steps * spikes, x0)
 
 
-def tae_clamps_from_span(x, t0, cfg):
+def tae_clamps_from_span(x, t0, cfg=None):
     # The encoder clamps to fractions of the channel's range, 0 when it is
     # flat, which the decoder cannot know from side_info.
     span = x.max(axis=1) - x.min(axis=1)
     bounds = (cfg.tae_tmin_rel * span, cfg.tae_tmax_rel * span)
     with mock.patch.object(codec, "_tae_bounds", lambda *args: bounds):
-        return _real_tae_encode_rows(x, t0, cfg)
+        return _real_step_encode_rows(x, t0, cfg)
 
 
 def mw_encode_pairwise(x, t, window):
@@ -197,7 +217,13 @@ def read_csv_any_field_count(path, what, header, parse, error=DataError):
 # name: (kernel module, kernel name, mutant, check module, check, check kwargs)
 MUTANTS = {
     "sf_fires_on_equal": (
-        codec, "_sf_encode_rows", sf_fires_on_equal, test_codec_oracle,
+        codec, "_step_encode_rows", sf_fires_on_equal, test_codec_oracle,
+        "test_exhaustive_short_signals_fine_grid", {"codec": "sf"}),
+    "sf_adapts": (
+        codec, "_step_encode_rows", sf_adapts, test_codec_oracle,
+        "test_exhaustive_short_signals_fine_grid", {"codec": "sf"}),
+    "step_decides_by_corridor": (
+        codec, "_step_encode_rows", step_decides_by_corridor, test_codec_oracle,
         "test_exhaustive_short_signals_fine_grid", {"codec": "sf"}),
     "mw_encode_window_off_by_one": (
         codec, "_mw_encode_rows", mw_encode_window_off_by_one, test_codec,
@@ -223,7 +249,7 @@ MUTANTS = {
         codec, "_tae_decode_rows", tae_replay_positive_only, test_codec_oracle,
         "test_exhaustive_short_signals_fine_grid", {"codec": "tae"}),
     "tae_clamps_from_span": (
-        codec, "_tae_encode_rows", tae_clamps_from_span, test_codec,
+        codec, "_step_encode_rows", tae_clamps_from_span, test_codec,
         "TestThresholdAdaptive.test_constant_signal_threshold_decays_to_floor", {}),
     "mw_encode_pairwise": (
         codec, "_mw_encode_rows", mw_encode_pairwise, test_codec,
