@@ -3,6 +3,7 @@
 Reads PCM WAV files (8/16/24-bit integer or 32/64-bit float), mixes down to
 mono, and resamples everything to one canonical rate so frame counts are
 reproducible across heterogeneous corpora; writes mono 16-bit PCM WAV files.
+_read_wav is the one WAV reader, for samples and durations alike.
 Manifests are plain CSV files with the columns of MANIFEST_HEADER and paths
 relative to the manifest location.
 """
@@ -13,7 +14,6 @@ import functools
 import io
 import logging
 import re
-import struct
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
@@ -126,9 +126,23 @@ def _pcm_to_float(data: np.ndarray) -> np.ndarray:
         # 24-bit PCM arrives as int32 with the payload in the top 3 bytes,
         # so full-scale division works for both 24- and 32-bit.
         return data.astype(np.float64) / 2147483648.0
-    if data.dtype in (np.float32, np.float64):
-        return data.astype(np.float64)
-    raise DataError(f"unsupported WAV sample format: {data.dtype}")
+    return data.astype(np.float64)  # float32 or float64, as _read_wav checks
+
+
+def _read_wav(path: Path) -> tuple[int, np.ndarray]:
+    """(rate, samples): the package's one WAV reader.  A DataError naming
+    path if scipy cannot read the file, its header gives 0 Hz, or its
+    samples are of a type _pcm_to_float does not scale: any but u1, <i2,
+    <i4 (24-bit arrives here), <f4 and <f8."""
+    try:
+        rate, data = wavfile.read(str(path))
+    except Exception as exc:  # missing, malformed RIFF, cut short, unsupported codec, ...
+        raise DataError(f"cannot read audio file {path}: {exc}") from exc
+    if rate == 0:
+        raise DataError(f"sample rate of 0 Hz in {path}")
+    if data.dtype.str not in ("|u1", "<i2", "<i4", "<f4", "<f8"):
+        raise DataError(f"unsupported WAV sample type {data.dtype.str} in {path}")
+    return rate, data
 
 
 def _anti_alias_filter(up: int, down: int) -> np.ndarray:
@@ -222,18 +236,13 @@ def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Wave
     Raises
     ------
     DataError
-        If the file is unreadable, not PCM/float WAV, has a sample rate of
-        0 Hz or one whose ratio to target_rate needs an up or down factor
-        over MAX_RESAMPLE_FACTOR, would give over MAX_SAMPLES samples at
-        target_rate, has zero length, or holds non-finite float samples.
+        If _read_wav rejects the file, or it has a rate whose ratio to
+        target_rate needs an up or down factor over MAX_RESAMPLE_FACTOR,
+        would give over MAX_SAMPLES samples at target_rate, has zero
+        length, or holds non-finite float samples.
     """
     path = Path(path)
-    try:
-        rate, data = wavfile.read(str(path))
-    except Exception as exc:  # missing, malformed RIFF, cut short, unsupported codec, ...
-        raise DataError(f"cannot read audio file {path}: {exc}") from exc
-    if rate == 0:
-        raise DataError(f"sample rate of 0 Hz in {path}")
+    rate, data = _read_wav(path)
     up, down = _resample_factors(rate, target_rate)
     n_out = -(-len(data) * up // down)
     if max(up, down) > MAX_RESAMPLE_FACTOR or n_out > MAX_SAMPLES:
@@ -260,43 +269,10 @@ def write_wav(path: str | Path, samples: np.ndarray, rate: int) -> None:
 
 
 def wav_duration(path: str | Path) -> float:
-    """Duration in seconds from the WAV header alone (no sample decode)."""
-    path = Path(path)
-    try:
-        with open(path, "rb") as fh:
-            riff = fh.read(12)
-            if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
-                raise DataError(f"not a RIFF/WAVE file: {path}")
-            channels = block_align = sample_rate = 0
-            duration = None  # of the last data chunk, which scipy's reader keeps
-            while True:
-                hdr = fh.read(8)
-                if len(hdr) < 8:
-                    break
-                tag, size = hdr[:4], struct.unpack("<I", hdr[4:])[0]
-                if tag == b"fmt ":
-                    fmt = fh.read(size + (size & 1))  # an odd-sized chunk has a pad byte
-                    if len(fmt) < 16:
-                        raise DataError(f"WAV fmt chunk under 16 bytes: {path}")
-                    _, channels, sample_rate, _, block_align, _ = struct.unpack(
-                        "<HHIIHH", fmt[:16]
-                    )
-                elif tag == b"data":
-                    if not (sample_rate and channels and block_align >= channels):
-                        raise DataError(f"WAV data chunk before fmt chunk, or a zero "
-                                        f"channel count, rate or sample width: {path}")
-                    held = path.stat().st_size - fh.tell()  # less if the file is cut short
-                    samples = min(size, held) // (block_align // channels)  # as scipy counts
-                    if samples % channels:
-                        raise DataError(f"WAV data ends inside a frame: {path}")
-                    duration = samples // channels / sample_rate
-                if tag != b"fmt ":  # fmt was read whole, pad byte too
-                    fh.seek(size + (size & 1), 1)
-    except OSError as exc:
-        raise DataError(f"cannot read audio file: {path}") from exc
-    if duration is None:
-        raise DataError(f"no data chunk found in {path}")
-    return duration
+    """Duration in seconds, read by _read_wav as load_audio reads the file,
+    so a file _read_wav rejects gets the same DataError from both."""
+    rate, data = _read_wav(Path(path))
+    return len(data) / rate
 
 
 def center_crop(w: Waveform, seconds: float) -> Waveform:

@@ -1,7 +1,7 @@
 """Every name a spikesound module, bench/perf.py, a test or a demo imports
 is used there, the package never loads scipy.signal on its default
-path, resampling included, only container.py imports csv or json, and only
-ingest.py imports scipy.io.
+path, resampling included, only container.py imports csv or json, only
+ingest.py imports scipy.io, and only ingest._read_wav reads a WAV file.
 
 The package's __init__.py is skipped by the unused-import check: its imports
 are the public re-exports.
@@ -162,6 +162,48 @@ def test_check_finds_scipy_io_imports():
               "    from scipy.io.wavfile import write as w\n")
     assert scipy_io_imports(source) == [
         "scipy.io", "scipy.io", "scipy.io.wavfile", "scipy.io.wavfile.write"]
+
+
+def wavfile_reads(source: str) -> list[str]:
+    """The function around each use of scipy.io.wavfile.read, as an
+    attribute of a name ending in wavfile or as an imported name;
+    '<module>' outside any function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "read":
+                if ast.unparse(child.value).split(".")[-1] == "wavfile":
+                    found.append(where)
+            elif isinstance(child, ast.ImportFrom) and child.module == "scipy.io.wavfile":
+                found.extend(where for alias in child.names if alias.name == "read")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_read_wav_reads_wav_files():
+    # ingest._read_wav is the one WAV reader, so wav_duration and load_audio
+    # reject the same files.
+    found = [f"{path.name}:{where}" for path in PACKAGE
+             for where in wavfile_reads(path.read_text(encoding="utf-8"))]
+    assert found == ["ingest.py:_read_wav"]
+
+
+def test_check_finds_wavfile_reads():
+    source = ("from scipy.io import wavfile\n"
+              "import scipy.io.wavfile\n"
+              "rate, data = wavfile.read('a.wav')\n"
+              "def f(path):\n"
+              "    from scipy.io.wavfile import read, write\n"
+              "    return scipy.io.wavfile.read(path)\n"
+              "class A:\n"
+              "    def g(self, fh):\n"
+              "        reader = wavfile.read\n"
+              "        wavfile.write(fh, 8000, fh.read())\n")
+    assert wavfile_reads(source) == ["<module>", "f", "f", "g"]
 
 
 _FRESH = """

@@ -1,6 +1,7 @@
 """Audio loading, duration filtering, cropping, and manifest rules."""
 
 import hashlib
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -252,27 +253,52 @@ class TestFilterExactDuration:
     FMT = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 16000, 2, 16)
     DATA = b"data" + struct.pack("<I", 4) + bytes(4)
     STEREO = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 2, 8000, 32000, 4, 16)
+    ZERO_RATE = (b"WAVE" + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 0, 0, 2, 16)
+                 + DATA)
+    PCM64 = (b"WAVE" + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 64000, 8, 64)
+             + b"data" + struct.pack("<I", 800) + bytes(800))
 
-    @pytest.mark.parametrize("body, message", [
-        (b"WAVX" + FMT + DATA, "not a RIFF/WAVE"),
-        (b"WAVE" + b"fmt " + struct.pack("<I", 8) + bytes(8) + DATA, "fmt chunk under 16"),
-        (b"WAVE" + DATA + FMT, "data chunk before fmt"),
-        (b"WAVE" + FMT, "no data chunk"),
+    @pytest.mark.parametrize("riff, body, message", [
+        (b"RIFF", b"WAVX" + FMT + DATA, "cannot read audio file"),
+        (b"RIFF", b"WAVE" + b"fmt " + struct.pack("<I", 8) + bytes(8) + DATA,
+         "cannot read audio file"),
+        (b"RIFF", b"WAVE" + DATA + FMT, "cannot read audio file"),
+        (b"RIFF", b"WAVE" + FMT, "cannot read audio file"),
         # a stereo data chunk that declares 400 bytes but holds 101 samples
-        (b"WAVE" + STEREO + b"data" + struct.pack("<I", 400)
-         + np.arange(101, dtype="<i2").tobytes(), "ends inside a frame"),
-    ], ids=["not_wave", "short_fmt", "data_first", "no_data", "stereo_partial_frame"])
-    def test_wav_duration_bad_header_is_data_error(self, tmp_path, body, message):
-        path = tmp_path / "a" / "bad.wav"
-        path.parent.mkdir()
-        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
-        with pytest.raises(DataError, match=message) as info:
-            wav_duration(path)
-        assert str(path) in str(info.value)
-        with pytest.raises(DataError, match=message):
-            build_manifest(tmp_path, DatasetRules(labels=("a",), duration_s=1.0))
-        with pytest.raises(DataError, match="cannot read audio file .*bad.wav"):
-            load_audio(path, target_rate=8000)
+        (b"RIFF", b"WAVE" + STEREO + b"data" + struct.pack("<I", 400)
+         + np.arange(101, dtype="<i2").tobytes(), "cannot read audio file"),
+        (b"RIFF", ZERO_RATE, "sample rate of 0 Hz in "),
+        # 16-bit PCM in big-endian RIFX, which scipy reads as >i2
+        (b"RIFX", b"WAVE" + b"fmt " + struct.pack(">IHHIIHH", 16, 1, 1, 8000, 16000, 2, 16)
+         + b"data" + struct.pack(">I", 4) + bytes(4), "unsupported WAV sample type >i2 in "),
+        (b"RIFF", PCM64, "unsupported WAV sample type <i8 in "),
+        # format tag 2, Microsoft ADPCM
+        (b"RIFF", b"WAVE" + b"fmt " + struct.pack("<IHHIIHH", 16, 2, 1, 8000, 4000, 1, 4)
+         + DATA, "cannot read audio file .*ADPCM"),
+    ], ids=["not_wave", "short_fmt", "data_first", "no_data", "stereo_partial_frame",
+            "zero_rate", "rifx", "pcm64", "adpcm"])
+    def test_wav_duration_bad_header_is_data_error(self, riff, body, message):
+        # A file load_audio rejects is rejected by wav_duration and by
+        # build_manifest's duration filter with the same text, naming the
+        # file, and never by another exception.  Fixture-free, so
+        # tests/test_mutants.py can run it on a mutant reader.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a" / "bad.wav"
+            path.parent.mkdir()
+            size = struct.pack("<I" if riff == b"RIFF" else ">I", len(body))
+            path.write_bytes(riff + size + body)
+            verdicts = []
+            for read in (lambda: wav_duration(path),
+                         lambda: build_manifest(tmp, DatasetRules(labels=("a",), duration_s=1.0)),
+                         lambda: load_audio(path, target_rate=8000)):
+                try:
+                    verdicts.append(read())
+                except Exception as exc:  # a mutant may raise anything
+                    verdicts.append(exc)
+            assert all(isinstance(v, DataError) for v in verdicts), verdicts
+            assert len({str(v) for v in verdicts}) == 1, verdicts
+            assert re.search(message, str(verdicts[0])), verdicts[0]
+            assert str(path) in str(verdicts[0])
 
     SAMPLES = np.arange(100, dtype="<i2").tobytes()  # 0.0125 s at 8 kHz
     # two data chunks, 50 then 100 samples: the last one counts, as in scipy

@@ -15,6 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from spikesound import codec, container, ingest, metrics, snn
 from spikesound.errors import DataError
@@ -179,6 +180,19 @@ def wav_duration_first_data_chunk(path):
         pos += size + (size & 1)
 
 
+def read_wav_checking(path, zero_rate=True, sample_type=True):
+    # The package's WAV reader with its 0 Hz or its sample-type check left out.
+    try:
+        rate, data = wavfile.read(str(path))
+    except Exception as exc:
+        raise DataError(f"cannot read audio file {path}: {exc}") from exc
+    if zero_rate and rate == 0:
+        raise DataError(f"sample rate of 0 Hz in {path}")
+    if sample_type and data.dtype.str not in ("|u1", "<i2", "<i4", "<f4", "<f8"):
+        raise DataError(f"unsupported WAV sample type {data.dtype.str} in {path}")
+    return rate, data
+
+
 def resample_summed_backwards(samples, orig_rate, target_rate):
     # Each output's products added from its last input back to its first.
     up, down = ingest._resample_factors(orig_rate, target_rate)
@@ -264,6 +278,16 @@ MUTANTS = {
         ingest, "wav_duration", wav_duration_first_data_chunk, test_ingest,
         "TestFilterExactDuration.test_wav_duration_agrees_with_load_audio",
         {"chunks": test_ingest.TestFilterExactDuration.TWO_DATA}),
+    "read_wav_takes_0_hz": (
+        ingest, "_read_wav", partial(read_wav_checking, zero_rate=False), test_ingest,
+        "TestFilterExactDuration.test_wav_duration_bad_header_is_data_error",
+        {"riff": b"RIFF", "body": test_ingest.TestFilterExactDuration.ZERO_RATE,
+         "message": "sample rate of 0 Hz in "}),
+    "read_wav_takes_any_sample_type": (
+        ingest, "_read_wav", partial(read_wav_checking, sample_type=False), test_ingest,
+        "TestFilterExactDuration.test_wav_duration_bad_header_is_data_error",
+        {"riff": b"RIFF", "body": test_ingest.TestFilterExactDuration.PCM64,
+         "message": "unsupported WAV sample type <i8 in "}),
     "resample_summed_backwards": (
         ingest, "resample", resample_summed_backwards, test_ingest,
         "TestResample.test_matches_resample_poly", {"rate": 48000}),
