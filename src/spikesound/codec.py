@@ -15,6 +15,10 @@ TAE  SF with an adaptive T: it grows by a factor (up to a cap) after each
      spike and decays (down to a floor) during silence.  SF and TAE share
      one encoder, which skips the adaptation for SF.  The adaptation depends
      only on the emitted spikes, which lets the decoder replay it exactly.
+
+One decoder serves all three: estimate i is spike_i * T_i plus the mean of
+the previous ``window`` estimates, which SF and TAE take with a one-frame
+window (the previous estimate itself) and MW with its own.
 """
 
 from __future__ import annotations
@@ -130,14 +134,6 @@ def _step_encode_rows(x: np.ndarray, t0: np.ndarray,
     return np.ascontiguousarray(spikes.T)
 
 
-def _step_sum(steps: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """The SF and TAE decoder, x0 + cumsum(spike * T), on the channel-major
-    steps spike * T, in place: frame 0 becomes x0 (its spike is ignored),
-    then cumsum adds frame by frame."""
-    steps[:, 0] = x0
-    return np.cumsum(steps, axis=1, out=steps)
-
-
 # ---------------------------------------------------------------------------
 # Moving Window
 # ---------------------------------------------------------------------------
@@ -171,25 +167,6 @@ def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
     return spikes
 
 
-def _mw_decode_rows(spikes: np.ndarray, x0: np.ndarray, t: np.ndarray,
-                    window: int) -> np.ndarray:
-    # In place on the channel-major steps spike * T, as the SF and TAE
-    # decoders run: column i gains mean(est[:, i-k:i]), k = min(i, window),
-    # its k columns added in turn from the oldest.  The column views are
-    # made once; slicing them per frame costs more on short clips.
-    est = np.multiply(spikes, t[:, None], dtype=np.float64)
-    est[:, 0] = x0
-    col = list(est.T)
-    mean = np.empty(len(t))
-    for i in range(1, len(col)):
-        k = min(i, window)
-        np.copyto(mean, col[i - k])
-        for j in range(i - k + 1, i):
-            mean += col[j]
-        col[i] += np.divide(mean, k, out=mean)
-    return est
-
-
 # ---------------------------------------------------------------------------
 # Threshold Adaptive
 # ---------------------------------------------------------------------------
@@ -212,22 +189,40 @@ def _tae_next(t: np.ndarray, fired: np.ndarray, tmin: np.ndarray, tmax: np.ndarr
     return out
 
 
-def _tae_decode_rows(spikes: np.ndarray, x0: np.ndarray, t0: np.ndarray,
-                     cfg: CodecConfig) -> np.ndarray:
-    # The SF step sum with T replayed from the spikes, the way the encoder
-    # steps it: one threshold row t, written into column i of the steps and
-    # then stepped in place by frame i's spikes.  Column 0 is T0 too; the
-    # step sum replaces frame 0 with x0.
-    c, n = spikes.shape
-    tmin, tmax = _tae_bounds(t0, cfg)
-    steps = np.empty((c, n))
-    steps[:, 0] = t = t0.copy()
-    grown, fired = np.empty(c), np.empty(c, dtype=bool)
-    for i in range(1, n):
-        steps[:, i] = t
-        _tae_next(t, np.not_equal(spikes[:, i], 0, out=fired), tmin, tmax,
-                  cfg.tae_gamma, t, grown)
-    return _step_sum(np.multiply(steps, spikes, out=steps), x0)
+# ---------------------------------------------------------------------------
+# The one decoder, for all three codecs
+# ---------------------------------------------------------------------------
+
+def _decode_rows(spikes: np.ndarray, x0: np.ndarray, t0: np.ndarray, window: int,
+                 cfg: CodecConfig | None = None) -> np.ndarray:
+    # In place on the channel-major estimate, through column views made once
+    # (slicing them per frame costs more on short clips).  Column 0 is x0 (its
+    # spike is ignored); column i is spike_i * T_i plus mean(est[:, i-k:i]),
+    # k = min(i, window), its k columns added in turn from the oldest.  SF
+    # and TAE decode with window 1, where the mean is the previous column.
+    # SF and MW keep T_i = T0.  TAE (cfg given) starts from the spikes as
+    # floats, scales each column by its one threshold row t, then steps t
+    # by _tae_next.
+    est = np.multiply(spikes, t0[:, None] if cfg is None else 1.0, dtype=np.float64)
+    est[:, 0] = x0
+    col, mean = list(est.T), np.empty(len(t0))
+    if cfg is not None:
+        tmin, tmax = _tae_bounds(t0, cfg)
+        t, grown, fired = t0.copy(), np.empty(len(t0)), np.empty(len(t0), dtype=bool)
+    for i in range(1, len(col)):
+        if cfg is not None:
+            np.not_equal(col[i], 0.0, out=fired)
+            col[i] *= t
+            _tae_next(t, fired, tmin, tmax, cfg.tae_gamma, t, grown)
+        k = min(i, window)
+        if k == 1:  # the mean of one column is that column
+            col[i] += col[i - 1]
+        else:
+            np.copyto(mean, col[i - k])
+            for j in range(i - k + 1, i):
+                mean += col[j]
+            col[i] += np.divide(mean, k, out=mean)
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +255,11 @@ def encode_matrix(f: FeatureMatrix, cfg: CodecConfig, codec: str) -> SpikeTrain:
 
 def decode_matrix(st: SpikeTrain) -> np.ndarray:
     """Signal estimate for every channel of a SpikeTrain."""
+    if st.codec_id not in CODEC_IDS:
+        raise DataError(f"unknown codec_id {st.codec_id!r}")
     x0, t = st.side_info.T
-    if st.codec_id == "sf":
-        return _step_sum(np.multiply(st.spikes, t[:, None], dtype=np.float64), x0)
-    if st.codec_id == "mw":
-        return _mw_decode_rows(st.spikes, x0, t, st.params.window)
-    if st.codec_id == "tae":
-        return _tae_decode_rows(st.spikes, x0, t, st.params)
-    raise DataError(f"unknown codec_id {st.codec_id!r}")
+    return _decode_rows(st.spikes, x0, t, st.params.window if st.codec_id == "mw" else 1,
+                        st.params if st.codec_id == "tae" else None)
 
 
 # ---------------------------------------------------------------------------

@@ -131,9 +131,10 @@ def _pcm_to_float(data: np.ndarray) -> np.ndarray:
 
 def _read_wav(path: Path) -> tuple[int, np.ndarray]:
     """(rate, samples): the package's one WAV reader.  A DataError naming
-    path if scipy cannot read the file, its header gives 0 Hz, or its
-    samples are of a type _pcm_to_float does not scale: any but u1, <i2,
-    <i4 (24-bit arrives here), <f4 and <f8."""
+    path if scipy cannot read the file, its header gives 0 Hz, its samples
+    are of a type _pcm_to_float does not scale (any but u1, <i2, <i4, where
+    24-bit arrives, <f4 and <f8), it holds no samples, or a float sample is
+    not finite."""
     try:
         rate, data = wavfile.read(str(path))
     except Exception as exc:  # missing, malformed RIFF, cut short, unsupported codec, ...
@@ -142,6 +143,10 @@ def _read_wav(path: Path) -> tuple[int, np.ndarray]:
         raise DataError(f"sample rate of 0 Hz in {path}")
     if data.dtype.str not in ("|u1", "<i2", "<i4", "<f4", "<f8"):
         raise DataError(f"unsupported WAV sample type {data.dtype.str} in {path}")
+    if data.size == 0:
+        raise DataError(f"zero-length audio: {path}")
+    if data.dtype.kind == "f" and not np.all(np.isfinite(data)):
+        raise DataError(f"non-finite samples in {path}")
     return rate, data
 
 
@@ -236,10 +241,10 @@ def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Wave
     Raises
     ------
     DataError
-        If _read_wav rejects the file, or it has a rate whose ratio to
-        target_rate needs an up or down factor over MAX_RESAMPLE_FACTOR,
-        would give over MAX_SAMPLES samples at target_rate, has zero
-        length, or holds non-finite float samples.
+        If _read_wav rejects the file (zero length and non-finite float
+        samples included), or it has a rate whose ratio to target_rate
+        needs an up or down factor over MAX_RESAMPLE_FACTOR or would give
+        over MAX_SAMPLES samples at target_rate.
     """
     path = Path(path)
     rate, data = _read_wav(path)
@@ -249,11 +254,7 @@ def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Wave
         raise DataError(f"cannot resample {path} from {rate} Hz to {target_rate} Hz: factor "
                         f"{max(up, down)} (at most {MAX_RESAMPLE_FACTOR}), "
                         f"{n_out} samples (at most {MAX_SAMPLES})")
-    if data.size == 0:
-        raise DataError(f"zero-length audio: {path}")
     x = _pcm_to_float(data)
-    if not np.all(np.isfinite(x)):
-        raise DataError(f"non-finite samples in {path}")
     if x.ndim == 2:
         x = x.mean(axis=1)
     y = resample(x, rate, target_rate)

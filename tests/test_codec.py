@@ -315,6 +315,19 @@ class TestMatrixEncoding:
                        "tae": lambda: oracles.tae_decode(row, x0, t, *tae)[0]}[codec]()
                 assert e.tolist() == ref, codec
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 387])
+    def test_sf_is_mw_with_one_frame_window_and_tae_held_at_t0(self, n):
+        # One recurrence, estimate i = estimate i-1 + spike_i * T0, for SF,
+        # for MW with window 1 and for TAE with tmin = T0 = tmax, where
+        # T0 * (rel / rel) is T0 exactly and no step moves T.
+        rng = np.random.default_rng(n)
+        spikes = rng.integers(-1, 2, size=(8, n), dtype=np.int8)
+        side = np.column_stack([rng.uniform(-1, 1, 8), rng.uniform(0.001, 0.2, 8)])
+        cfg = CodecConfig(threshold_rel=0.07, window=1, tae_tmin_rel=0.07, tae_tmax_rel=0.07)
+        sf, mw, tae = (decode_matrix(SpikeTrain(spikes, side, codec, cfg)).tobytes()
+                       for codec in ("sf", "mw", "tae"))
+        assert sf == mw == tae
+
     def test_encode_decode_pure_functions(self):
         rng = np.random.default_rng(10)
         f = make_features(rng.uniform(0, 1, size=(6, 70)))
@@ -363,10 +376,10 @@ class TestMatrixEncoding:
         assert peaks["mw"] <= 512 * 858 + 4 * codec_module._SLAB_FRAMES * 512 * 8, peaks
 
     def test_decode_peak_memory_near_sf(self):
-        # Every decoder works in place on the channel-major steps that SF's
-        # decoder builds: TAE steps one threshold row into them, MW adds one
-        # mean row into each column.  No slab, no copy of the spikes and no
-        # transposed estimate.
+        # The one decoder works in place on the channel-major estimate for
+        # every codec: MW adds one mean row into each column, TAE writes
+        # each column from one threshold row.  No slab, no copy of the
+        # spikes and no transposed estimate.
         f = make_features(np.random.default_rng(8).uniform(0, 1, (512, 858)))
         cfg = CodecConfig()
         peaks = {}

@@ -1,5 +1,6 @@
 """Every name a spikesound module, bench/perf.py, a test or a demo imports
-is used there, the package never loads scipy.signal on its default
+is used there, every private top-level function or class of the package is
+used in it, the package never loads scipy.signal on its default
 path, resampling included, only container.py imports csv or json, only
 ingest.py imports scipy.io, and only ingest._read_wav reads a WAV file.
 
@@ -57,6 +58,62 @@ def test_check_finds_unused_imports():
               "    x: np.ndarray\n"
               "print(os.sep)\n")
     assert unused_imports(source) == ["line 2: json", "line 4: field"]
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """'file:name' for each top-level private function or class (one
+    leading underscore) that no code in sources reads by name, attribute
+    or import outside its own definition."""
+    defined, read = [], set()
+    for name, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and owner.startswith("_") and not owner.startswith("__"):
+                defined.append((name, owner))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    used = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    used = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    used = [alias.name for alias in node.names]
+                else:
+                    continue
+                read.update(u for u in used if u != owner)
+    return [f"{name}:{owner}" for name, owner in defined if owner not in read]
+
+
+def test_no_unreferenced_private_kernels():
+    # A merge of two kernels must delete the old one: tests/test_mutants.py
+    # refers to kernels by name, so only src/ counts.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_privates(sources) == []
+
+
+def test_check_finds_unreferenced_privates():
+    sources = {
+        "a.py": ("def _used(x):\n"
+                 "    return _helper(x)\n"
+                 "def _helper(x):\n"
+                 "    return x\n"
+                 "def _recursive(n):\n"
+                 "    return _recursive(n - 1) if n else 0\n"
+                 "class _Unused:\n"
+                 "    def _method(self):\n"
+                 "        return self._method\n"
+                 "def __getattr__(name):\n"
+                 "    return _used(name)\n"
+                 "def _imported():\n"
+                 "    pass\n"
+                 "def _by_attribute():\n"
+                 "    pass\n"),
+        "b.py": ("from .a import _imported\n"
+                 "import a\n"
+                 "a._by_attribute()\n"
+                 "x = '_Unused'\n"),
+    }
+    assert unreferenced_privates(sources) == ["a.py:_recursive", "a.py:_Unused"]
 
 
 def import_time_modules(source: str) -> list[str]:

@@ -257,6 +257,11 @@ class TestFilterExactDuration:
                  + DATA)
     PCM64 = (b"WAVE" + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 64000, 8, 64)
              + b"data" + struct.pack("<I", 800) + bytes(800))
+    EMPTY = b"WAVE" + FMT + b"data" + struct.pack("<I", 0)
+    # 1 s of float32 (format tag 3) at 8 kHz, one sample NaN
+    NAN = (b"WAVE" + b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, 8000, 32000, 4, 32)
+           + b"data" + struct.pack("<I", 32000)
+           + np.insert(np.zeros(7999, "<f4"), 4000, np.nan).tobytes())
 
     @pytest.mark.parametrize("riff, body, message", [
         (b"RIFF", b"WAVX" + FMT + DATA, "cannot read audio file"),
@@ -275,8 +280,10 @@ class TestFilterExactDuration:
         # format tag 2, Microsoft ADPCM
         (b"RIFF", b"WAVE" + b"fmt " + struct.pack("<IHHIIHH", 16, 2, 1, 8000, 4000, 1, 4)
          + DATA, "cannot read audio file .*ADPCM"),
+        (b"RIFF", EMPTY, "zero-length audio: "),
+        (b"RIFF", NAN, "non-finite samples in "),
     ], ids=["not_wave", "short_fmt", "data_first", "no_data", "stereo_partial_frame",
-            "zero_rate", "rifx", "pcm64", "adpcm"])
+            "zero_rate", "rifx", "pcm64", "adpcm", "zero_length", "float_nan"])
     def test_wav_duration_bad_header_is_data_error(self, riff, body, message):
         # A file load_audio rejects is rejected by wav_duration and by
         # build_manifest's duration filter with the same text, naming the

@@ -29,7 +29,7 @@ import test_snn
 
 _real_step_encode_rows = codec._step_encode_rows
 _real_mw_encode_rows = codec._mw_encode_rows
-_real_mw_decode_rows = codec._mw_decode_rows
+_real_decode_rows = codec._decode_rows
 _real_lif_update = snn._lif_update
 
 
@@ -87,38 +87,36 @@ def mw_encode_frame0_fires(x, t, window):
     return spikes
 
 
-def mw_decode_window_off_by_one(spikes, x0, t, window):
-    return _real_mw_decode_rows(spikes, x0, t, window + 1)
+def mw_decode_window_off_by_one(spikes, x0, t0, window, cfg=None):
+    return _real_decode_rows(spikes, x0, t0, window + 1, cfg)
 
 
-def step_sum_adds_x0(steps, x0):
+def mw_decode_shortcut_every_frame(spikes, x0, t0, window, cfg=None):
+    # The k = 1 shortcut, add the previous estimate, taken at every frame:
+    # MW decoded as with a one-frame window.
+    return _real_decode_rows(spikes, x0, t0, 1, cfg)
+
+
+def step_sum_adds_x0(spikes, x0, t0, window, cfg=None):
     # x0 added to frame 0's step instead of replacing it.
-    steps[:, 0] += x0
-    return np.cumsum(steps, axis=1, out=steps)
+    return _real_decode_rows(spikes, x0 + spikes[:, 0] * t0, t0, window, cfg)
 
 
-def tae_replay_shifted(spikes, x0, t0, cfg):
-    # Frame i's threshold stepped from frame i's own spike, one frame early.
+def tae_decode_replaying(spikes, x0, t0, window, cfg, shifted=False, fired=np.not_equal):
+    # TAE's decoder with its threshold replay changed: frame i's threshold
+    # stepped from frame i's own spike, one frame early (shifted), or the
+    # frames that grow it picked by another test of the spike than != 0.
     tmin, tmax = codec._tae_bounds(t0, cfg)
     t, grown = t0.copy(), np.empty_like(t0)
-    steps = np.empty(spikes.shape)
-    steps[:, 0] = t0
+    est = np.empty(spikes.shape)
+    est[:, 0] = x0
     for i in range(1, spikes.shape[1]):
-        codec._tae_next(t, spikes[:, i] != 0, tmin, tmax, cfg.tae_gamma, t, grown)
-        steps[:, i] = t
-    return codec._step_sum(steps * spikes, x0)
-
-
-def tae_replay_positive_only(spikes, x0, t0, cfg):
-    # T grows only after a +1 spike; after a -1 spike it shrinks as in silence.
-    tmin, tmax = codec._tae_bounds(t0, cfg)
-    t, grown = t0.copy(), np.empty_like(t0)
-    steps = np.empty(spikes.shape)
-    steps[:, 0] = t0
-    for i in range(1, spikes.shape[1]):
-        steps[:, i] = t
-        codec._tae_next(t, spikes[:, i] > 0, tmin, tmax, cfg.tae_gamma, t, grown)
-    return codec._step_sum(steps * spikes, x0)
+        if shifted:
+            codec._tae_next(t, fired(spikes[:, i], 0), tmin, tmax, cfg.tae_gamma, t, grown)
+        est[:, i] = spikes[:, i] * t + est[:, i - 1]
+        if not shifted:
+            codec._tae_next(t, fired(spikes[:, i], 0), tmin, tmax, cfg.tae_gamma, t, grown)
+    return est
 
 
 def tae_clamps_from_span(x, t0, cfg=None):
@@ -140,9 +138,10 @@ def mw_encode_pairwise(x, t, window):
     return (x > base + t[:, None]).astype(np.int8) - (x < base - t[:, None])
 
 
-def mw_decode_pairwise(spikes, x0, t, window):
+def mw_decode_pairwise(spikes, x0, t, window, cfg=None):
     # Each window summed as numpy's pairwise sum over the channel-major
-    # estimate, which differs from the in-turn sum from 8 frames on.
+    # estimate, which differs from the in-turn sum from 8 frames on.  MW
+    # only, as the check decodes.
     est = spikes * t[:, None]
     est[:, 0] = x0
     for i in range(1, spikes.shape[1]):
@@ -151,9 +150,10 @@ def mw_decode_pairwise(spikes, x0, t, window):
     return est
 
 
-def mw_decode_from_steps(spikes, x0, t, window):
+def mw_decode_from_steps(spikes, x0, t, window, cfg=None):
     # Each mean taken over the steps spike * T, not over the estimates
-    # decoded so far: every column read before any is updated.
+    # decoded so far: every column read before any is updated.  MW only,
+    # as the check decodes.
     steps = np.multiply(spikes, t[:, None], dtype=np.float64)
     steps[:, 0] = x0
     est = steps.copy()
@@ -180,8 +180,9 @@ def wav_duration_first_data_chunk(path):
         pos += size + (size & 1)
 
 
-def read_wav_checking(path, zero_rate=True, sample_type=True):
-    # The package's WAV reader with its 0 Hz or its sample-type check left out.
+def read_wav_checking(path, zero_rate=True, sample_type=True, finite=True):
+    # The package's WAV reader with its 0 Hz, its sample-type or its
+    # non-finite check left out.
     try:
         rate, data = wavfile.read(str(path))
     except Exception as exc:
@@ -190,6 +191,10 @@ def read_wav_checking(path, zero_rate=True, sample_type=True):
         raise DataError(f"sample rate of 0 Hz in {path}")
     if sample_type and data.dtype.str not in ("|u1", "<i2", "<i4", "<f4", "<f8"):
         raise DataError(f"unsupported WAV sample type {data.dtype.str} in {path}")
+    if data.size == 0:
+        raise DataError(f"zero-length audio: {path}")
+    if finite and data.dtype.kind == "f" and not np.all(np.isfinite(data)):
+        raise DataError(f"non-finite samples in {path}")
     return rate, data
 
 
@@ -249,19 +254,22 @@ MUTANTS = {
         codec, "_mw_encode_rows", mw_encode_frame0_fires, test_codec,
         "TestMovingWindow.test_slab_edges_match_oracle", {"n": 129, "window": 3}),
     "mw_decode_window_off_by_one": (
-        codec, "_mw_decode_rows", mw_decode_window_off_by_one, test_codec,
+        codec, "_decode_rows", mw_decode_window_off_by_one, test_codec,
+        "TestMovingWindow.test_decode_trace_lossier_than_sf", {}),
+    "mw_decode_shortcut_every_frame": (
+        codec, "_decode_rows", mw_decode_shortcut_every_frame, test_codec,
         "TestMovingWindow.test_decode_trace_lossier_than_sf", {}),
     "step_sum_adds_x0": (
-        codec, "_step_sum", step_sum_adds_x0, test_codec,
+        codec, "_decode_rows", step_sum_adds_x0, test_codec,
         "TestMatrixEncoding.test_decode_ignores_frame_zero_spike", {"n": 129}),
     "tae_replay_shifted": (
-        codec, "_tae_decode_rows", tae_replay_shifted, test_codec,
+        codec, "_decode_rows", partial(tae_decode_replaying, shifted=True), test_codec,
         "TestThresholdAdaptive.test_hand_trace_adaptive_recurrence", {}),
     # The hand trace has +1 spikes only, so it passes this mutant; the grid
     # sweep decodes falling signals too.
     "tae_replay_positive_only": (
-        codec, "_tae_decode_rows", tae_replay_positive_only, test_codec_oracle,
-        "test_exhaustive_short_signals_fine_grid", {"codec": "tae"}),
+        codec, "_decode_rows", partial(tae_decode_replaying, fired=np.greater),
+        test_codec_oracle, "test_exhaustive_short_signals_fine_grid", {"codec": "tae"}),
     "tae_clamps_from_span": (
         codec, "_step_encode_rows", tae_clamps_from_span, test_codec,
         "TestThresholdAdaptive.test_constant_signal_threshold_decays_to_floor", {}),
@@ -269,10 +277,10 @@ MUTANTS = {
         codec, "_mw_encode_rows", mw_encode_pairwise, test_codec,
         "TestMovingWindow.test_summation_order_decides_a_spike", {"window": 12}),
     "mw_decode_pairwise": (
-        codec, "_mw_decode_rows", mw_decode_pairwise, test_codec,
+        codec, "_decode_rows", mw_decode_pairwise, test_codec,
         "TestMovingWindow.test_slab_edges_match_oracle", {"n": 129, "window": 12}),
     "mw_decode_from_steps": (
-        codec, "_mw_decode_rows", mw_decode_from_steps, test_codec,
+        codec, "_decode_rows", mw_decode_from_steps, test_codec,
         "TestMovingWindow.test_decode_all_zero_spikes_holds_constant", {}),
     "wav_duration_first_data_chunk": (
         ingest, "wav_duration", wav_duration_first_data_chunk, test_ingest,
@@ -288,6 +296,11 @@ MUTANTS = {
         "TestFilterExactDuration.test_wav_duration_bad_header_is_data_error",
         {"riff": b"RIFF", "body": test_ingest.TestFilterExactDuration.PCM64,
          "message": "unsupported WAV sample type <i8 in "}),
+    "read_wav_takes_nan": (
+        ingest, "_read_wav", partial(read_wav_checking, finite=False), test_ingest,
+        "TestFilterExactDuration.test_wav_duration_bad_header_is_data_error",
+        {"riff": b"RIFF", "body": test_ingest.TestFilterExactDuration.NAN,
+         "message": "non-finite samples in "}),
     "resample_summed_backwards": (
         ingest, "resample", resample_summed_backwards, test_ingest,
         "TestResample.test_matches_resample_poly", {"rate": 48000}),
