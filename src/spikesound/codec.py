@@ -200,11 +200,14 @@ def _decode_rows(spikes: np.ndarray, x0: np.ndarray, t0: np.ndarray, window: int
     # spike is ignored); column i is spike_i * T_i plus mean(est[:, i-k:i]),
     # k = min(i, window), its k columns added in turn from the oldest.  SF
     # and TAE decode with window 1, where the mean is the previous column.
-    # SF and MW keep T_i = T0.  TAE (cfg given) starts from the spikes as
-    # floats, scales each column by its one threshold row t, then steps t
-    # by _tae_next.
+    # SF and MW keep T_i = T0, so with window 1 (SF's) the sums are
+    # np.cumsum's, the same additions in the same order in one call.  TAE
+    # (cfg given) starts from the spikes as floats, scales each column by its
+    # one threshold row t, then steps t by _tae_next.
     est = np.multiply(spikes, t0[:, None] if cfg is None else 1.0, dtype=np.float64)
     est[:, 0] = x0
+    if cfg is None and window == 1:
+        return np.cumsum(est, axis=1, out=est)
     col, mean = list(est.T), np.empty(len(t0))
     if cfg is not None:
         tmin, tmax = _tae_bounds(t0, cfg)

@@ -35,11 +35,12 @@ from .frontend import FrontendConfig, FeatureMatrix, mel_spectrogram, partition_
 from .ingest import (MAX_SAMPLES, ManifestEntry, Waveform, center_crop, load_audio,
                      read_manifest, write_manifest, write_wav)
 from .metrics import (
+    band_rows,
     encoder_state_bytes,
-    errdb,
     firing_rate,
-    score_per_band,
+    score_matrix,
     score_per_class,
+    sums_of_squares,
 )
 from .snn import SnnConfig, run_protocol
 
@@ -251,12 +252,13 @@ def _clip_features(root: Path, e: ManifestEntry, cfg: RunConfig) -> FeatureMatri
         raise DataError(f"clip {e.path!r}: {exc}") from exc
 
 
-# Most feature entries (rows x frames) one encode call takes: 8 clips of
-# 128 x 858.  A larger block spreads each codec's per-frame steps over more
-# rows, but run_bench holds one block at a time: one default run_bench in a
-# fresh interpreter (2 vCPUs, numpy 2.4) peaks at 68 / 86 / 111 MB RSS with
-# 4 / 8 / 16-clip blocks.
-BLOCK_ENTRIES = 1 << 20
+# Most feature entries (rows x frames) one encode call takes: 4 clips of
+# 128 x 858, so the default 40-clip corpus runs as 10 blocks.  A larger block
+# spreads each codec's per-frame steps over more rows, but run_bench holds one
+# block at a time: one default run_bench in a fresh interpreter (2 vCPUs,
+# numpy 2.4) peaks at 66 / 67 / 78 / 95 MB RSS with 2^18 / 2^19 / 2^20 / 2^21
+# entries (2 / 4 / 9 / 19 clips).
+BLOCK_ENTRIES = 1 << 19
 
 
 def _stack_blocks(clips: Iterator[tuple[ManifestEntry, FeatureMatrix]]
@@ -346,20 +348,24 @@ def run_bench(cfg: RunConfig) -> dict[str, list[tuple]]:
         k = len(members)
         entries += members
         n_frames = n_frames or block.n_frames
-        bands = partition_bands(block.channel_center_hz[:n_mels])
+        rows = band_rows(partition_bands(block.channel_center_hz[:n_mels]))
         shape = (k, n_mels, block.n_frames)
+        signals = [sums_of_squares(values, rows)  # shared by every codec
+                   for values in block.values.reshape(shape)]
         for codec in codecs:
             ccfg = cfg.codec_params[codec]
             t0 = time.perf_counter()
             st = encode_matrix(block, ccfg, codec)
             times_ms[codec] += [1000.0 * (time.perf_counter() - t0) / k] * k
             est = decode_matrix(st)
-            for entry, values, clip_spikes, side_info, clip_est in zip(
+            for entry, values, clip_spikes, side_info, clip_est, signal in zip(
                     members, block.values.reshape(shape), st.spikes.reshape(shape),
-                    st.side_info.reshape(k, n_mels, 2), est.reshape(shape)):
+                    st.side_info.reshape(k, n_mels, 2), est.reshape(shape), signals):
                 clip = SpikeTrain(clip_spikes, side_info, codec, ccfg)
-                class_scores[codec].append((entry.class_label, errdb(values, clip_est)))
-                for b, e in score_per_band(values, clip_est, bands).items():
+                # squares the error in est's own buffer
+                clip_err, band_scores = score_matrix(values, clip_est, rows, signal)
+                class_scores[codec].append((entry.class_label, clip_err))
+                for b, e in band_scores.items():
                     band_errs[codec].setdefault(b, []).append(e)
                 rates[codec].append(firing_rate(clip))
                 aux[codec].append(serialized_size(clip) + encoder_state_bytes(clip))

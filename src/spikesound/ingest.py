@@ -131,12 +131,14 @@ def _pcm_to_float(data: np.ndarray) -> np.ndarray:
 
 def _read_wav(path: Path) -> tuple[int, np.ndarray]:
     """(rate, samples): the package's one WAV reader.  A DataError naming
-    path if scipy cannot read the file, its header gives 0 Hz, its samples
-    are of a type _pcm_to_float does not scale (any but u1, <i2, <i4, where
-    24-bit arrives, <f4 and <f8), it holds no samples, or a float sample is
-    not finite."""
+    path if scipy cannot read the file, it has no data chunk, its header
+    gives 0 Hz, its samples are of a type _pcm_to_float does not scale (any
+    but u1, <i2, <i4, where 24-bit arrives, <f4 and <f8), it holds no
+    samples, or a float sample is not finite."""
     try:
         rate, data = wavfile.read(str(path))
+    except UnboundLocalError as exc:  # scipy returns a local only its data chunk sets
+        raise DataError(f"no data chunk in {path}") from exc
     except Exception as exc:  # missing, malformed RIFF, cut short, unsupported codec, ...
         raise DataError(f"cannot read audio file {path}: {exc}") from exc
     if rate == 0:

@@ -78,10 +78,10 @@ def test_perf_code_strings_are_checked():
 
 
 def test_stale_name_is_caught():
-    tree = ast.parse("from spikesound.metrics import errdb, score_matrix\n"
+    tree = ast.parse("from spikesound.metrics import errdb, ReconScore\n"
                      "from spikesound import harness\n"
                      "harness.run_bench\nharness._no_such_helper\n")
-    assert _missing_names(tree) == ["spikesound.metrics.score_matrix",
+    assert _missing_names(tree) == ["spikesound.metrics.ReconScore",
                                     "spikesound.harness._no_such_helper"]
 
 

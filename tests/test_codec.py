@@ -319,14 +319,17 @@ class TestMatrixEncoding:
     def test_sf_is_mw_with_one_frame_window_and_tae_held_at_t0(self, n):
         # One recurrence, estimate i = estimate i-1 + spike_i * T0, for SF,
         # for MW with window 1 and for TAE with tmin = T0 = tmax, where
-        # T0 * (rel / rel) is T0 exactly and no step moves T.
+        # T0 * (rel / rel) is T0 exactly and no step moves T.  SF and MW
+        # take it as one cumsum, TAE frame by frame; the oracle row by row.
         rng = np.random.default_rng(n)
         spikes = rng.integers(-1, 2, size=(8, n), dtype=np.int8)
         side = np.column_stack([rng.uniform(-1, 1, 8), rng.uniform(0.001, 0.2, 8)])
         cfg = CodecConfig(threshold_rel=0.07, window=1, tae_tmin_rel=0.07, tae_tmax_rel=0.07)
         sf, mw, tae = (decode_matrix(SpikeTrain(spikes, side, codec, cfg)).tobytes()
                        for codec in ("sf", "mw", "tae"))
-        assert sf == mw == tae
+        ref = np.array([oracles.sf_decode(row, x0, t)
+                        for row, (x0, t) in zip(spikes.tolist(), side.tolist())])
+        assert sf == mw == tae == ref.tobytes()
 
     def test_encode_decode_pure_functions(self):
         rng = np.random.default_rng(10)

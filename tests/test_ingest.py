@@ -268,7 +268,7 @@ class TestFilterExactDuration:
         (b"RIFF", b"WAVE" + b"fmt " + struct.pack("<I", 8) + bytes(8) + DATA,
          "cannot read audio file"),
         (b"RIFF", b"WAVE" + DATA + FMT, "cannot read audio file"),
-        (b"RIFF", b"WAVE" + FMT, "cannot read audio file"),
+        (b"RIFF", b"WAVE" + FMT, "no data chunk in "),
         # a stereo data chunk that declares 400 bytes but holds 101 samples
         (b"RIFF", b"WAVE" + STEREO + b"data" + struct.pack("<I", 400)
          + np.arange(101, dtype="<i2").tobytes(), "cannot read audio file"),

@@ -10,12 +10,15 @@ import pytest
 from spikesound.codec import CodecConfig, SpikeTrain, encode_matrix, serialized_size
 from spikesound.frontend import FeatureMatrix, mel_center_frequencies, partition_bands
 from spikesound.metrics import (
+    band_rows,
     encoder_state_bytes,
     errdb,
     firing_rate,
+    score_matrix,
     score_per_band,
     score_per_class,
     snr_db,
+    sums_of_squares,
 )
 
 
@@ -111,6 +114,36 @@ class TestScorePerBand:
         assert sum(len(idx) for idx in rows) == 128
         for b, idx in zip(scores, rows):
             assert scores[b] == errdb(self.values[idx], est[idx])
+
+    BANDS = {
+        "contiguous": partition_bands(mel_center_frequencies(128, 20.0, 20000.0)),
+        "interleaved": np.arange(128) % 5,
+        "mixed": np.r_[np.zeros(40, int), np.arange(48) % 3 + 1, np.full(40, 4)],
+    }
+
+    @pytest.mark.parametrize("kind", BANDS)
+    def test_one_pass_scores_equal_copies(self, kind):
+        # Band sums taken as row slices (or index rows) of one squared
+        # array equal the sums over each band's fancy-indexed copy, and the
+        # scores equal errdb over those copies, bit for bit, for clips that
+        # are row slices of a stacked block as run_bench scores them.
+        # Fixture-free, so tests/test_mutants.py can run it on a mutant.
+        bands = self.BANDS[kind]
+        rows = band_rows(bands)
+        assert all(isinstance(r, slice) for r in rows.values()) == (kind == "contiguous")
+        idx = {b: np.flatnonzero(bands == b) for b in rows}
+        rng = np.random.default_rng(22)
+        k, n = 3, 203
+        block = rng.uniform(-1, 1, size=(k * 128, n))
+        est = block + rng.normal(scale=0.1, size=block.shape)
+        for values, clip_est in zip(block.reshape(k, 128, n), est.reshape(k, 128, n)):
+            signal = sums_of_squares(values, rows)
+            assert signal == (np.sum(values ** 2),
+                              {b: np.sum(values[i] ** 2) for b, i in idx.items()})
+            copies = {b: errdb(values[i], clip_est[i]) for b, i in idx.items()}
+            assert score_per_band(values, clip_est, bands) == copies
+            assert score_matrix(values, clip_est.copy(), rows, signal) == (
+                errdb(values, clip_est), copies)
 
     def test_empty_band_flagged_absent(self):
         # two channels squeezed into band 0 leave the rest empty

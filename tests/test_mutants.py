@@ -224,6 +224,14 @@ def score_per_class_input_order(scores):
     return {label: float(np.sum(vals) / len(vals)) for label, vals in sorted(groups.items())}
 
 
+def sums_of_squares_by_row(x, rows, out=None):
+    # Each band's sum added up from its rows' sums, which rounds unlike one
+    # sum over the band's run of memory.
+    sq = np.square(x, out=out)
+    return float(np.sum(sq)), {b: float(np.sum(np.sum(sq[r], axis=1)))
+                               for b, r in rows.items()}
+
+
 def read_csv_any_field_count(path, what, header, parse, error=DataError):
     # Every non-blank row reaches parse, however many fields it has.
     with open(path, encoding="utf-8", newline="") as fh:
@@ -310,6 +318,9 @@ MUTANTS = {
     "score_per_class_input_order": (
         metrics, "score_per_class", score_per_class_input_order, test_metrics,
         "TestScorePerClass.test_order_invariance", {}),
+    "sums_of_squares_by_row": (
+        metrics, "sums_of_squares", sums_of_squares_by_row, test_metrics,
+        "TestScorePerBand.test_one_pass_scores_equal_copies", {"kind": "contiguous"}),
     "read_csv_any_field_count": (
         container, "read_csv", read_csv_any_field_count, test_container,
         "TestContainer.test_csv_rows_need_one_field_per_column", {}),
