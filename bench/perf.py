@@ -12,8 +12,10 @@ of a 4 s clip at 22.05 and at 48 kHz, and, each in RUNS fresh
 interpreters, the wall time and peak RSS of the cold start (`import
 spikesound.cli`, `cold_import`), of one `run_bench` without the SNN
 (`run_bench_peak_rss`), of the same run with one codec only
-(`run_bench_peak_rss_<codec>`, which tells which codec sets the peak) and
-of one `spikesound encode` of a small corpus
+(`run_bench_peak_rss_<codec>`, which tells which codec sets the peak), of
+one `run_bench` with the SNN protocol on perfbench train_folds' corpus (4
+folds of 1 s crops, SNN_EPOCHS epochs; `run_bench_snn_peak_rss`) and of
+one `spikesound encode` of a small corpus
 at 22.05, 44.1 and 48 kHz (`encode_peak_rss`, import excluded from its
 wall time).  Every figure is the median of RUNS = 5 timed runs
 (after one untimed warm-up in this interpreter); the raw runs are kept
@@ -69,9 +71,10 @@ COLD_IMPORT = ("import resource, time\n"
                "print(time.perf_counter() - t0, "
                "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
 RUN_BENCH = ("import resource, sys, time\n"
-             "from spikesound.harness import RunConfig, run_bench\n"
+             "from spikesound.harness import load_run_config, run_bench\n"
+             "cfg = load_run_config(sys.argv[1])\n"
              "t0 = time.perf_counter()\n"
-             "run_bench(RunConfig(output_dir=sys.argv[1], codecs=tuple(sys.argv[2:])))\n"
+             "run_bench(cfg)\n"
              "print(time.perf_counter() - t0, "
              "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
 ENCODE = ("import resource, sys, time\n"
@@ -142,6 +145,25 @@ def write_mixed_rate_corpus(seed: int, root: Path) -> Path:
     return root / "manifest.csv"
 
 
+def write_fold_corpus(seed: int, root: Path) -> Path:
+    """perfbench train_folds' corpus under root, its clips dealt to folds
+    as that workload deals them; returns the manifest path."""
+    import workloads
+    from spikesound import harness, ingest
+
+    spec = workloads.WORKLOADS["train_folds"].spec
+    manifest = harness.write_synthetic_corpus(spec, seed, root)
+    ingest.write_manifest([replace(e, fold=workloads._fold(i))
+                           for i, e in enumerate(ingest.read_manifest(manifest))], manifest)
+    return manifest
+
+
+def write_config(path: Path, **fields) -> str:
+    """A run configuration JSON of fields at path; returns the path."""
+    path.write_text(json.dumps(fields), encoding="utf-8")
+    return str(path)
+
+
 def fresh_runs(name: str, code: str, src: Path, *args: str) -> dict:
     """Wall time and peak RSS that code prints last, each run in a fresh
     interpreter with src first on its path: medians and raw runs."""
@@ -193,16 +215,22 @@ def main(argv=None) -> int:
     spec = cfg.synthetic
     with tempfile.TemporaryDirectory(prefix="spikesound-perf-") as tmp:
         tmp = Path(tmp)
-        bench_rss = fresh_runs("run_bench_peak_rss", RUN_BENCH, args.src, str(tmp / "fresh"),
-                               *CODEC_IDS)
+        fresh = str(tmp / "fresh")
+        bench_rss = fresh_runs("run_bench_peak_rss", RUN_BENCH, args.src,
+                               write_config(tmp / "all.json", output_dir=fresh))
         codec_rss = {f"run_bench_peak_rss_{c}": fresh_runs(
-            f"run_bench_peak_rss_{c}", RUN_BENCH, args.src, str(tmp / "fresh"), c)
+            f"run_bench_peak_rss_{c}", RUN_BENCH, args.src,
+            write_config(tmp / f"{c}.json", output_dir=fresh, codecs=[c]))
             for c in CODEC_IDS}
         clock.mark()
-        mixed = tmp / "mixed.json"
-        mixed.write_text(json.dumps({"dataset": str(write_mixed_rate_corpus(
-            cfg.seed, tmp / "mixed"))}), encoding="utf-8")
-        encode_rss = fresh_runs("encode_peak_rss", ENCODE, args.src, str(mixed),
+        snn_rss = fresh_runs("run_bench_snn_peak_rss", RUN_BENCH, args.src, write_config(
+            tmp / "folds.json", output_dir=fresh, seed=cfg.seed, run_snn=True,
+            dataset=str(write_fold_corpus(cfg.seed, tmp / "folds")), crop_seconds=1.0,
+            snn={"epochs": SNN_EPOCHS}))
+        clock.mark()
+        mixed = write_config(tmp / "mixed.json",
+                             dataset=str(write_mixed_rate_corpus(cfg.seed, tmp / "mixed")))
+        encode_rss = fresh_runs("encode_peak_rss", ENCODE, args.src, mixed,
                                 str(tmp / "encode"))
         clock.mark()
 
@@ -225,14 +253,13 @@ def main(argv=None) -> int:
             spec, cfg.seed, tmp / "corpus"))
 
         # One SNN batch at the default network size on the TAE spikes of the
-        # first clips of the corpus just written.
+        # first clips of the corpus just written, int8 as run_bench passes them.
         net_cfg = SnnConfig(input_size=cfg.frontend.n_mels, output_size=len(spec.classes))
         net = init_net(net_cfg)
         corpus = replace(cfg, dataset=str(tmp / "corpus" / "manifest.csv"))
         _, clips = harness.load_corpus(corpus, tmp)
         x = np.stack([encode_matrix(f, cfg.codec_params["tae"], "tae").spikes
-                      for _, f in itertools.islice(clips, net_cfg.batch_size)]
-                     ).astype(np.float64)
+                      for _, f in itertools.islice(clips, net_cfg.batch_size)])
         labels = np.arange(len(x)) % net_cfg.output_size
         stages.time("snn.forward_batch", lambda: _forward_batch(net, x))
         cache = _forward_batch(net, x)
@@ -242,7 +269,7 @@ def main(argv=None) -> int:
         # Traced in-process encodes of the mixed-rate corpus time the disk
         # path: WAV load and resampling, and the feature and spike saves.
         import spikesound.cli as cli  # main looked up per call, so the tracer wraps it
-        argv = ["encode", "--config", str(mixed), "--out", str(tmp / "encode_traced")]
+        argv = ["encode", "--config", mixed, "--out", str(tmp / "encode_traced")]
         encode_layers = traced_runs(lambda: cli.main(argv))
 
     medians = stages.medians()
@@ -260,7 +287,10 @@ def main(argv=None) -> int:
                        "and run_bench_peak_rss are the median wall time and peak RSS "
                        "of `import spikesound.cli` and of one run_bench without the "
                        "SNN, each in a fresh interpreter; run_bench_peak_rss_<codec> "
-                       "is the same run with that codec only; resample_<rate> times "
+                       "is the same run with that codec only; run_bench_snn_peak_rss "
+                       "is one run_bench with the SNN protocol on perfbench "
+                       "train_folds' corpus (4 folds of 1 s crops, snn_epochs); "
+                       "resample_<rate> times "
                        "ingest.resample of a 4 s clip at that rate to 44.1 kHz; "
                        "encode_peak_rss is the median wall time (import excluded) and "
                        "peak RSS of one `spikesound encode` of the mixed-rate corpus "
@@ -283,6 +313,7 @@ def main(argv=None) -> int:
         "cold_import": cold,
         "run_bench_peak_rss": bench_rss,
         **codec_rss,
+        "run_bench_snn_peak_rss": snn_rss,
         "encode_peak_rss": encode_rss,
         "encode_corpus": {"rates": list(MIXED_RATES), "clips_per_rate": MIXED_CLIPS,
                           "duration_s": 1.0, "seed": cfg.seed},

@@ -117,7 +117,8 @@ def _step_encode_rows(x: np.ndarray, t0: np.ndarray,
     xt = np.ascontiguousarray(x.T)
     spikes = np.zeros(xt.shape, dtype=np.int8)
     base, t = xt[0].copy(), t0.copy()
-    d, neg, step, grown = np.empty((4, len(t)))
+    d, step, grown = np.empty((3, len(t)))
+    neg = np.negative(t)  # -t, renewed only where t steps
     up, dn, fired = np.empty((3, len(t)), dtype=bool)
     up8, dn8 = up.view(np.int8), dn.view(np.int8)
     if cfg is not None:
@@ -125,12 +126,13 @@ def _step_encode_rows(x: np.ndarray, t0: np.ndarray,
     for i in range(1, len(xt)):
         np.subtract(xt[i], base, out=d)
         np.greater(d, t, out=up)
-        np.less(d, np.negative(t, out=neg), out=dn)
+        np.less(d, neg, out=dn)
         s = np.subtract(up8, dn8, out=spikes[i])
         base += np.multiply(s, t, out=step)
         if cfg is not None:
             _tae_next(t, np.logical_or(up, dn, out=fired), tmin, tmax,
                       cfg.tae_gamma, t, grown)
+            np.negative(t, out=neg)
     return np.ascontiguousarray(spikes.T)
 
 

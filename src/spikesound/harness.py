@@ -387,7 +387,7 @@ def run_bench(cfg: RunConfig) -> dict[str, list[tuple]]:
                                 float(np.median(times_ms[codec])), float(np.mean(aux[codec]))))
         if cfg.run_snn:
             results, histories = run_protocol(
-                np.stack(spikes.pop(codec), dtype=np.float64),
+                np.stack(spikes.pop(codec)),
                 [e.class_label for e in entries],
                 [e.fold for e in entries], [e.split for e in entries], cfg.snn)
             for fold, acc, _ in results:

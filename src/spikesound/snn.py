@@ -69,15 +69,20 @@ def surrogate_grad(v: np.ndarray, slope: float) -> np.ndarray:
     return 1.0 / (1.0 + slope * np.abs(v)) ** 2
 
 
+def _fire(u, theta, smooth=False, slope=25.0):
+    """The spikes of pre-reset potentials u: 1.0 where u >= theta, or
+    fast_sigmoid(u - theta) when smooth."""
+    if smooth:
+        return fast_sigmoid(u - theta, slope)
+    return (u >= theta).astype(np.float64)
+
+
 def _lif_update(membrane, current, beta, theta, smooth=False, slope=25.0):
     """One leaky integrate-and-fire step with reset by subtraction:
-    U' = beta U + I, spikes where U' >= theta (fast_sigmoid(U' - theta) when
-    smooth).  Returns the spikes, U' and the new membrane U' - spike*theta."""
+    U' = beta U + I, spikes _fire(U').  Returns the spikes, U' and the new
+    membrane U' - spike*theta."""
     u = beta * membrane + current
-    if smooth:
-        s = fast_sigmoid(u - theta, slope)
-    else:
-        s = (u >= theta).astype(np.float64)
+    s = _fire(u, theta, smooth, slope)
     return s, u, u - s * theta
 
 
@@ -101,10 +106,13 @@ def init_net(cfg: SnnConfig, rng: np.random.Generator | None = None) -> SpikingN
 
 @dataclass
 class _ForwardCache:
+    """One forward pass: the inputs in the dtype given and each layer's
+    pre-reset potentials, from which _fire recomputes its spikes."""
+
     inputs: np.ndarray                # (batch, channels, frames)
     pre_reset: list[np.ndarray]       # per layer: (frames, batch, n)
-    spikes: list[np.ndarray]          # per layer: (frames, batch, n)
     counts: np.ndarray                # (batch, n_classes)
+    smooth: bool                      # the mode _fire recomputes spikes in
 
 
 def _forward_batch(net: SpikingNet, x: np.ndarray, smooth: bool = False,
@@ -114,9 +122,8 @@ def _forward_batch(net: SpikingNet, x: np.ndarray, smooth: bool = False,
     if channels != cfg.input_size:
         raise ValueError(f"expected {cfg.input_size} input channels, got {channels}")
     mems = [np.zeros((batch, w.shape[1])) for w in net.weights]
-    buffers = buffers or [np.empty((frames, batch, w.shape[1])) for w in net.weights * 2]
-    pre = [b[:, :batch] for b in buffers[: len(mems)]]
-    spk = [b[:, :batch] for b in buffers[len(mems) :]]
+    buffers = buffers or [np.empty((frames, batch, w.shape[1])) for w in net.weights]
+    pre = [b[:, :batch] for b in buffers]
     counts = np.zeros((batch, net.weights[-1].shape[1]))
     for t in range(frames):
         cur = x[:, :, t]
@@ -124,9 +131,8 @@ def _forward_batch(net: SpikingNet, x: np.ndarray, smooth: bool = False,
             cur, pre[l][t], mems[l] = _lif_update(
                 mems[l], cur @ w, cfg.beta, cfg.theta, smooth, cfg.surrogate_slope
             )
-            spk[l][t] = cur
         counts += cur
-    return _ForwardCache(inputs=x, pre_reset=pre, spikes=spk, counts=counts)
+    return _ForwardCache(inputs=x, pre_reset=pre, counts=counts, smooth=smooth)
 
 
 def forward(net: SpikingNet, spike_input: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -140,7 +146,7 @@ def forward(net: SpikingNet, spike_input: np.ndarray) -> tuple[np.ndarray, list[
     if not np.all(np.isfinite(spike_input)):
         raise ValueError("non-finite spike input")
     cache = _forward_batch(net, spike_input[None])
-    return cache.counts[0], [s[:, 0, :] for s in cache.spikes]
+    return cache.counts[0], [_fire(u[:, 0, :], net.config.theta) for u in cache.pre_reset]
 
 
 def _backward_batch(net: SpikingNet, cache: _ForwardCache,
@@ -162,7 +168,8 @@ def _backward_batch(net: SpikingNet, cache: _ForwardCache,
             d_spike = d_counts if l == n_layers - 1 else d_pre[l + 1] @ net.weights[l + 1].T
             g = surrogate_grad(cache.pre_reset[l][t] - cfg.theta, cfg.surrogate_slope)
             d_pre[l] = d_spike * g + carry[l] * (1.0 - cfg.theta * g)
-            prev = cache.spikes[l - 1][t] if l > 0 else cache.inputs[:, :, t]
+            prev = (_fire(cache.pre_reset[l - 1][t], cfg.theta, cache.smooth,
+                          cfg.surrogate_slope) if l > 0 else cache.inputs[:, :, t])
             grads[l] += prev.T @ d_pre[l]
             carry[l] = cfg.beta * d_pre[l]
     return grads
@@ -218,7 +225,8 @@ def _adam_update(net: SpikingNet, grads: list[np.ndarray], state: _AdamState,
 
 @dataclass
 class ClipDataset:
-    """Fixed-shape clips ready for the network."""
+    """Fixed-shape clips ready for the network, in the dtype they were
+    given (run_bench passes the codecs' int8 spikes)."""
 
     inputs: np.ndarray  # (n_clips, channels, frames)
     labels: np.ndarray  # (n_clips,) int class indices
@@ -232,7 +240,9 @@ def train(net: SpikingNet, train_set: ClipDataset, *,
           buffers=None) -> tuple[SpikingNet, list[tuple]]:
     """Adam + BPTT training on cross-entropy over output spike counts;
     returns the net and one (epoch, "train", loss, macro_acc) row per epoch.
-    buffers, as run_protocol makes them, hold each batch's forward cache.
+    The inputs are read in the dtype they are given.  buffers, as
+    run_protocol makes them, hold each batch's pre-reset potentials, the
+    only per-layer record the forward pass stores.
 
     Deterministic given net.config, which holds every setting (shuffling
     and init both derive from its seed).  Raises NumericError if the loss
@@ -317,8 +327,9 @@ def run_protocol(inputs: np.ndarray, labels, folds, splits,
                  cfg: SnnConfig) -> tuple[list[tuple], list[list[tuple]]]:
     """Cross-validation when folds are present, otherwise train/test holdout.
 
-    inputs is (clips, channels, frames); labels, folds and splits give each
-    clip's class name, fold (int or None) and split ("train" or "test").
+    inputs is (clips, channels, frames), kept in the dtype given (no float64
+    copy is made of int8 spikes); labels, folds and splits give each clip's
+    class name, fold (int or None) and split ("train" or "test").
     With k folds, model i trains on the other folds and tests on the i-th
     smallest; the holdout is one model testing on the "test" split.  Model i
     starts from init_net seeded with (cfg.seed, i).  Returns one (fold,
@@ -355,9 +366,10 @@ def run_protocol(inputs: np.ndarray, labels, folds, splits,
                 model = "holdout" if fold is None else f"fold {fold}"
                 raise DataError(f"{model}: {part} part has no clips of class "
                                 f"{class_names[counts.argmin()]!r}")
-    # Each model's forward passes reuse these, not tens of MB faulted in per batch.
+    # Each model's forward passes reuse these, one float64 buffer of
+    # pre-reset potentials per layer, not tens of MB faulted in per batch.
     shape = (inputs.shape[2], min(cfg.batch_size, len(inputs)))
-    buffers = [np.empty((*shape, n)) for n in cfg.layer_sizes[1:] * 2]
+    buffers = [np.empty((*shape, n)) for n in cfg.layer_sizes[1:]]
     results, histories = [], []
     for i, (fold, test) in enumerate(parts):
         net = init_net(cfg, np.random.default_rng([cfg.seed, i]))

@@ -9,6 +9,7 @@ passing quietly.  A new mutant that no fast check kills is a finding.
 import csv
 import struct
 import time
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -31,6 +32,7 @@ _real_step_encode_rows = codec._step_encode_rows
 _real_mw_encode_rows = codec._mw_encode_rows
 _real_decode_rows = codec._decode_rows
 _real_lif_update = snn._lif_update
+_real_backward_batch = snn._backward_batch
 
 
 def sf_fires_on_equal(x, t0, cfg=None):
@@ -217,6 +219,12 @@ def lif_reset_to_zero(membrane, current, beta, theta, smooth=False, slope=25.0):
     return s, u, u * (1.0 - s)
 
 
+def backward_hard_spikes(net, cache, d_counts):
+    # The previous layer's spikes recomputed by the hard threshold even
+    # after a smooth forward pass.
+    return _real_backward_batch(net, replace(cache, smooth=False), d_counts)
+
+
 def score_per_class_input_order(scores):
     groups = {}
     for label, e in scores:
@@ -315,6 +323,9 @@ MUTANTS = {
     "lif_reset_to_zero": (
         snn, "_lif_update", lif_reset_to_zero, test_snn,
         "TestLifStep.test_integrate_and_fire_arithmetic", {}),
+    "backward_hard_spikes": (
+        snn, "_backward_batch", backward_hard_spikes, test_snn,
+        "TestSurrogateGradients.test_gradcheck_2222_net", {"slope": 2.0, "seed": 0}),
     "score_per_class_input_order": (
         metrics, "score_per_class", score_per_class_input_order, test_metrics,
         "TestScorePerClass.test_order_invariance", {}),

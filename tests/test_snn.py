@@ -1,11 +1,13 @@
 """LIF dynamics, surrogate-gradient BPTT, training, and the eval protocol."""
 
+import tracemalloc
 from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from spikesound import snn
 from spikesound.errors import ConfigError, DataError, NumericError
 from spikesound.snn import (
     MAX_LAYER_WEIGHTS,
@@ -97,6 +99,31 @@ class TestForward:
         for s in layer_spikes:
             assert s[0].tolist() == [1.0, 0.0]  # frame 0 propagates
             assert not s[1:].any()              # decay keeps U = 0.9 < theta
+
+    def test_spike_records_are_the_spikes_fired(self, monkeypatch):
+        # forward recomputes each layer's spikes from its pre-reset
+        # potentials; they must be the very spikes _lif_update returned
+        fired = []
+
+        def recording(*args):
+            out = _lif_update(*args)
+            fired.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(snn, "_lif_update", recording)
+        cfg = SnnConfig(input_size=6, hidden_sizes=(7, 5, 4), output_size=3, seed=2)
+        net = init_net(cfg)
+        for w in net.weights:
+            w *= 4.0
+        x = np.random.default_rng(8).choice([-1.0, 0.0, 1.0], size=(6, 40))
+        counts, records = forward(net, x)
+        assert len(fired) == 40 * 4
+        for l, record in enumerate(records):
+            expected = np.stack([fired[t * 4 + l][0] for t in range(40)])
+            assert record.dtype == np.float64
+            assert record.tobytes() == expected.tobytes()
+        assert all(r.any() for r in records)  # every layer fires somewhere
+        assert counts.tolist() == records[-1].sum(axis=0).tolist()
 
     def test_membranes_stay_finite_on_bounded_input(self):
         cfg = SnnConfig(input_size=8, hidden_sizes=(8, 8, 8), output_size=2,
@@ -209,6 +236,21 @@ class TestTraining:
                         epochs=1, seed=1)
         with pytest.raises(DataError):
             train(init_net(cfg), only_zero)
+
+    def test_int8_inputs_train_the_same_weights_as_float64(self):
+        # ternary inputs make every product of the layer-0 matmuls exact, so
+        # keeping the codec's int8 changes no weight bit
+        rng = np.random.default_rng(15)
+        x = rng.integers(-1, 2, size=(20, 8, 24)).astype(np.int8)
+        y = np.arange(20) % 2
+        cfg = SnnConfig(input_size=8, hidden_sizes=(8, 8, 8), output_size=2,
+                        epochs=3, batch_size=8, seed=16)
+        nets = [train(init_net(cfg), ClipDataset(xs, y, ("a", "b")))
+                for xs in (x, x.astype(np.float64))]
+        (net_a, hist_a), (net_b, hist_b) = nets
+        assert hist_a == hist_b
+        for wa, wb in zip(net_a.weights, net_b.weights):
+            assert wa.tobytes() == wb.tobytes()
 
     def test_non_finite_weights_abort_with_diagnostic(self):
         # binary spikes launder inf into {0, 1}, so corruption is caught by
@@ -327,6 +369,33 @@ class TestRunProtocol:
         assert fold is None
         assert acc == 1.0
 
+    def test_int8_and_float64_spikes_give_identical_results(self):
+        rng = np.random.default_rng(17)
+        x = rng.integers(-1, 2, size=(24, 8, 30)).astype(np.int8)
+        labels = ["low", "high", "mid"] * 8
+        folds = [(i // 3) % 4 for i in range(24)]
+        runs = [run_protocol(xs, labels, folds, ["train"] * 24, self._cfg(epochs=4))
+                for xs in (x, x.astype(np.float64))]
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) == 4
+
+    def test_peak_memory_is_the_pre_reset_buffers(self):
+        # One float64 buffer of pre-reset potentials per layer, 15.9 MiB
+        # here, and the int8 spikes as given: a float64 copy of the inputs
+        # (6.6 MiB) or a second buffer set (15.9 MiB) passes the bound.
+        rng = np.random.default_rng(18)
+        x = rng.integers(-1, 2, size=(40, 128, 169)).astype(np.int8)
+        cfg = SnnConfig(epochs=1)
+        pre_reset = 169 * cfg.batch_size * (3 * 128 + 2) * 8
+        tracemalloc.start()
+        try:
+            run_protocol(x, ["a", "b"] * 20, [None] * 40,
+                         ["train"] * 30 + ["test"] * 10, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pre_reset < peak < pre_reset + (4 << 20)
+
     def test_layer_bound_checked_at_the_real_layer_sizes(self):
         # 2^24 x 1 weights fit the configured output layer; the two classes
         # need 2^24 x 2, which is refused before any weight is allocated.
@@ -352,8 +421,6 @@ class TestRunProtocol:
     ], ids=["fold_test", "fold_train", "holdout_test", "holdout_train"])
     def test_class_missing_from_a_part_rejected_before_training(
             self, monkeypatch, folds, splits, message):
-        import spikesound.snn as snn
-
         def no_train(*args):
             raise AssertionError("train called")
 
