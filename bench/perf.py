@@ -17,7 +17,9 @@ one `run_bench` with the SNN protocol on perfbench train_folds' corpus (4
 folds of 1 s crops, SNN_EPOCHS epochs; `run_bench_snn_peak_rss`) and of
 one `spikesound encode` of a small corpus
 at 22.05, 44.1 and 48 kHz (`encode_peak_rss`, import excluded from its
-wall time).  Every figure is the median of RUNS = 5 timed runs
+wall time) and of one `spikesound encode` then `spikesound reconstruct` of
+perfbench disk_roundtrip's corpus, 40 clips of 0.5 to 4 s at those rates
+(`roundtrip_peak_rss`, import excluded likewise).  Every figure is the median of RUNS = 5 timed runs
 (after one untimed warm-up in this interpreter); the raw runs are kept
 too.  The pipeline stages (WAV load, STFT, mel, encode and decode per
 codec, scoring) come only from RUNS traced `run_bench` calls
@@ -37,6 +39,7 @@ are capped at the usable CPU count, as perfbench/run.py does.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -64,25 +67,35 @@ import spans  # noqa: E402
 RUNS = 5  # timed runs per stage, after one warm-up
 SNN_EPOCHS = 5  # the default 100 takes minutes per run_bench
 
-# Code run in fresh interpreters; each prints its wall time and peak RSS (MB).
-COLD_IMPORT = ("import resource, time\n"
+# Code run in fresh interpreters; each prints its wall time, and fresh_runs
+# appends PRINT_PEAK_RSS.
+COLD_IMPORT = ("import time\n"
                "t0 = time.perf_counter()\n"
                "import spikesound.cli\n"
-               "print(time.perf_counter() - t0, "
-               "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
-RUN_BENCH = ("import resource, sys, time\n"
+               "print(time.perf_counter() - t0)\n")
+RUN_BENCH = ("import sys, time\n"
              "from spikesound.harness import load_run_config, run_bench\n"
              "cfg = load_run_config(sys.argv[1])\n"
              "t0 = time.perf_counter()\n"
              "run_bench(cfg)\n"
-             "print(time.perf_counter() - t0, "
-             "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
-ENCODE = ("import resource, sys, time\n"
+             "print(time.perf_counter() - t0)\n")
+ENCODE = ("import sys, time\n"
           "from spikesound.cli import main\n"
           "t0 = time.perf_counter()\n"
           "assert main(['encode', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-          "print(time.perf_counter() - t0, "
-          "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
+          "print(time.perf_counter() - t0)\n")
+ROUNDTRIP = ("import sys, time\n"
+             "from spikesound.cli import main\n"
+             "t0 = time.perf_counter()\n"
+             "assert main(['encode', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+             "assert main(['reconstruct', sys.argv[2], '--out', sys.argv[3]]) == 0\n"
+             "print(time.perf_counter() - t0)\n")
+# The peak RSS (MB) of the fresh interpreter: its VmHWM, which exec starts
+# afresh.  ru_maxrss would not do: it keeps the high-water mark of the
+# process that forked the interpreter, this one, which can be the larger.
+PRINT_PEAK_RSS = ("for line in open('/proc/self/status'):\n"
+                  "    if line.startswith('VmHWM:'):\n"
+                  "        print(int(line.split()[1]) / 1024)\n")
 # The encode_peak_rss corpus: MIXED_CLIPS clips of 1 s at each rate, one
 # per synthetic class.
 MIXED_RATES = (22050, 44100, 48000)
@@ -145,6 +158,17 @@ def write_mixed_rate_corpus(seed: int, root: Path) -> Path:
     return root / "manifest.csv"
 
 
+def write_roundtrip_corpus(seed: int, root: Path) -> Path:
+    """perfbench disk_roundtrip's corpus for seed under root, as that
+    workload writes it; returns the manifest path."""
+    import workloads
+
+    root.mkdir(parents=True)
+    with contextlib.chdir(root):
+        workloads.WORKLOADS["disk_roundtrip"].generate(seed)
+    return root / "inputs" / "corpus" / "manifest.csv"
+
+
 def write_fold_corpus(seed: int, root: Path) -> Path:
     """perfbench train_folds' corpus under root, its clips dealt to folds
     as that workload deals them; returns the manifest path."""
@@ -165,12 +189,13 @@ def write_config(path: Path, **fields) -> str:
 
 
 def fresh_runs(name: str, code: str, src: Path, *args: str) -> dict:
-    """Wall time and peak RSS that code prints last, each run in a fresh
-    interpreter with src first on its path: medians and raw runs."""
+    """Wall time that code prints last and peak RSS (PRINT_PEAK_RSS), each
+    run in a fresh interpreter with src first on its path: medians and raw
+    runs."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src.resolve()), os.environ.get("PYTHONPATH")])))
-    runs = [subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
-                           capture_output=True, text=True).stdout.split()[-2:]
+    runs = [subprocess.run([sys.executable, "-c", code + PRINT_PEAK_RSS, *args], env=env,
+                           check=True, capture_output=True, text=True).stdout.split()[-2:]
             for _ in range(RUNS)]
     wall, rss = ([float(r[i]) for r in runs] for i in (0, 1))
     print(f"{name}: {statistics.median(wall):.4f} s, "
@@ -232,6 +257,11 @@ def main(argv=None) -> int:
                              dataset=str(write_mixed_rate_corpus(cfg.seed, tmp / "mixed")))
         encode_rss = fresh_runs("encode_peak_rss", ENCODE, args.src, mixed,
                                 str(tmp / "encode"))
+        clock.mark()
+        roundtrip = write_config(tmp / "roundtrip.json", seed=cfg.seed, dataset=str(
+            write_roundtrip_corpus(cfg.seed, tmp / "roundtrip")))
+        roundtrip_rss = fresh_runs("roundtrip_peak_rss", ROUNDTRIP, args.src, roundtrip,
+                                   str(tmp / "roundtrip_enc"), str(tmp / "roundtrip_rec"))
         clock.mark()
 
         # Full runs, untraced, then traced: the spans of the traced runs time
@@ -295,7 +325,9 @@ def main(argv=None) -> int:
                        "encode_peak_rss is the median wall time (import excluded) and "
                        "peak RSS of one `spikesound encode` of the mixed-rate corpus "
                        "in a fresh interpreter; encode_layers holds the spans of "
-                       "RUNS traced in-process encodes of that corpus",
+                       "RUNS traced in-process encodes of that corpus; "
+                       "roundtrip_peak_rss is the same for one `spikesound encode` then "
+                       "`spikesound reconstruct` of perfbench disk_roundtrip's corpus",
         "src": {"commit": _git(args.src, "rev-parse", "HEAD"),
                 "uncommitted_changes": bool(_git(args.src, "status", "--porcelain", ".")),
                 "spikesound": spikesound.__version__},
@@ -317,6 +349,8 @@ def main(argv=None) -> int:
         "encode_peak_rss": encode_rss,
         "encode_corpus": {"rates": list(MIXED_RATES), "clips_per_rate": MIXED_CLIPS,
                           "duration_s": 1.0, "seed": cfg.seed},
+        "roundtrip_peak_rss": roundtrip_rss,
+        "roundtrip_corpus": {"workload": "disk_roundtrip", "seed": cfg.seed},
         "median_s": medians,
         "run_bench_layers": layer_medians(layers),
         "encode_layers": layer_medians(encode_layers),

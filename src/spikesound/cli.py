@@ -10,14 +10,19 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
-from .codec import CODEC_IDS, decode_matrix, encode_matrix, load_spikes, save_spikes
+import numpy as np
+
+from .codec import (CODEC_IDS, SpikeTrain, decode_matrix, encode_matrix, load_spikes,
+                    save_spikes)
 from .container import make_dir, read_json, write_json
 from .errors import ConfigError, DataError, NumericError
 from .frontend import load_features, save_features
 from .harness import (
     RunConfig,
+    _stack_blocks,
     compare_report,
     load_corpus,
     load_run_config,
@@ -89,23 +94,38 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _save_features(out_dir: Path, clip) -> tuple:
+    """Save one load_corpus clip's features as its .spkf; returns (entry,
+    the .spkf path under out_dir) and the features' values, the clip as
+    _stack_blocks takes it."""
+    e, feats = clip
+    feat_rel = Path("features") / Path(e.path).with_suffix(".spkf")
+    make_dir((out_dir / feat_rel).parent)
+    save_features(feats, out_dir / feat_rel)
+    return (e, feat_rel.as_posix()), feats.values
+
+
 def _cmd_encode(args) -> int:
     cfg = _resolve_config(args)
     out_dir = make_dir(cfg.output_dir)
+    n_mels, codecs = cfg.frontend.n_mels, sorted(cfg.codecs)
     index = []
     _, clips = load_corpus(cfg, out_dir)
-    for e, feats in clips:
-        feat_rel = Path("features") / Path(e.path).with_suffix(".spkf")
-        make_dir((out_dir / feat_rel).parent)
-        save_features(feats, out_dir / feat_rel)
-        for codec in sorted(cfg.codecs):
-            st = encode_matrix(feats, cfg.codec_params[codec], codec)
-            spike_rel = Path("spikes") / Path(e.path).with_suffix(f".{codec}.spk")
-            make_dir((out_dir / spike_rel).parent)
-            save_spikes(st, out_dir / spike_rel)
-            index.append({"clip": e.path, "class_label": e.class_label,
-                          "codec": codec, "spikes": spike_rel.as_posix(),
-                          "features": feat_rel.as_posix()})
+    for members, frames, block in _stack_blocks(map(partial(_save_features, out_dir), clips)):
+        spike_rels = [{c: Path("spikes") / Path(e.path).with_suffix(f".{c}.spk") for c in codecs}
+                      for e, _ in members]
+        for codec in codecs:
+            st = encode_matrix(block, cfg.codec_params[codec], codec)
+            for j, (rels, n) in enumerate(zip(spike_rels, frames)):
+                rows = slice(j * n_mels, (j + 1) * n_mels)
+                make_dir((out_dir / rels[codec]).parent)
+                save_spikes(replace(st, spikes=st.spikes[rows, :n], side_info=st.side_info[rows]),
+                            out_dir / rels[codec])
+            del st
+        index += [{"clip": e.path, "class_label": e.class_label, "codec": c,
+                   "spikes": rels[c].as_posix(), "features": feat_rel}
+                  for (e, feat_rel), rels in zip(members, spike_rels) for c in codecs]
+        del block  # freed before the next block is stacked
     write_json(out_dir / "encode_index.json", index)
     print(f"encoded {len(index)} spike files under {out_dir}")
     return EXIT_OK
@@ -123,22 +143,37 @@ def _cmd_reconstruct(args) -> int:
         raise DataError(f"{index_path} must be a list of objects with string "
                         f"fields {', '.join(fields)}")
     out_dir = make_dir(args.out or enc_dir)
-    rows = []
-    feats_rel = feats = None  # encode writes the index clip-major: keep the last clip
-    for item in index:
-        if args.codec and item["codec"] != args.codec:
-            continue
-        st = load_spikes(enc_dir / item["spikes"])
-        if st.codec_id != item["codec"]:
-            raise DataError(f"{item['spikes']} holds {st.codec_id}, not {item['codec']}")
-        if item["features"] != feats_rel:
-            feats_rel, feats = item["features"], load_features(enc_dir / item["features"])
-        if st.spikes.shape != feats.values.shape:
-            raise DataError(f"{item['spikes']} is {st.spikes.shape} but "
-                            f"{item['features']} is {feats.values.shape}")
-        est = decode_matrix(st)
-        e = errdb(feats.values, est)
-        rows.append([item["codec"], item["clip"], item["class_label"], e, -e])
+    items = [item for item in index if not args.codec or item["codec"] == args.codec]
+
+    def loaded():
+        """(entry, spikes) per item: entry is (position, feature values,
+        side_info, codec, params); the checks run as each file is read."""
+        feats_rel = values = None  # encode writes the index clip-major: keep the last clip
+        for i, item in enumerate(items):
+            st = load_spikes(enc_dir / item["spikes"])
+            if st.codec_id != item["codec"]:
+                raise DataError(f"{item['spikes']} holds {st.codec_id}, not {item['codec']}")
+            if item["features"] != feats_rel:
+                feats_rel = item["features"]
+                # float32, as stored, so open runs hold half the bytes; errdb
+                # widens them back to the very float64 load_features gives
+                values = load_features(enc_dir / feats_rel).values.astype(np.float32)
+            if st.spikes.shape != values.shape:
+                raise DataError(f"{item['spikes']} is {st.spikes.shape} but "
+                                f"{item['features']} is {values.shape}")
+            yield (i, values, st.side_info, st.codec_id, st.params), st.spikes
+
+    # Each codec and config decodes its own runs of clips, in index order.
+    rows: list = [None] * len(items)
+    for members, frames, block in _stack_blocks(loaded(), key=lambda entry: entry[3:]):
+        _, _, side_info, codec, params = zip(*members)
+        est = decode_matrix(SpikeTrain(block, np.concatenate(side_info), codec[0], params[0]))
+        row = 0
+        for (i, values, *_), n in zip(members, frames):
+            e = errdb(values, est[row:row + len(values), :n])
+            row += len(values)
+            rows[i] = [items[i]["codec"], items[i]["clip"], items[i]["class_label"], e, -e]
+        del est, block, members, values  # freed before the next files load
     write_report(out_dir, "reconstruct_scores", rows)
     print(f"decoded and scored {len(rows)} spike files; scores in {out_dir}")
     return EXIT_OK

@@ -109,40 +109,48 @@ class SpikeTrain:
 # Step Forward, and the one step encoder SF and TAE share
 # ---------------------------------------------------------------------------
 
+# Frames per slab of the step and MW encoders, which bounds their buffers.
+_SLAB_FRAMES = 128
+
+
 def _step_encode_rows(x: np.ndarray, t0: np.ndarray,
                       cfg: CodecConfig | None = None) -> np.ndarray:
     # Frame-major on one threshold row t, buffers reused through out=: a
     # spike fires where d = x - base passes +t or -t and steps the baseline
     # by t.  TAE (cfg given) then steps t by _tae_next; SF keeps t = T0.
-    xt = np.ascontiguousarray(x.T)
-    spikes = np.zeros(xt.shape, dtype=np.int8)
-    base, t = xt[0].copy(), t0.copy()
-    d, step, grown = np.empty((3, len(t)))
+    # One slab of frames at a time is copied frame-major into xt and its
+    # spikes back from st; base and t carry across slabs.
+    c, n = x.shape
+    spikes = np.empty((c, n), dtype=np.int8)
+    xt = np.empty((min(_SLAB_FRAMES, n), c))
+    st = np.zeros(xt.shape, dtype=np.int8)  # row 0 stays 0: frame 0 never fires
+    base, t = x[:, 0].copy(), t0.copy()
+    d, step, grown = np.empty((3, c))
     neg = np.negative(t)  # -t, renewed only where t steps
-    up, dn, fired = np.empty((3, len(t)), dtype=bool)
+    up, dn, fired = np.empty((3, c), dtype=bool)
     up8, dn8 = up.view(np.int8), dn.view(np.int8)
     if cfg is not None:
         tmin, tmax = _tae_bounds(t0, cfg)
-    for i in range(1, len(xt)):
-        np.subtract(xt[i], base, out=d)
-        np.greater(d, t, out=up)
-        np.less(d, neg, out=dn)
-        s = np.subtract(up8, dn8, out=spikes[i])
-        base += np.multiply(s, t, out=step)
-        if cfg is not None:
-            _tae_next(t, np.logical_or(up, dn, out=fired), tmin, tmax,
-                      cfg.tae_gamma, t, grown)
-            np.negative(t, out=neg)
-    return np.ascontiguousarray(spikes.T)
+    for lo in range(0, n, _SLAB_FRAMES):
+        m = min(_SLAB_FRAMES, n - lo)
+        np.copyto(xt[:m], x[:, lo:lo + m].T)
+        for i in range(1 if lo == 0 else 0, m):
+            np.subtract(xt[i], base, out=d)
+            np.greater(d, t, out=up)
+            np.less(d, neg, out=dn)
+            s = np.subtract(up8, dn8, out=st[i])
+            base += np.multiply(s, t, out=step)
+            if cfg is not None:
+                _tae_next(t, np.logical_or(up, dn, out=fired), tmin, tmax,
+                          cfg.tae_gamma, t, grown)
+                np.negative(t, out=neg)
+        spikes[:, lo:lo + m] = st[:m].T
+    return spikes
 
 
 # ---------------------------------------------------------------------------
 # Moving Window
 # ---------------------------------------------------------------------------
-
-# Frames per slab of the MW encoder's baseline, which bounds its buffers.
-_SLAB_FRAMES = 128
-
 
 def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
     # One slab of frames at a time, straight into the spikes.  Frame i's
@@ -151,8 +159,9 @@ def _mw_encode_rows(x: np.ndarray, t: np.ndarray, window: int) -> np.ndarray:
     # over the slab) and is divided by k.  Frame 0 never fires.
     c, n = x.shape
     spikes = np.zeros((c, n), dtype=np.int8)
-    base, edge = np.empty((2, c, _SLAB_FRAMES))
-    up, dn = np.empty((2, c, _SLAB_FRAMES), dtype=bool)
+    slab = min(_SLAB_FRAMES, n - 1)  # no larger than the frames it covers
+    base, edge = np.empty((2, c, slab))
+    up, dn = np.empty((2, c, slab), dtype=bool)
     for lo in range(1, n, _SLAB_FRAMES):
         hi = min(lo + _SLAB_FRAMES, n)
         m = hi - lo
@@ -234,8 +243,9 @@ def _decode_rows(spikes: np.ndarray, x0: np.ndarray, t0: np.ndarray, window: int
 # Matrix-level API
 # ---------------------------------------------------------------------------
 
-def encode_matrix(f: FeatureMatrix, cfg: CodecConfig, codec: str) -> SpikeTrain:
-    """Encode every channel of a FeatureMatrix independently.
+def encode_matrix(f: FeatureMatrix | np.ndarray, cfg: CodecConfig, codec: str) -> SpikeTrain:
+    """Encode every channel of a FeatureMatrix, or of a channels x frames
+    matrix of its values, independently.
 
     Output dimensions equal the input's; side_info stores (x[0], T) per
     channel, where T = threshold_rel of the channel's range (the fraction
@@ -243,7 +253,7 @@ def encode_matrix(f: FeatureMatrix, cfg: CodecConfig, codec: str) -> SpikeTrain:
     """
     if codec not in CODEC_IDS:
         raise ConfigError(f"unknown codec {codec!r}, expected one of {CODEC_IDS}")
-    x = np.asarray(f.values, dtype=np.float64)
+    x = np.asarray(f.values if isinstance(f, FeatureMatrix) else f, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError("signal must be a nonempty channels x frames matrix")
     if not np.all(np.isfinite(x)):

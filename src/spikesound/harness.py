@@ -13,7 +13,7 @@ import logging
 import platform
 import time
 import typing
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, asdict, field, is_dataclass, replace
 from pathlib import Path
 
@@ -31,7 +31,8 @@ from .codec import (
 )
 from .container import make_dir, read_csv, read_json, write_csv, write_json
 from .errors import ConfigError, DataError
-from .frontend import FrontendConfig, FeatureMatrix, mel_spectrogram, partition_bands
+from .frontend import (FrontendConfig, FeatureMatrix, mel_center_frequencies, mel_spectrogram,
+                       partition_bands)
 from .ingest import (MAX_SAMPLES, ManifestEntry, Waveform, center_crop, load_audio,
                      read_manifest, write_manifest, write_wav)
 from .metrics import (
@@ -242,6 +243,13 @@ def load_corpus(cfg: RunConfig, out_dir: Path
     return dataset_name, ((e, _clip_features(root, e, cfg)) for e in entries)
 
 
+def _values(clip: tuple[ManifestEntry, FeatureMatrix]) -> tuple[ManifestEntry, np.ndarray]:
+    """A load_corpus (entry, features) pair as the (entry, values) pair
+    _stack_blocks takes; mapped, so no stream frame keeps the features."""
+    entry, feats = clip
+    return entry, feats.values
+
+
 def _clip_features(root: Path, e: ManifestEntry, cfg: RunConfig) -> FeatureMatrix:
     try:
         w = load_audio(root / e.path, cfg.frontend.sample_rate)
@@ -252,45 +260,61 @@ def _clip_features(root: Path, e: ManifestEntry, cfg: RunConfig) -> FeatureMatri
         raise DataError(f"clip {e.path!r}: {exc}") from exc
 
 
-# Most feature entries (rows x frames) one encode call takes: 4 clips of
-# 128 x 858, so the default 40-clip corpus runs as 10 blocks.  A larger block
-# spreads each codec's per-frame steps over more rows, but run_bench holds one
-# block at a time: one default run_bench in a fresh interpreter (2 vCPUs,
-# numpy 2.4) peaks at 66 / 67 / 78 / 95 MB RSS with 2^18 / 2^19 / 2^20 / 2^21
-# entries (2 / 4 / 9 / 19 clips).
+# Most entries (rows x frames, padded) one encode or decode call takes: 4
+# clips of 128 x 858, so the default 40-clip corpus runs as 10 blocks.  A
+# larger block spreads each codec's per-frame steps over more rows, but
+# run_bench holds one block at a time: one default run_bench in a fresh
+# interpreter (2 vCPUs, numpy 2.4) peaks at 66 / 67 / 78 / 95 MB RSS with
+# 2^18 / 2^19 / 2^20 / 2^21 entries (2 / 4 / 9 / 19 clips).
 BLOCK_ENTRIES = 1 << 19
 
 
-def _stack_blocks(clips: Iterator[tuple[ManifestEntry, FeatureMatrix]]
-                  ) -> Iterator[tuple[list[ManifestEntry], FeatureMatrix]]:
-    """Stack runs of consecutive equal-length clips, in corpus order, as the
-    stream delivers them; yield (entries, block features) per run.
+def _stack_blocks(clips: Iterable[tuple[object, np.ndarray]], key=lambda entry: None
+                  ) -> Iterator[tuple[list, list[int], np.ndarray]]:
+    """Stack runs of consecutive (entry, rows x frames matrix) clips, in
+    stream order, as the stream delivers them; yield (entries, each clip's
+    frame count, block) per run.  Clip j of a block owns its j-th run of
+    rows, padded on the right with its last column up to the block's
+    longest clip.  Encoders and decoders are causal and a row's threshold
+    comes from its min and max, which the padding keeps, so every clip
+    encodes and decodes as it would alone.
 
-    A run closes as soon as one more clip of its size would pass
-    BLOCK_ENTRIES (a larger clip is a block by itself), or when the next
-    clip's frame count differs.  Clip j of a block owns its j-th run of
-    n_mels rows.
+    A run closes as soon as one more clip of its rows and its longest
+    length would pass BLOCK_ENTRIES (a larger clip is a block by itself),
+    or before a clip that would push its rows x longest length past it.
+    Clips of different key(entry) stack in runs of their own; runs still
+    open when the stream ends close in the order they opened.  The run's
+    clip matrices are dropped before its block is yielded.
     """
-    run: list[tuple[ManifestEntry, FeatureMatrix]] = []
+    runs: dict[object, list[tuple[object, np.ndarray]]] = {}
 
-    def stacked():
-        entries, feats = zip(*run)
-        run.clear()
-        return list(entries), FeatureMatrix(
-            values=np.concatenate([f.values for f in feats]),
-            channel_center_hz=np.concatenate([f.channel_center_hz for f in feats]),
-            norm_state=np.concatenate([f.norm_state for f in feats]),
-            frame_rate=feats[0].frame_rate,
-        )
+    def fits(run, rows, frames):  # the run plus a rows x frames clip, padded
+        rows += sum(len(m) for _, m in run)
+        return rows * max([frames, *(m.shape[1] for _, m in run)]) <= BLOCK_ENTRIES
 
-    for entry, feats in clips:
-        if run and run[0][1].n_frames != feats.n_frames:
-            yield stacked()
-        run.append((entry, feats))
-        if (len(run) + 1) * feats.values.size > BLOCK_ENTRIES:
-            yield stacked()
-    if run:
-        yield stacked()
+    def stacked(k):  # each clip's matrix is dropped once it is copied in
+        run = runs.pop(k)
+        frames = [m.shape[1] for _, m in run]
+        block = np.empty((sum(len(m) for _, m in run), max(frames)), dtype=run[0][1].dtype)
+        row = 0
+        for i, n in enumerate(frames):
+            run[i], m = run[i]
+            block[row:row + len(m), :n] = m
+            block[row:row + len(m), n:] = m[:, n - 1:]
+            row += len(m)
+        return run, frames, block
+
+    for clip in clips:
+        k = key(clip[0])
+        if k in runs and not fits(runs[k], *clip[1].shape):
+            yield stacked(k)
+        runs.setdefault(k, []).append(clip)
+        rows = len(clip[1])
+        del clip  # the run holds it until its block is stacked
+        if not fits(runs[k], rows, 0):
+            yield stacked(k)
+    for k in list(runs):
+        yield stacked(k)
 
 
 # Each report table: its file name ({codec} makes one file per codec), its
@@ -333,45 +357,48 @@ def run_bench(cfg: RunConfig) -> dict[str, list[tuple]]:
     """
     out_dir = make_dir(cfg.output_dir)
     dataset_name, clips = load_corpus(cfg, out_dir)
-    blocks = _stack_blocks(clips)
+    blocks = _stack_blocks(map(_values, clips))
     if cfg.run_snn:  # the protocol holds every clip's spikes anyway
         blocks = list(blocks)
-        frames = [block.n_frames for _, block in blocks]
+        frames = [n for _, clip_frames, _ in blocks for n in clip_frames]
         if min(frames) != max(frames):
             raise DataError(f"the SNN protocol needs equal-length clips, got {min(frames)} "
                             f"to {max(frames)} frames; set crop_seconds")
-    n_mels, codecs = cfg.frontend.n_mels, sorted(cfg.codecs)
+    fe = cfg.frontend
+    n_mels, codecs = fe.n_mels, sorted(cfg.codecs)
+    rows = band_rows(partition_bands(mel_center_frequencies(n_mels, fe.f_min, fe.f_max)))
     band_errs: dict[str, dict[int, list[float]]] = {c: {} for c in codecs}
     class_scores, rates, times_ms, aux, spikes = ({c: [] for c in codecs} for _ in range(5))
     entries, n_frames = [], 0
-    for members, block in blocks:
+    for members, clip_frames, block in blocks:
         k = len(members)
         entries += members
-        n_frames = n_frames or block.n_frames
-        rows = band_rows(partition_bands(block.channel_center_hz[:n_mels]))
-        shape = (k, n_mels, block.n_frames)
-        signals = [sums_of_squares(values, rows)  # shared by every codec
-                   for values in block.values.reshape(shape)]
+        n_frames = n_frames or clip_frames[0]
+        # clip j: its rows of the block, up to its own frame count
+        parts = [(slice(j * n_mels, (j + 1) * n_mels), slice(n))
+                 for j, n in enumerate(clip_frames)]
+        signals = [sums_of_squares(block[part], rows)  # shared by every codec
+                   for part in parts]
         for codec in codecs:
             ccfg = cfg.codec_params[codec]
             t0 = time.perf_counter()
             st = encode_matrix(block, ccfg, codec)
             times_ms[codec] += [1000.0 * (time.perf_counter() - t0) / k] * k
             est = decode_matrix(st)
-            for entry, values, clip_spikes, side_info, clip_est, signal in zip(
-                    members, block.values.reshape(shape), st.spikes.reshape(shape),
-                    st.side_info.reshape(k, n_mels, 2), est.reshape(shape), signals):
-                clip = SpikeTrain(clip_spikes, side_info, codec, ccfg)
-                # squares the error in est's own buffer
-                clip_err, band_scores = score_matrix(values, clip_est, rows, signal)
+            for entry, part, signal in zip(members, parts, signals):
+                clip = SpikeTrain(st.spikes[part], st.side_info[part[0]], codec, ccfg)
+                # squares the error in est's own buffer, or in a C-ordered copy
+                # of a padded clip's part, so every sum adds as for the clip alone
+                clip_err, band_scores = score_matrix(block[part], np.ascontiguousarray(est[part]),
+                                                     rows, signal)
                 class_scores[codec].append((entry.class_label, clip_err))
                 for b, e in band_scores.items():
                     band_errs[codec].setdefault(b, []).append(e)
                 rates[codec].append(firing_rate(clip))
                 aux[codec].append(serialized_size(clip) + encoder_state_bytes(clip))
                 if cfg.run_snn:
-                    spikes[codec].append(clip_spikes)
-            del st, est, clip, values, clip_spikes, side_info, clip_est  # before the next encode
+                    spikes[codec].append(clip.spikes)
+            del st, est, clip  # before the next encode
         del block  # freed before the next block is stacked
     del blocks  # an SNN run's features, freed before training
 

@@ -16,7 +16,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from math import exp, gcd
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,27 @@ MAX_SAMPLES = 1 << 27
 # Input samples per block of output periods in resample: 1 MB, so they
 # stay in a core's L2 cache while every phase passes over them.
 _BLOCK_INPUTS = 1 << 17
+# Cephes' Chebyshev coefficients for i0 (scipy.special.i0's): exp(-x) I0(x)
+# in x/2 - 2 on [0, 8], and sqrt(x) exp(-x) I0(x) in 32/x - 2 above 8.
+_I0_A = (-4.41534164647933937950E-18, 3.33079451882223809783E-17, -2.43127984654795469359E-16,
+         1.71539128555513303061E-15, -1.16853328779934516808E-14, 7.67618549860493561688E-14,
+         -4.85644678311192946090E-13, 2.95505266312963983461E-12, -1.72682629144155570723E-11,
+         9.67580903537323691224E-11, -5.18979560163526290666E-10, 2.65982372468238665035E-9,
+         -1.30002500998624804212E-8, 6.04699502254191894932E-8, -2.67079385394061173391E-7,
+         1.11738753912010371815E-6, -4.41673835845875056359E-6, 1.64484480707288970893E-5,
+         -5.75419501008210370398E-5, 1.88502885095841655729E-4, -5.76375574538582365885E-4,
+         1.63947561694133579842E-3, -4.32430999505057594430E-3, 1.05464603945949983183E-2,
+         -2.37374148058994688156E-2, 4.93052842396707084878E-2, -9.49010970480476444210E-2,
+         1.71620901522208775349E-1, -3.04682672343198398683E-1, 6.76795274409476084995E-1)
+_I0_B = (-7.23318048787475395456E-18, -4.83050448594418207126E-18, 4.46562142029675999901E-17,
+         3.46122286769746109310E-17, -2.82762398051658348494E-16, -3.42548561967721913462E-16,
+         1.77256013305652638360E-15, 3.81168066935262242075E-15, -9.55484669882830764870E-15,
+         -4.15056934728722208663E-14, 1.54008621752140982691E-14, 3.85277838274214270114E-13,
+         7.18012445138366623367E-13, -1.79417853150680611778E-12, -1.32158118404477131188E-11,
+         -3.14991652796324136454E-11, 1.18891471078464383424E-11, 4.94060238822496958910E-10,
+         3.39623202570838634515E-9, 2.26666899049817806459E-8, 2.04891858946906374183E-7,
+         2.89137052083475648297E-6, 6.88975834691682398426E-5, 3.36911647825569408990E-3,
+         8.04490411014108831608E-1)
 # The columns of a manifest CSV, in order.
 MANIFEST_HEADER = ["path", "class_label", "fold", "split"]
 
@@ -129,6 +150,12 @@ def _pcm_to_float(data: np.ndarray) -> np.ndarray:
     return data.astype(np.float64)  # float32 or float64, as _read_wav checks
 
 
+def _mono_float(data: np.ndarray) -> np.ndarray:
+    """_pcm_to_float of data, channels averaged."""
+    x = _pcm_to_float(data)
+    return x.mean(axis=1) if x.ndim == 2 else x
+
+
 def _read_wav(path: Path) -> tuple[int, np.ndarray]:
     """(rate, samples): the package's one WAV reader.  A DataError naming
     path if scipy cannot read the file, it has no data chunk, its header
@@ -152,18 +179,44 @@ def _read_wav(path: Path) -> tuple[int, np.ndarray]:
     return rate, data
 
 
+def _chbevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Cephes' Chebyshev series sum at each x, one operation at a time in
+    its order: b0 = x * b1 - b2 + c for each coefficient c after the first."""
+    b0, b1 = np.full(x.shape, coef[0]), np.zeros(x.shape)
+    for c in coef[1:]:
+        b2, b1 = b1, b0
+        b0 = x * b1
+        b0 -= b2
+        b0 += c
+    return 0.5 * (b0 - b2)
+
+
+def _i0(x: np.ndarray) -> np.ndarray:
+    """The modified Bessel function I0 at each x >= 0, bit for bit as
+    scipy.special.i0 (Cephes) computes it: exp(x) * chbevl(x/2 - 2, A) up
+    to 8, exp(x) * chbevl(32/x - 2, B) / sqrt(x) above.  exp is libm's
+    (math.exp), which np.exp differs from in the last bit at some x."""
+    low = x <= 8.0
+    out = np.fromiter(map(exp, x.tolist()), np.float64, len(x))
+    out[low] *= _chbevl(x[low] / 2.0 - 2.0, _I0_A)
+    high = x[~low]
+    out[~low] *= _chbevl(32.0 / high - 2.0, _I0_B)
+    out[~low] /= np.sqrt(high)
+    return out
+
+
 def _anti_alias_filter(up: int, down: int) -> np.ndarray:
     """The polyphase filter for (up, down), read-only: scipy.signal.firwin(
     64 * m + 1, 1 / m, window=("kaiser", 8.6)), m = max(up, down), step by
-    step.  scipy.special.i0 keeps the bits; np.i0 differs in the last ones.
+    step.  _i0 keeps scipy.special.i0's bits; np.i0 differs in the last ones.
     """
-    from scipy.special import i0
     max_rate = max(up, down)
     numtaps = _TAPS_PER_PHASE * max_rate + 1
     cutoff = 1.0 / max_rate
     n = np.arange(numtaps, dtype=np.float64)
     alpha = (numtaps - 1) / 2.0
-    window = i0(_KAISER_BETA * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / i0(_KAISER_BETA)
+    window = (_i0(_KAISER_BETA * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0))
+              / _i0(np.array([_KAISER_BETA])))
     h = cutoff * np.sinc(cutoff * (n - alpha)) * window
     h /= np.sum(h)
     h.flags.writeable = False
@@ -221,6 +274,7 @@ def resample(samples: np.ndarray, orig_rate: int, target_rate: int) -> np.ndarra
     # xp[first[r] + p * down] on, and windows[s][j, p] = xp[s + back + j - p * down].
     xp = np.zeros(max(hpp - 1 + len(x), int(first.max()) + back + hpp))
     xp[hpp - 1:hpp - 1 + len(x)] = x
+    del samples, x  # freed here unless the caller keeps them
     windows = as_strided(xp[back:], (int(first.max()) + 1, hpp, n_per), (8, 8, -8 * down))
     y = np.empty(n_per * up)
     blocks = max(1, min(-(-n_per * down // _BLOCK_INPUTS), n_per // 2))  # >= 2 periods each
@@ -256,10 +310,8 @@ def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Wave
         raise DataError(f"cannot resample {path} from {rate} Hz to {target_rate} Hz: factor "
                         f"{max(up, down)} (at most {MAX_RESAMPLE_FACTOR}), "
                         f"{n_out} samples (at most {MAX_SAMPLES})")
-    x = _pcm_to_float(data)
-    if x.ndim == 2:
-        x = x.mean(axis=1)
-    y = resample(x, rate, target_rate)
+    # no name here keeps the float samples, so resample frees them once copied
+    y = resample(_mono_float(data), rate, target_rate)
     np.clip(y, -1.0, 1.0, out=y)
     return Waveform(samples=y, sample_rate=int(target_rate), source_path=str(path))
 

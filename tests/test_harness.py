@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from spikesound.cli import build_parser, main
-from spikesound.codec import decode_matrix, encode_matrix, serialized_size
+import spikesound.codec as codec_module
+from spikesound.codec import CODEC_IDS, CodecConfig, decode_matrix, encode_matrix, serialized_size
 from spikesound.errors import ConfigError, DataError
 from spikesound.frontend import load_features, mel_spectrogram, partition_bands, save_features
 from spikesound.harness import (
+    SYNTH_CLASSES,
     RunConfig,
     SyntheticSpec,
     _synthetic_clips,
@@ -210,7 +212,7 @@ class TestRunBench:
         encoded = []
 
         def counted_encode(f, *args):
-            encoded.append(f.n_channels // 128)
+            encoded.append(len(f) // 128)
             return encode_matrix(f, *args)
 
         monkeypatch.setattr(harness, "encode_matrix", counted_encode)
@@ -332,15 +334,16 @@ class TestUnequalLengths:
 
 
 class TestBlockStacking:
-    """run_bench encodes equal-length runs of clips in stacked blocks; the
+    """run_bench encodes runs of clips of any length in padded blocks; the
     reports must equal a clip-by-clip computation."""
 
-    # 0.5 s clips have 83 frames, 0.3 s clips 48: runs of 3 long, 1 short,
-    # 1 long, 3 short, 1 long and 1 short clip make 6 blocks, or 7 when a
-    # block holds at most two long clips
+    # 0.5 s clips have 83 frames, 0.3 s clips 48.  All ten fit one default
+    # block.  When a block holds at most two clips' rows at 83 frames, they
+    # stack as L0 L1 | L2 S0 | L3 S1 | S2 S3 | L4 S4: S2 and S3 take three
+    # clips' rows at 48 frames, and L4 would pad them past the budget.
     ORDER = ["L0", "L1", "L2", "S0", "L3", "S1", "S2", "S3", "L4", "S4"]
 
-    @pytest.mark.parametrize("budget, blocks", [(None, 6), (2 * 128 * 83, 7)],
+    @pytest.mark.parametrize("budget, blocks", [(None, 1), (2 * 128 * 83, 5)],
                              ids=["default", "two_long"])
     def test_reports_match_clip_by_clip(self, tmp_path, monkeypatch, budget, blocks):
         import spikesound.harness as harness
@@ -350,7 +353,7 @@ class TestBlockStacking:
         calls = []
 
         def counted_encode(f, *args):
-            calls.append(f.n_channels)
+            calls.append(len(f))
             return encode_matrix(f, *args)
 
         monkeypatch.setattr(harness, "encode_matrix", counted_encode)
@@ -413,9 +416,9 @@ class TestBlockStacking:
         blocks, live_at_encode = [], []
 
         def recorded_blocks(clips):
-            for members, block in stack_blocks(clips):
-                blocks.append(weakref.ref(block.values))
-                yield members, block
+            for members, frames, block in stack_blocks(clips):
+                blocks.append(weakref.ref(block))
+                yield members, frames, block
 
         def counted_encode(*args):
             live_at_encode.append(sum(ref() is not None for ref in blocks))
@@ -427,6 +430,118 @@ class TestBlockStacking:
                             output_dir=str(tmp_path / "out")))
         assert len(blocks) == 3
         assert live_at_encode == [1] * 9
+
+    def test_padded_clips_code_as_alone(self):
+        # Clips of 4 rows in [0.2, 0.8] and unequal lengths: each clip's part
+        # of a padded block encodes, and its part of a padded spike block
+        # decodes, to the bytes it gives alone.  A pad of zeros would widen
+        # every row's span and so move its threshold.
+        import spikesound.harness as harness
+
+        rng = np.random.default_rng(3)
+        clips = [(j, rng.uniform(0.2, 0.8, (4, n))) for j, n in enumerate((9, 30, 1, 17, 30))]
+        cfg = CodecConfig(window=5, tae_tmin_rel=0.04, tae_tmax_rel=0.1)
+        [(members, frames, block)] = harness._stack_blocks(iter(clips))
+        assert (members, frames, block.shape) == ([0, 1, 2, 3, 4], [9, 30, 1, 17, 30], (20, 30))
+        for codec in CODEC_IDS:
+            st = encode_matrix(block, cfg, codec)
+            alone = [encode_matrix(x, cfg, codec) for _, x in clips]
+            [(_, _, spikes)] = harness._stack_blocks((j, a.spikes) for j, a in enumerate(alone))
+            est = decode_matrix(replace(st, spikes=spikes))
+            for j, (a, n) in enumerate(zip(alone, frames)):
+                rows = slice(4 * j, 4 * j + 4)
+                assert st.spikes[rows, :n].tobytes() == a.spikes.tobytes(), (codec, j)
+                assert st.side_info[rows].tobytes() == a.side_info.tobytes(), (codec, j)
+                assert est[rows, :n].tobytes() == decode_matrix(a).tobytes(), (codec, j)
+
+    @pytest.mark.parametrize("window", [1, 3, 12])
+    def test_encode_and_reconstruct_bytes_match_one_clip_blocks(self, tmp_path, monkeypatch,
+                                                                 window):
+        # Clips of 0.3 to 0.6 s at 22.05, 44.1 and 48 kHz, and a TAE config
+        # whose thresholds reach both clamps: every file encode and
+        # reconstruct write is the same with padded blocks as with one clip
+        # per block.
+        import spikesound.cli as cli
+        import spikesound.harness as harness
+
+        corpus = tmp_path / "corpus"
+        entries = []
+        for k, (rate, dur) in enumerate([(22050, 0.45), (44100, 0.3), (48000, 0.6),
+                                         (44100, 0.5)]):
+            spec = SyntheticSpec(n_clips=2, classes=SYNTH_CLASSES[k:k + 2], duration_s=dur,
+                                 sample_rate=rate)
+            manifest = write_synthetic_corpus(spec, k, corpus / str(k))
+            entries += [replace(e, path=f"{k}/{e.path}") for e in read_manifest(manifest)]
+        write_manifest(entries, corpus / "manifest.csv")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "dataset": str(corpus / "manifest.csv"),
+            "codec_params": {"mw": {"window": window},
+                             "tae": {"tae_tmin_rel": 0.04, "tae_tmax_rel": 0.06}}}))
+        calls = []
+        for op in ("encode_matrix", "decode_matrix"):
+            real = getattr(cli, op)
+            monkeypatch.setattr(cli, op, lambda *a, op=op, real=real: calls.append(op) or real(*a))
+        runs = {}
+        for budget in (1, harness.BLOCK_ENTRIES):  # the default budget last
+            monkeypatch.setattr(harness, "BLOCK_ENTRIES", budget)
+            enc = tmp_path / f"enc_{budget}"
+            assert main(["encode", "--config", str(config), "--out", str(enc)]) == 0
+            assert main(["reconstruct", str(enc)]) == 0
+            runs[budget] = {p.relative_to(enc).as_posix(): p.read_bytes()
+                            for p in enc.rglob("*") if p.is_file()}
+        # one block per clip, then one block of all 8 clips per codec
+        assert calls == (["encode_matrix"] * 24 + ["decode_matrix"] * 24
+                         + ["encode_matrix"] * 3 + ["decode_matrix"] * 3)
+        alone, padded = runs.values()
+        assert len(padded) == 2 + 8 * (1 + 2 * 3)  # index, scores, .spkf, .spk and sidecars
+        assert padded.keys() == alone.keys()
+        for name in padded:
+            assert padded[name] == alone[name], name
+        index = json.loads(padded["encode_index.json"])
+        assert [item["clip"] for item in index[::3]] == [e.path for e in entries]
+        # --codec decodes only that codec's runs
+        tae = tmp_path / "tae"
+        assert main(["reconstruct", str(enc), "--codec", "tae", "--out", str(tae)]) == 0
+        scores = padded["reconstruct_scores.csv"].decode().splitlines()
+        assert (tae / "reconstruct_scores.csv").read_text().splitlines() == [
+            scores[0], *(row for row in scores[1:] if row.startswith("tae,"))]
+        thresholds = []
+        real_next = codec_module._tae_next
+
+        def recorded_next(t, *args):
+            out = real_next(t, *args)
+            thresholds.append(out.copy())
+            return out
+
+        monkeypatch.setattr(codec_module, "_tae_next", recorded_next)
+        feats = load_features(tmp_path / "enc_1" / index[2]["features"])
+        st = encode_matrix(feats, CodecConfig(tae_tmin_rel=0.04, tae_tmax_rel=0.06), "tae")
+        t0 = st.side_info[:, 1]
+        trace = np.array(thresholds)
+        assert np.any(trace == t0 * (0.04 / 0.05)) and np.any(trace == t0 * (0.06 / 0.05))
+
+    def test_reconstruct_keeps_each_codec_config_apart(self, tmp_path):
+        # One index that alternates the MW files of two encodes, windows 3
+        # and 12: each clip scores as in the reconstruct of its own encode.
+        config, enc = tmp_path / "config.json", tmp_path / "enc"
+        scores, indexes = {}, {}
+        for window in (3, 12):
+            config.write_text(json.dumps({"codecs": ["mw"], "codec_params": {"mw": {
+                "window": window}}, "synthetic": {"n_clips": 6, "duration_s": 0.3}}))
+            part = enc / f"w{window}"
+            assert main(["encode", "--config", str(config), "--out", str(part)]) == 0
+            assert main(["reconstruct", str(part)]) == 0
+            scores[window] = (part / "reconstruct_scores.csv").read_text().splitlines()
+            indexes[window] = json.loads((part / "encode_index.json").read_text())
+        assert scores[3] != scores[12]
+        windows = [3, 12] * 3
+        (enc / "encode_index.json").write_text(json.dumps([
+            dict(indexes[w][i], spikes=f"w{w}/{indexes[w][i]['spikes']}",
+                 features=f"w{w}/{indexes[w][i]['features']}") for i, w in enumerate(windows)]))
+        assert main(["reconstruct", str(enc)]) == 0
+        assert (enc / "reconstruct_scores.csv").read_text().splitlines() == [
+            scores[3][0], *(scores[w][1 + i] for i, w in enumerate(windows))]
 
 
 def _clip_by_clip_reports(cfg: RunConfig, out: Path) -> None:

@@ -18,12 +18,13 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from spikesound import codec, container, ingest, metrics, snn
+from spikesound import codec, container, harness, ingest, metrics, snn
 from spikesound.errors import DataError
 
 import test_codec
 import test_codec_oracle
 import test_container
+import test_harness
 import test_ingest
 import test_metrics
 import test_snn
@@ -33,6 +34,7 @@ _real_mw_encode_rows = codec._mw_encode_rows
 _real_decode_rows = codec._decode_rows
 _real_lif_update = snn._lif_update
 _real_backward_batch = snn._backward_batch
+_real_stack_blocks = harness._stack_blocks
 
 
 def sf_fires_on_equal(x, t0, cfg=None):
@@ -249,6 +251,15 @@ def read_csv_any_field_count(path, what, header, parse, error=DataError):
         return [parse(*fields) for fields in rows if fields]
 
 
+def stack_blocks_pads_zeros(clips, key=lambda entry: None):
+    # Each clip's rows padded with zeros instead of their last value.
+    for entries, frames, block in _real_stack_blocks(clips, key):
+        rows = len(block) // len(entries)
+        for j, n in enumerate(frames):
+            block[j * rows:(j + 1) * rows, n:] = 0
+        yield entries, frames, block
+
+
 # name: (kernel module, kernel name, mutant, check module, check, check kwargs)
 MUTANTS = {
     "sf_fires_on_equal": (
@@ -332,6 +343,9 @@ MUTANTS = {
     "sums_of_squares_by_row": (
         metrics, "sums_of_squares", sums_of_squares_by_row, test_metrics,
         "TestScorePerBand.test_one_pass_scores_equal_copies", {"kind": "contiguous"}),
+    "stack_blocks_pads_zeros": (
+        harness, "_stack_blocks", stack_blocks_pads_zeros, test_harness,
+        "TestBlockStacking.test_padded_clips_code_as_alone", {}),
     "read_csv_any_field_count": (
         container, "read_csv", read_csv_any_field_count, test_container,
         "TestContainer.test_csv_rows_need_one_field_per_column", {}),
